@@ -20,14 +20,27 @@ The nonlinear term is evaluated on an oversampled collocation grid
 impossible and oversampling plus tail monitoring is the standard practice).
 Only the fluctuation around the conserved mean a_0 ever passes through the
 transforms, which keeps rounding noise at the 1e-16 coefficient level.
-x-stepping is classical RK4; entropy jumps are the identity on (p, u)
-coefficients.  Quiet states are exact fixed points, bit for bit.
+
+x-stepping is Lawson (integrating-factor) RK4.  Linearized at the mean,
+the law is the SL rotation of each mode: with s^2 = -v_p(a_0, A),
+
+    (a_j, b_j)(x + h) = [[cos th, -sin th / s], [s sin th, cos th]] (a_j, b_j)(x),
+    th = j Omega s h,
+
+which each step applies exactly; RK4 carries only the remainder
+v(p) - v(a_0) - v_p(a_0) (p - a_0) in the b_j equation.  On a smooth piece
+the rotation takes the step-midpoint sigma and the remainder also carries
+the sigma variation.  Since the remainder is quadratic in the fluctuation,
+a constant piece takes few steps, sized from the remainder's share of the
+motion (EvolutionConfig).  Entropy jumps are the identity on (p, u)
+coefficients.  The remainder vanishes at quiet data, so quiet states are
+exact fixed points, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -194,9 +207,14 @@ def boundary_operator(y: FourierField, chi: int) -> FourierField:
 class EvolutionConfig:
     """Discretization knobs for the pseudospectral x-march.
 
-    n_quad defaults to 4*M.  dx, when not given, is the smaller of the RK4
-    stability step 1/(8 sigma_max omega_M) and the accuracy step that keeps
-    the accumulated phase error of mode k_accuracy below x_error_target.
+    n_quad defaults to 4*M.  dx, when given, is the step everywhere.
+    Otherwise the step is the smaller of two bounds: the stability step
+    1/(8 sigma omega_M eta) and the accuracy step that keeps the accumulated
+    phase error of mode k_accuracy below x_error_target, relaxed by
+    eta**(-1/4).  eta in [0, 1] is the size of the stepped remainder against
+    the exact rotation; a smooth piece takes eta = 1 and sigma_max, a
+    constant piece its own sigma and the eta of its entry state's envelope
+    (eta = 0, one step, when the remainder vanishes).
     """
 
     M: int
@@ -216,21 +234,23 @@ class EvolutionConfig:
     def resolved_n_quad(self) -> int:
         return self.n_quad if self.n_quad is not None else 4 * self.M
 
-    def resolved_dx(self, profile, T) -> float:
+    def resolved_dx(self, profile, T, sigma=None, eta=1.0) -> float:
         if self.dx is not None:
             return self.dx
-        smax = profile.sigma_max
+        if eta <= 0.0:
+            return np.inf
+        smax = profile.sigma_max if sigma is None else sigma
         omega_top = self.M * 2.0 * np.pi / T
         k_acc = self.k_accuracy if self.k_accuracy is not None else min(self.M, 16)
         omega_acc = k_acc * 2.0 * np.pi / T
-        dx_stab = 1.0 / (8.0 * smax * omega_top)
+        dx_stab = 1.0 / (8.0 * smax * omega_top * eta)
         dx_acc = (
-            120.0 * self.x_error_target / (profile.ell * (smax * omega_acc) ** 5)
+            120.0 * self.x_error_target / (profile.ell * (smax * omega_acc) ** 5 * eta)
         ) ** 0.25
         return min(dx_stab, dx_acc)
 
 
-# -- nonlinear evolution ------------------------------------------------------------
+# -- the x-march ----------------------------------------------------------------------
 
 
 def _piece_table(profile):
@@ -250,30 +270,97 @@ def _grad_bound(a, b, omega_modes):
     return np.max(np.sum(omega_modes * mags, axis=-1))
 
 
-class _Marcher:
-    """Shared RK4 walker: steps a coefficient state through the profile."""
+def _fluct_grid(a, n):
+    """Grid values of the cosine series of a without its mean a_0."""
+    fluct = a.copy()
+    fluct[..., 0] = 0.0
+    return coeffs_to_grid(fluct, np.zeros_like(fluct), n)
 
-    def __init__(self, profile, eos, T, cfg):
+
+class _Frozen(NamedTuple):
+    """Equation-of-state constants at one entropy factor, on the grid of the mean."""
+
+    A: float
+    v0: np.ndarray
+    vp0: np.ndarray
+    vpp0: np.ndarray
+
+
+def _turn(state, rot):
+    """Rotate every (cos, sin) pair by the exact half-step SL transfer."""
+    c, sn_over_s, s_sn = rot
+    return tuple((c * a - sn_over_s * b, s_sn * a + c * b) for a, b in state)
+
+
+def _kick(state, ks, h):
+    return tuple((a, b + h * k) for (a, b), k in zip(state, ks))
+
+
+class _Marcher:
+    """Lawson (integrating-factor) RK4 walker through the profile.
+
+    The state is a tuple of (cos, sin) coefficient pairs over the mean a0.
+    Inside a step every pair turns exactly as the SL system with
+    s^2 = -v_p(a0, A), mode j by j Omega s dx (the algebra of
+    sl_core._pwc_piece_matrix, per batch row); RK4 carries only the
+    remainder, which drives the sine coefficients and vanishes at quiet data.
+    """
+
+    def __init__(self, profile, eos, T, cfg, a0):
         self.profile = profile
         self.T = T
         self.cfg = cfg
         self.n = cfg.resolved_n_quad()
-        self.dx = cfg.resolved_dx(profile, T)
         self.omega_modes = np.arange(cfg.M + 1) * (2.0 * np.pi / T)
         self.eos = eos if eos is not None else profile.eos
         self.pbar = profile.pbar
         if self.eos is None or self.pbar is None:
             raise DomainError("nonlinear work needs an equation of state and pbar")
+        # the mean as a contiguous grid: v(p) and v(a0) then share one code path,
+        # so the remainder is exactly zero at quiet data
+        self.a0_grid = np.repeat(np.asarray(a0, dtype=float), self.n, axis=-1)
 
-    def factor_at(self, sigma_val):
-        return self.eos.factor_from_sigma(self.pbar, sigma_val)
+    def frozen(self, sigma_val):
+        eos_ = self.eos
+        A = eos_.factor_from_sigma(self.pbar, sigma_val)
+        return _Frozen(
+            A,
+            eos_.volume_from_factor(self.a0_grid, A),
+            eos_.dvdp_from_factor(self.a0_grid, A),
+            eos_.d2vdp2_from_factor(self.a0_grid, A),
+        )
 
-    def walk(self, state, rhs, x_nodes=None, on_step=None):
-        """March `state` (tuple of arrays) from 0 to ell.
+    def half_turn(self, rot, h):
+        s = np.sqrt(-rot.vp0[..., :1])
+        theta = self.omega_modes * s * (0.5 * h)
+        sn = np.sin(theta)
+        return np.cos(theta), sn / s, s * sn
 
-        rhs(x, state, sigma, context) -> state derivative tuple; `context`
-        is (A_factor, sigma) resolved per stage.  Snapshots are taken exactly
-        at the requested x_nodes.
+    def eta(self, state, remainder, rot, sized):
+        """Remainder size against the rotation rate, in [0, 1].
+
+        Both are taken on the envelope: every mode at the cosine amplitude it
+        reaches during the exact turn, so eta does not depend on where in its
+        rotation the piece is entered (data that enter as pure velocity have
+        no remainder there, but gain one as they turn).
+        """
+        s = np.sqrt(-rot.vp0[..., :1])
+        envelope = tuple((np.hypot(a, b / s), np.zeros_like(b)) for a, b in state)
+        try:
+            ks = remainder(envelope, rot, rot)[:sized]
+        except ShockProximityError:
+            return 1.0  # the envelope leaves positive pressure: fully nonlinear
+        lin = max(float(np.max(self.omega_modes * s * s * a)) for a, _ in envelope[:sized])
+        rem = max(float(np.max(np.abs(k))) for k in ks)
+        return rem / (lin + rem) if rem > 0.0 else 0.0
+
+    def walk(self, state, remainder, x_nodes=None, on_step=None, sized=None):
+        """March `state` from 0 to ell; snapshots are taken exactly at x_nodes.
+
+        remainder(state, at, rot) -> one sine derivative per pair, with `at`
+        the constants at the stage's x and `rot` those of the rotation (the
+        same object on a constant piece).  The step count of a constant piece
+        follows the first `sized` pairs (default all).
         """
         nodes = [] if x_nodes is None else list(np.sort(np.asarray(x_nodes, dtype=float)))
         snaps = []
@@ -282,21 +369,34 @@ class _Marcher:
         def take(x, state):
             while nodes and nodes[0] <= x + eps:
                 nodes.pop(0)
-                snaps.append(tuple(np.array(s, copy=True) for s in state))
+                snaps.append(tuple((a.copy(), b.copy()) for a, b in state))
 
         take(0.0, state)
         for x0, x1, sig_const, sig_fn in _piece_table(self.profile):
             targets = [xn for xn in nodes if x0 - eps < xn < x1 - eps] + [x1]
+            if sig_const is not None:
+                const = self.frozen(sig_const)
+                eta = self.eta(state, remainder, const, sized)
+                dx = self.cfg.resolved_dx(self.profile, self.T, sig_const, eta)
+            else:
+                dx = self.cfg.resolved_dx(self.profile, self.T)
             x = x0
             for xt in targets:
                 seg = xt - x
                 if seg <= 0.0:
                     take(xt, state)
                     continue
-                n_steps = max(1, int(np.ceil(seg / self.dx)))
+                n_steps = max(1, int(np.ceil(seg / dx)))
                 h = seg / n_steps
+                if sig_const is not None:
+                    stages = (const, const, const)
+                    rot = self.half_turn(const, h)
                 for _ in range(n_steps):
-                    state = self._rk4(rhs, x, state, h, sig_const, sig_fn)
+                    if sig_const is None:
+                        xs = (x, x + 0.5 * h, x + h)
+                        stages = tuple(self.frozen(float(sig_fn(xx))) for xx in xs)
+                        rot = self.half_turn(stages[1], h)
+                    state = self._step(remainder, state, h, rot, stages)
                     x += h
                     if on_step is not None:
                         on_step(x, state)
@@ -306,52 +406,52 @@ class _Marcher:
         take(self.profile.ell + 2.0 * eps, state)
         return state, snaps
 
-    def _rk4(self, rhs, x, state, h, sig_const, sig_fn):
-        def f(xx, st):
-            sig = sig_const if sig_const is not None else float(sig_fn(xx))
-            return rhs(xx, st, sig)
+    @staticmethod
+    def _step(remainder, state, h, rot, stages):
+        """One Lawson RK4 step, E = exact half-step turn, N = remainder:
 
-        k1 = f(x, state)
-        k2 = f(x + 0.5 * h, _axpy(state, k1, 0.5 * h))
-        k3 = f(x + 0.5 * h, _axpy(state, k2, 0.5 * h))
-        k4 = f(x + h, _axpy(state, k3, h))
-        return tuple(
-            s + (h / 6.0) * (a + 2.0 * b_ + 2.0 * c + d)
-            for s, a, b_, c, d in zip(state, k1, k2, k3, k4)
-        )
-
-
-def _axpy(state, deriv, h):
-    return tuple(s + h * d for s, d in zip(state, deriv))
+        k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
+        k4 = N(E(E u + h k3)), u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.
+        The turn always uses the midpoint constants.
+        """
+        at0, mid, at1 = stages
+        k1 = remainder(state, at0, mid)
+        turned = _turn(state, rot)
+        k2 = remainder(_turn(_kick(state, k1, 0.5 * h), rot), mid, mid)
+        k3 = remainder(_kick(turned, k2, 0.5 * h), mid, mid)
+        k4 = remainder(_turn(_kick(turned, k3, h), rot), at1, mid)
+        k23 = tuple(p + q for p, q in zip(k2, k3))
+        out = _turn(_kick(_turn(_kick(state, k1, h / 6.0), rot), k23, h / 3.0), rot)
+        return _kick(out, k4, h / 6.0)
 
 
 def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
-    """Batched core of nonlinear_evolve; a, b have shape (..., M+1)."""
+    """Batched core of nonlinear_evolve; a, b have shape (..., M+1).
+
+    The rows of a batch share one step count, set by the largest remainder.
+    """
     a = np.array(a, dtype=float, copy=True)
     b = np.array(b, dtype=float, copy=True)
-    marcher = _Marcher(profile, eos, T, cfg)
+    a0 = a[..., :1]
+    marcher = _Marcher(profile, eos, T, cfg, a0)
     jw = marcher.omega_modes
     n = marcher.n
-    eos_ = marcher.eos
+    volume = marcher.eos.volume_from_factor
 
-    def rhs(x, state, sigma):
-        aa, bb = state
-        A = marcher.factor_at(sigma)
-        a0 = aa[..., :1]
-        fluct = aa.copy()
-        fluct[..., 0] = 0.0
-        p = a0 + coeffs_to_grid(fluct, np.zeros_like(fluct), n)
+    def remainder(state, at, rot):
+        ((aa, _),) = state
+        dp = _fluct_grid(aa, n)
+        p = a0 + dp
         if np.min(p) <= 0.0:
             raise ShockProximityError("pressure lost positivity during evolution")
-        w = eos_.volume_from_factor(p, A) - eos_.volume_from_factor(a0, A)
-        v_cos = _cos_coeffs_of_grid(w, cfg.M)
-        return (-jw * bb, -jw * v_cos)
+        w = (volume(p, at.A) - at.v0) - rot.vp0 * dp
+        return (-jw * _cos_coeffs_of_grid(w, cfg.M),)
 
     g0 = _grad_bound(a, b, jw)
     threshold = max(cfg.guard_factor * g0, 1e-8)
 
     def on_step(x, state):
-        aa, bb = state
+        ((aa, bb),) = state
         if not (np.all(np.isfinite(aa)) and np.all(np.isfinite(bb))):
             raise NumericalError(f"non-finite coefficients at x={x:.6g}")
         if _grad_bound(aa, bb, jw) > threshold:
@@ -359,8 +459,8 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
                 f"time-gradient bound exceeded {cfg.guard_factor} x initial at x={x:.6g}"
             )
 
-    (a, b), snaps = marcher.walk((a, b), rhs, x_nodes=x_nodes, on_step=on_step)
-    return (a, b), snaps
+    ((a, b),), snaps = marcher.walk(((a, b),), remainder, x_nodes=x_nodes, on_step=on_step)
+    return (a, b), [pair for (pair,) in snaps]
 
 
 def nonlinear_evolve(profile, eos, y0: FourierField, cfg: EvolutionConfig, x_nodes=None):
@@ -381,40 +481,36 @@ def nonlinear_evolve(profile, eos, y0: FourierField, cfg: EvolutionConfig, x_nod
 def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: EvolutionConfig):
     """First variation along the nonlinear trajectory of y0.
 
-    The base state and the variation are advanced as one coupled RK4 system,
-    so the linearization is taken along exactly the computed trajectory.  At
-    a quiet base the k-mode maps by the transfer matrix Psi(ell; k 2pi/T).
+    The base state and the variation are advanced as one coupled system, so
+    the linearization is taken along exactly the computed trajectory.  At a
+    quiet base the remainder vanishes and the k-mode turns exactly by the
+    transfer matrix Psi(ell; k 2pi/T).
     """
     if y0.n_modes != cfg.M or Y0.n_modes != cfg.M:
         raise DomainError("field cutoffs must match cfg.M")
-    marcher = _Marcher(profile, eos, y0.T, cfg)
+    a0 = y0.cos[:1]
+    marcher = _Marcher(profile, eos, y0.T, cfg, a0)
     jw = marcher.omega_modes
     n = marcher.n
     eos_ = marcher.eos
 
-    def rhs(x, state, sigma):
-        aa, bb, AA, BB = state
-        Af = marcher.factor_at(sigma)
-        a0 = aa[..., :1]
-        fluct = aa.copy()
-        fluct[..., 0] = 0.0
-        p = a0 + coeffs_to_grid(fluct, np.zeros_like(fluct), n)
+    def remainder(state, at, rot):
+        (aa, _), (AA, _) = state
+        dp = _fluct_grid(aa, n)
+        p = a0 + dp
         if np.min(p) <= 0.0:
             raise ShockProximityError("pressure lost positivity during evolution")
-        w = eos_.volume_from_factor(p, Af) - eos_.volume_from_factor(a0, Af)
-        v_cos = _cos_coeffs_of_grid(w, cfg.M)
-        vp = eos_.dvdp_from_factor(p, Af)
+        w = (eos_.volume_from_factor(p, at.A) - at.v0) - rot.vp0 * dp
         P = coeffs_to_grid(AA, np.zeros_like(AA), n)
-        vpP_cos = _cos_coeffs_of_grid(vp * P, cfg.M)
-        return (-jw * bb, -jw * v_cos, -jw * BB, -jw * vpP_cos)
+        dvp_P = (eos_.dvdp_from_factor(p, at.A) - rot.vp0) * P
+        return (-jw * _cos_coeffs_of_grid(w, cfg.M), -jw * _cos_coeffs_of_grid(dvp_P, cfg.M))
 
     state = (
-        np.array(y0.cos, copy=True),
-        np.array(y0.sin, copy=True),
-        np.array(Y0.cos, copy=True),
-        np.array(Y0.sin, copy=True),
+        (np.array(y0.cos, copy=True), np.array(y0.sin, copy=True)),
+        (np.array(Y0.cos, copy=True), np.array(Y0.sin, copy=True)),
     )
-    (aa, bb, AA, BB), _ = marcher.walk(state, rhs)
+    # steps follow the base trajectory alone, so the march stays linear in Y0
+    (_, (AA, BB)), _ = marcher.walk(state, remainder, sized=1)
     return FourierField(y0.T, AA, BB)
 
 
@@ -524,28 +620,27 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
     if cfg is None:
         cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
     T = 2.0 * np.pi * k / eig.omega
-    marcher = _Marcher(profile, eos, T, cfg)
+    marcher = _Marcher(profile, eos, T, cfg, np.array([profile.pbar]))
     jw = marcher.omega_modes
     n = marcher.n
-    eos_ = marcher.eos
-    pbar = marcher.pbar
 
-    def rhs(x, state, sigma):
-        AA, BB, QQ, VV = state
-        Af = marcher.factor_at(sigma)
-        vp = float(eos_.dvdp_from_factor(pbar, Af))
-        vpp = float(eos_.d2vdp2_from_factor(pbar, Af))
+    def remainder(state, at, rot):
+        (AA, _), (QQ, _) = state
         P = coeffs_to_grid(AA, np.zeros_like(AA), n)
         Q = coeffs_to_grid(QQ, np.zeros_like(QQ), n)
+        dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
         # P1 = 1 (the evolved 0-mode), P2 = even part of Y: bilinear forcing
-        force_cos = _cos_coeffs_of_grid(vp * Q + vpp * 1.0 * P, cfg.M)
-        return (-jw * BB, -jw * _cos_coeffs_of_grid(vp * P, cfg.M), -jw * VV, -jw * force_cos)
+        force = dvp * Q + at.vpp0 * 1.0 * P
+        return (
+            -jw * _cos_coeffs_of_grid(dvp * P, cfg.M),
+            -jw * _cos_coeffs_of_grid(force, cfg.M),
+        )
 
     a = np.zeros(cfg.M + 1)
     a[k] = 1.0
     z = np.zeros(cfg.M + 1)
-    state = (a, np.zeros_like(a), z, np.zeros_like(z))
-    (AA, BB, QQ, VV), _ = marcher.walk(state, rhs)
+    state = ((a, np.zeros_like(a)), (z, np.zeros_like(z)))
+    (_, (QQ, VV)), _ = marcher.walk(state, remainder)
     phi_hat, psi_hat = float(QQ[k]), float(VV[k])
     c, s = sl_core.quarter_cos_sin(k * chi)
     return QuietSecondDerivative(

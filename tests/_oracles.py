@@ -3,7 +3,8 @@
 These deliberately avoid the Prüfer/rotation algebra: the transfer-matrix
 oracle is plain fixed-step RK4 of the first-order system
 Psi' = omega [[0, -1], [sigma^2, 0]] Psi, stepped piece by piece so no step
-straddles a jump.
+straddles a jump.  The march oracle is plain fixed-step RK4 of the
+coefficient law itself, with its own transforms.
 """
 
 import numpy as np
@@ -84,6 +85,41 @@ def dense_prufer_angle(piece, omega, theta0, n=20_000):
         theta += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return theta
+
+
+def dense_march_pwc(profile, eos, a, b, T, n_total=4000, n_quad=None):
+    """Fixed-step RK4 of the coefficient law on a piecewise constant profile.
+
+    da_j/dx = -j Omega b_j,  db_j/dx = -j Omega [cos coefficients of
+    v(p(t), A)]_j,  p the even part of the state on a uniform grid of
+    n_quad >= 4 M points; a, b have shape (..., M+1).  Steps are allocated to
+    pieces proportionally to width.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    m = a.shape[-1] - 1
+    n = 4 * m if n_quad is None else n_quad
+    jw = np.arange(m + 1) * (2.0 * np.pi / T)
+    cos_t = np.cos(np.outer(np.arange(m + 1), np.arange(n) * (2.0 * np.pi / n)))
+
+    def rhs(aa, bb, A):
+        p = aa @ cos_t
+        spec = np.fft.rfft(eos.volume_from_factor(p, A), axis=-1)[..., : m + 1].real
+        v_cos = spec * (2.0 / n)
+        return -jw * bb, -jw * v_cos
+
+    for sigma, width in zip(profile.sigma_levels, profile.widths):
+        A = eos.factor_from_sigma(profile.pbar, float(sigma))
+        steps = max(1, int(round(n_total * width / profile.ell)))
+        h = width / steps
+        for _ in range(steps):
+            k1 = rhs(a, b, A)
+            k2 = rhs(a + 0.5 * h * k1[0], b + 0.5 * h * k1[1], A)
+            k3 = rhs(a + 0.5 * h * k2[0], b + 0.5 * h * k2[1], A)
+            k4 = rhs(a + h * k3[0], b + h * k3[1], A)
+            a = a + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            b = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return a, b
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

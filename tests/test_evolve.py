@@ -11,6 +11,7 @@ from puretone.evolve import (
     FourierField,
     boundary_operator,
     coeffs_to_grid,
+    evolve_coefficients,
     grid_to_coeffs,
     linearized_evolve,
     nonlinear_evolve,
@@ -218,6 +219,55 @@ def test_spectral_convergence_under_mode_doubling(two_level, gamma2, eig1):
     assert disc(8) / disc(16) > 10.0
 
 
+def _march_batch(alpha, m=16):
+    # the k = 1 mode, the same with a shifted mean, a mixed even/odd row and
+    # a pure velocity row (no pressure fluctuation, so no remainder, at x = 0)
+    a = np.zeros((4, m + 1))
+    a[:, 0] = 1.0
+    a[1, 0] = 1.0 + 2e-3
+    a[:3, 1] = alpha
+    a[2, 2], a[2, 3] = 0.3 * alpha, -0.1 * alpha
+    b = np.zeros_like(a)
+    b[2, 1] = 0.5 * alpha
+    b[3, 1] = alpha
+    return a, b
+
+
+@pytest.fixture(scope="module")
+def dense_oracle(two_level, gamma2, eig1):
+    from _oracles import dense_march_pwc
+
+    return {
+        alpha: dense_march_pwc(two_level, gamma2, *_march_batch(alpha), eig1.T, n_total=8000)
+        for alpha in (1e-3, 1e-2)
+    }
+
+
+def _march_error(out, ref):
+    return np.max(np.abs(np.concatenate([out[0] - ref[0], out[1] - ref[1]], axis=-1)))
+
+
+def test_default_march_matches_dense_oracle(two_level, gamma2, eig1, cfg16, dense_oracle):
+    a, b = _march_batch(1e-3)
+    ref = dense_oracle[1e-3]
+    out, _ = evolve_coefficients(two_level, gamma2, a, b, eig1.T, cfg16)
+    assert _march_error(out, ref) < 1e-11
+    # a row marched alone sizes its own steps
+    for i in range(a.shape[0]):
+        row, _ = evolve_coefficients(two_level, gamma2, a[i], b[i], eig1.T, cfg16)
+        assert _march_error(row, (ref[0][i], ref[1][i])) < 1e-11
+
+
+def test_lawson_step_is_fourth_order(two_level, gamma2, eig1, dense_oracle):
+    errs = []
+    for n in (16, 32, 64):
+        cfg = EvolutionConfig(M=16, dx=two_level.ell / n)
+        out, _ = evolve_coefficients(two_level, gamma2, *_march_batch(1e-2), eig1.T, cfg)
+        errs.append(_march_error(out, dense_oracle[1e-2]))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 < coarse / fine < 20.0
+
+
 # -- linearized evolution -------------------------------------------------------------
 
 
@@ -230,6 +280,18 @@ def test_linearized_quiet_matches_transfer_matrix(two_level, gamma2, eig1):
         psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
         assert abs(Y.cos[k] - psi[0, 0]) < 1e-8
         assert abs(Y.sin[k] - psi[1, 0]) < 1e-8
+
+
+def test_quiet_linearization_is_exact_rotation(two_level, gamma2, eig1):
+    # at a quiet base the remainder vanishes: one exact turn per piece
+    cfg = EvolutionConfig(M=64)
+    base = FourierField.constant(eig1.T, 1.0, 64)
+    for k in range(1, 17):
+        Y0 = FourierField.cosine(eig1.T, k, 1.0, m=64)
+        Y = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+        psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
+        assert abs(Y.cos[k] - psi[0, 0]) < 1e-12
+        assert abs(Y.sin[k] - psi[1, 0]) < 1e-12
 
 
 def test_linearized_is_linear(two_level, gamma2, eig1, rng):
