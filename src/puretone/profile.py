@@ -294,37 +294,14 @@ def reversed_profile(profile):
 # -- quadrature --------------------------------------------------------------
 
 
-def _adaptive_simpson(f, a, b, tol):
-    """Classic adaptive composite Simpson on [a, b]."""
+def sigma_integral(profile) -> float:
+    """integral of sigma over [0, ell]; equals sum(theta_i) for pwc profiles.
 
-    def simpson(fa, fm, fb, a, b):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a, m)
-        right = simpson(fm, frm, fb, m, b)
-        if depth > 48 or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
-        )
-
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(fa, fm, fb, a, b)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def sigma_integral(profile, tol=1e-10) -> float:
-    """integral of sigma over [0, ell]; equals sum(theta_i) for pwc profiles."""
+    Smooth pieces are integrated exactly, as the piecewise cubic they are.
+    """
     if isinstance(profile, PiecewiseConstantProfile):
         return float(np.sum(profile.angles))
-    total = 0.0
-    for piece in profile.pieces:
-        total += _adaptive_simpson(lambda x: float(piece.sigma(x)), piece.x0, piece.x1, tol)
-    return total
+    return float(sum(piece._interp.integrate(piece.x0, piece.x1) for piece in profile.pieces))
 
 
 # -- serialization ------------------------------------------------------------

@@ -30,13 +30,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .profile import PiecewiseConstantProfile
+from .profile import PiecewiseConstantProfile, sigma_integral
 from . import sl_core
 
 #: convergence target for |kappa(omega_k) - k|
 KAPPA_TOL = 1e-12
 
-#: looser target for smooth profiles, limited by the adaptive ODE tolerance
+#: looser target for smooth profiles, above the Magnus propagator's error
+#: target PRUFER_TOL on each piece
 KAPPA_TOL_SMOOTH = 5e-11
 
 #: default thresholds of the resonance verdict
@@ -95,69 +96,57 @@ def kappa_slope(profile, omega):
 
 def asymptotic_slope(profile) -> float:
     """Lambda = (pi/2) / integral(sigma): the large-k limit of omega_k / k."""
-    from .profile import sigma_integral
-
     return (np.pi / 2.0) / sigma_integral(profile)
 
 
 # -- root solvers ----------------------------------------------------------------
 
 
-def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
+def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
     """Vectorized safeguarded Newton for theta(ell, omega) = target.
 
-    jumps (..., N-1) and angles (..., N) may carry batch axes broadcasting
-    against `targets`.  Returns (omega, converged mask).
+    `angle_and_slope(omega)` returns (theta, d theta/d omega) at every omega
+    at once; theta(ell, omega) lies within `wiggle` of omega * `total`, which
+    brackets each root.  Returns (omega, converged mask).
     """
     targets = np.asarray(targets, dtype=float)
-    total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
-    n_jumps = jumps.shape[-1]
-    wiggle = n_jumps * (np.pi / 2.0)
     lo = np.maximum((targets - wiggle) / total, 0.0)
     hi = (targets + wiggle) / total
     om = targets / total
     om = np.clip(om, lo + 1e-30, hi)
     tol_theta = tol * (np.pi / 2.0)
-    done = np.zeros(targets.shape, dtype=bool)
     for _ in range(max_iter):
-        th, dth = sl_core._pwc_angle_chain(jumps, angles, om, 0.0, with_slope=True)
+        th, dth = angle_and_slope(om)
         f = th - targets
         done = np.abs(f) <= tol_theta
         if np.all(done):
-            break
+            return om, done
         hi = np.where(f > 0.0, np.minimum(hi, om), hi)
         lo = np.where(f < 0.0, np.maximum(lo, om), lo)
         cand = om - f / dth
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         om = np.where(done, om, np.where(bad, 0.5 * (lo + hi), cand))
-    th = sl_core._pwc_angle_chain(jumps, angles, om, 0.0)
-    converged = np.abs(th - targets) <= 10.0 * tol_theta
-    return om, converged
+    th, _ = angle_and_slope(om)
+    return om, np.abs(th - targets) <= 10.0 * tol_theta
 
 
-def _smooth_solve_target(profile, target, tol=KAPPA_TOL_SMOOTH, max_iter=80):
-    from .profile import sigma_integral
+def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
+    """Roots of the pwc chain; jumps (..., N-1), angles (..., N) broadcast against targets."""
+    targets = np.asarray(targets, dtype=float)
+    total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
+    wiggle = jumps.shape[-1] * (np.pi / 2.0)
+    chain = lambda om: sl_core._pwc_angle_chain(jumps, angles, om, 0.0, with_slope=True)
+    return _solve_targets(chain, total, wiggle, targets, tol, max_iter)
 
-    total = sigma_integral(profile)
+
+def _solve_profile_targets(profile, targets):
+    """Roots theta(ell, omega) = targets for any profile, all targets at once."""
+    if isinstance(profile, PiecewiseConstantProfile):
+        return _pwc_solve_targets(profile.jumps, profile.angles, targets)
     # |theta(ell) - omega*total| <= pi/2 per jump + TV(log sigma)/2 per piece
     wiggle = (profile.n_pieces - 1) * (np.pi / 2.0) + 0.5 * profile.log_sigma_variation() + 1e-9
-    lo = max((target - wiggle) / total, 0.0)
-    hi = (target + wiggle) / total
-    om = target / total
-    tol_theta = tol * (np.pi / 2.0)
-    for _ in range(max_iter):
-        th, dth = sl_core.angle_and_slope_at_ell(profile, om, 0.0)
-        f = th - target
-        if abs(f) <= tol_theta:
-            return om, True
-        if f > 0.0:
-            hi = min(hi, om)
-        else:
-            lo = max(lo, om)
-        cand = om - f / dth
-        om = cand if lo < cand < hi else 0.5 * (lo + hi)
-    th = sl_core.angle_at_ell(profile, om, 0.0)
-    return om, abs(th - target) <= 2.0 * tol_theta
+    slope = lambda om: sl_core.angle_and_slope_at_ell(profile, om, 0.0)
+    return _solve_targets(slope, sigma_integral(profile), wiggle, targets, KAPPA_TOL_SMOOTH)
 
 
 def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
@@ -167,14 +156,10 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
     even ones (the boundary angle is then a multiple of pi).
     """
     _validate_mode(k, chi)
-    target = k * np.pi / 2.0
-    if isinstance(profile, PiecewiseConstantProfile):
-        om, ok = _pwc_solve_targets(profile.jumps, profile.angles, np.asarray(target))
-        om, ok = float(om), bool(ok)
-    else:
-        om, ok = _smooth_solve_target(profile, target)
+    om, ok = _solve_profile_targets(profile, np.asarray(k * np.pi / 2.0))
     if not ok:
         raise SolverError(f"eigenfrequency iteration for k={k} did not converge")
+    om = float(om)
     res = abs(float(kappa(profile, om)) - k)
     return EigenFrequency(k=k, omega=om, T=2.0 * np.pi * k / om, chi=chi, kappa_residual=res)
 
@@ -182,18 +167,9 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
 def eigen_ladder(profile, k_max: int, chi: int = 1):
     """omega_1..omega_{k_max} (chi=1 labels); returns (omega, kappa_residual)."""
     ks = np.arange(1, k_max + 1, dtype=float)
-    targets = ks * np.pi / 2.0
-    if isinstance(profile, PiecewiseConstantProfile):
-        om, ok = _pwc_solve_targets(profile.jumps, profile.angles, targets)
-        if not np.all(ok):
-            raise SolverError(f"ladder solve failed for k in {1 + np.flatnonzero(~ok)}")
-    else:
-        om = np.empty(k_max)
-        for i, t in enumerate(targets):
-            w, ok = _smooth_solve_target(profile, t)
-            if not ok:
-                raise SolverError(f"ladder solve failed for k={i + 1}")
-            om[i] = w
+    om, ok = _solve_profile_targets(profile, ks * np.pi / 2.0)
+    if not np.all(ok):
+        raise SolverError(f"ladder solve failed for k in {1 + np.flatnonzero(~ok)}")
     res = np.abs(kappa(profile, om) - ks)
     return om, res
 
@@ -218,9 +194,7 @@ def divisor_bound(profile) -> float:
     Prüfer variables contributes max(sqrt sigma(ell), 1/sqrt sigma(ell)).
     Within C1 pieces the log-radius moves by at most TV(log sigma)/2.
     """
-    from .profile import PiecewiseConstantProfile as _Pwc
-
-    if isinstance(profile, _Pwc):
+    if isinstance(profile, PiecewiseConstantProfile):
         s0 = float(profile.sigma_levels[0])
         s1 = float(profile.sigma_levels[-1])
         interior = 1.0
@@ -242,11 +216,10 @@ def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
         raise DomainError("period T must be positive")
     if chi not in (0, 1):
         raise DomainError("chi must be 0 or 1")
-    delta = np.empty(j_max)
-    for j in range(1, j_max + 1):
-        psi_mat = sl_core.fundamental_matrix(profile, j * 2.0 * np.pi / T)
-        c, s = sl_core.quarter_cos_sin(j * chi)
-        delta[j - 1] = c * psi_mat[1, 0] - s * psi_mat[0, 0]
+    j = np.arange(1, j_max + 1)
+    psi_mat = sl_core.fundamental_matrix(profile, j * 2.0 * np.pi / T)
+    c, s = np.array([sl_core.quarter_cos_sin(i * chi) for i in j]).reshape(j_max, 2).T
+    delta = c * psi_mat[:, 1, 0] - s * psi_mat[:, 0, 0]
     return DivisorTable(T=T, chi=chi, delta=delta)
 
 

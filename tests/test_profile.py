@@ -68,6 +68,17 @@ def test_sigma_integral_smooth():
     assert abs(sigma_integral(prof) - 1.5) < 1e-10
 
 
+def test_sigma_integral_smooth_matches_dense_simpson(smooth_jumpy):
+    # the pieces are not linear, so this checks the exact cubic integration
+    from scipy.integrate import simpson
+
+    dense = 0.0
+    for piece in smooth_jumpy.pieces:
+        x = np.linspace(piece.x0, piece.x1, 2**14 + 1)
+        dense += simpson(piece.sigma(x), x=x)
+    assert abs(sigma_integral(smooth_jumpy) - dense) < 1e-12
+
+
 def test_sigma_at_lookup(smooth_jumpy, two_level):
     assert_allclose(two_level.sigma_at([0.1, 0.75]), [1.0, 2.0])
     # right limit at the jump

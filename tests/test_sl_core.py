@@ -317,3 +317,49 @@ def test_quarter_table():
     for n in range(-3, 9):
         c, s = quarter_cos_sin(n)
         assert_allclose([c, s], [np.cos(n * np.pi / 2), np.sin(n * np.pi / 2)], atol=1e-15)
+
+
+# -- omega-batched Magnus propagator ----------------------------------------------------
+
+
+def test_batch_matches_scalar_calls(smooth_ramp, smooth_jumpy, rng):
+    # each omega gets its own step count, so a batch gives the scalar values
+    w = np.array([0.3, 1.1, 2.9, 7.5, 16.0, 33.3])
+    for prof in (smooth_ramp, smooth_jumpy, *(random_pwc(rng) for _ in range(5))):
+        th, zeta = angle_and_slope_at_ell(prof, w)
+        psi = fundamental_matrix(prof, w)
+        assert psi.shape == (w.size, 2, 2)
+        for i, wi in enumerate(w):
+            th1, zeta1 = angle_and_slope_at_ell(prof, float(wi))
+            assert abs(th1 - th[i]) < 1e-13
+            assert abs(zeta1 - zeta[i]) < 1e-13
+            assert np.max(np.abs(fundamental_matrix(prof, float(wi)) - psi[i])) < 1e-13
+
+
+def test_constant_samples_reproduce_pwc_rotation():
+    smooth = SmoothProfile((SmoothPiece(np.linspace(0.0, 1.0, 17), np.full(17, 1.7)),))
+    pwc = PiecewiseConstantProfile([1.7], [1.0])
+    for w in (0.4, 3.3, 40.0, 211.0):
+        th_s, zeta_s = angle_and_slope_at_ell(smooth, w)
+        th_p, zeta_p = angle_and_slope_at_ell(pwc, w)
+        assert abs(th_s - th_p) < 1e-13
+        assert abs(zeta_s - zeta_p) < 1e-13
+        assert np.max(np.abs(fundamental_matrix(smooth, w) - fundamental_matrix(pwc, w))) < 1e-13
+
+
+def test_smooth_high_frequency_matches_dense_oracle(smooth_jumpy):
+    psi = fundamental_matrix(smooth_jumpy, 40.0)
+    ref = dense_transfer_smooth(smooth_jumpy, 40.0, n_total=20_000)
+    assert np.max(np.abs(psi - ref)) < 1e-8
+    assert abs(np.linalg.det(psi) - 1.0) < 1e-12
+
+
+def test_smooth_slope_is_derivative_of_discrete_angle(smooth_ramp, smooth_jumpy):
+    # zeta carries the closed-form omega-derivative of every Magnus step, so
+    # it matches a fine difference quotient of the discrete angle itself
+    h = 1e-5
+    for prof in (smooth_ramp, smooth_jumpy):
+        for w in (0.8, 2.9, 13.0):
+            _, zeta = angle_and_slope_at_ell(prof, w)
+            fd = (angle_at_ell(prof, w + h) - angle_at_ell(prof, w - h)) / (2 * h)
+            assert abs(zeta - fd) < 1e-8
