@@ -19,7 +19,10 @@ The nonlinear term is evaluated on an oversampled collocation grid
 (n_quad >= 4 M; the gamma-law flux is not polynomial so exact dealiasing is
 impossible and oversampling plus tail monitoring is the standard practice).
 Only the fluctuation around the conserved mean a_0 ever passes through the
-transforms, which keeps rounding noise at the 1e-16 coefficient level.
+transforms, which keeps rounding noise at the 1e-16 coefficient level.  Each
+transform is one product against cosine/sine matrices cached per (M, n),
+cheaper than an FFT round trip at these sizes; a march folds -j Omega and the
+2/n scaling into its one analysis matrix.
 
 x-stepping is Lawson (integrating-factor) RK4.  Linearized at the mean,
 the law is the SL rotation of each mode: with s^2 = -v_p(a_0, A),
@@ -39,6 +42,7 @@ exact fixed points, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -53,41 +57,48 @@ from . import spectrum as _spectrum
 # -- coefficient <-> grid transforms (batched over leading axes) -----------------
 
 
+def _sin_quarter(r, n):
+    """Read-only sin(r pi / (2 n)) for integer r >= 0, folded onto [0, pi/2]."""
+    r = r % (4 * n)
+    sign = np.where(r > 2 * n, -1.0, 1.0)
+    r = np.where(r > 2 * n, 4 * n - r, r)
+    r = np.where(r > n, 2 * n - r, r)
+    out = sign * np.sin(r * (np.pi / (2 * n)))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _dft_basis(m, n):
+    """cos/sin(2 pi j i / n), j = 0..m, i = 0..n-1, each (m+1, n).
+
+    The phase is the integer (j i) mod n, folded onto the first quadrant
+    before it is scaled, so the tables match an FFT to roundoff at any m, are
+    exactly even (cos) and odd (sin) in i, and vanish exactly where the
+    phase is a multiple of pi.  n >= 2 m + 2 leaves no Nyquist term.
+    """
+    if n < 2 * m + 2:
+        raise DomainError(f"grid of {n} points cannot carry {m} modes")
+    quarters = 4 * (np.outer(np.arange(m + 1), np.arange(n)) % n)
+    return _sin_quarter(quarters + n, n), _sin_quarter(quarters, n)
+
+
 def coeffs_to_grid(a, b, n):
     """Values of sum a_j cos + b_j sin on the uniform grid t_i = i T / n."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = a.shape[-1] - 1
-    if n < 2 * m + 2:
-        raise DomainError(f"grid of {n} points cannot carry {m} modes")
-    spec = np.zeros(a.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    spec[..., 0] = a[..., 0] * n
-    spec[..., 1 : m + 1] = (a[..., 1:] - 1j * b[..., 1:]) * (n / 2.0)
-    return np.fft.irfft(spec, n=n, axis=-1)
+    cos, sin = _dft_basis(a.shape[-1] - 1, n)
+    return a @ cos + b @ sin
 
 
 def grid_to_coeffs(values, m):
     """Leading m+1 cosine/sine coefficients of grid samples."""
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    a = np.empty(values.shape[:-1] + (m + 1,))
-    b = np.zeros_like(a)
-    a[..., 0] = spec[..., 0].real / n
-    a[..., 1:] = spec[..., 1 : m + 1].real * (2.0 / n)
-    b[..., 1:] = spec[..., 1 : m + 1].imag * (-2.0 / n)
-    return a, b
-
-
-def _cos_coeffs_of_grid(values, m):
-    """Cosine coefficients only (the input is even in t up to roundoff)."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    a = np.empty(values.shape[:-1] + (m + 1,))
-    a[..., 0] = spec[..., 0].real / n
-    a[..., 1:] = spec[..., 1 : m + 1].real * (2.0 / n)
-    return a
+    cos, sin = _dft_basis(m, n)
+    a = values @ cos.T * (2.0 / n)
+    a[..., 0] *= 0.5
+    return a, values @ sin.T * (2.0 / n)
 
 
 # -- the field type ----------------------------------------------------------------
@@ -230,6 +241,14 @@ class EvolutionConfig:
             raise DomainError("mode cutoff M must be at least 1")
         if self.n_quad is not None and self.n_quad < 4 * self.M:
             raise DomainError("n_quad must be at least 4*M (oversampled dealiasing)")
+        if self.dx is not None and not self.dx > 0.0:
+            raise DomainError("step dx must be positive")
+        if not self.x_error_target > 0.0:
+            raise DomainError("x_error_target must be positive")
+        if self.k_accuracy is not None and self.k_accuracy < 1:
+            raise DomainError("k_accuracy must be at least 1")
+        if not self.guard_factor > 0.0:
+            raise DomainError("guard_factor must be positive")
 
     def resolved_n_quad(self) -> int:
         return self.n_quad if self.n_quad is not None else 4 * self.M
@@ -274,7 +293,7 @@ def _fluct_grid(a, n):
     """Grid values of the cosine series of a without its mean a_0."""
     fluct = a.copy()
     fluct[..., 0] = 0.0
-    return coeffs_to_grid(fluct, np.zeros_like(fluct), n)
+    return coeffs_to_grid(fluct, np.zeros(fluct.shape), n)
 
 
 class _Frozen(NamedTuple):
@@ -312,6 +331,8 @@ class _Marcher:
         self.cfg = cfg
         self.n = cfg.resolved_n_quad()
         self.omega_modes = np.arange(cfg.M + 1) * (2.0 * np.pi / T)
+        # grid values -> sine-coefficient rates: -j Omega times the cosine analysis
+        self.to_rates = _dft_basis(cfg.M, self.n)[0].T * (-2.0 / self.n * self.omega_modes)
         self.eos = eos if eos is not None else profile.eos
         self.pbar = profile.pbar
         if self.eos is None or self.pbar is None:
@@ -436,6 +457,7 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     marcher = _Marcher(profile, eos, T, cfg, a0)
     jw = marcher.omega_modes
     n = marcher.n
+    to_rates = marcher.to_rates
     volume = marcher.eos.volume_from_factor
 
     def remainder(state, at, rot):
@@ -445,7 +467,7 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
         if np.min(p) <= 0.0:
             raise ShockProximityError("pressure lost positivity during evolution")
         w = (volume(p, at.A) - at.v0) - rot.vp0 * dp
-        return (-jw * _cos_coeffs_of_grid(w, cfg.M),)
+        return (w @ to_rates,)
 
     g0 = _grad_bound(a, b, jw)
     threshold = max(cfg.guard_factor * g0, 1e-8)
@@ -490,8 +512,8 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
         raise DomainError("field cutoffs must match cfg.M")
     a0 = y0.cos[:1]
     marcher = _Marcher(profile, eos, y0.T, cfg, a0)
-    jw = marcher.omega_modes
     n = marcher.n
+    to_rates = marcher.to_rates
     eos_ = marcher.eos
 
     def remainder(state, at, rot):
@@ -503,7 +525,7 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
         w = (eos_.volume_from_factor(p, at.A) - at.v0) - rot.vp0 * dp
         P = coeffs_to_grid(AA, np.zeros_like(AA), n)
         dvp_P = (eos_.dvdp_from_factor(p, at.A) - rot.vp0) * P
-        return (-jw * _cos_coeffs_of_grid(w, cfg.M), -jw * _cos_coeffs_of_grid(dvp_P, cfg.M))
+        return (w @ to_rates, dvp_P @ to_rates)
 
     state = (
         (np.array(y0.cos, copy=True), np.array(y0.sin, copy=True)),
@@ -543,7 +565,8 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None, phase_per_step=None)
 
     In variation-of-parameters form (phi_hat, psi_hat) = Psi(x) (a, b)^T with
     a' = v_pp omega phi phi_tilde and b' = -v_pp omega phi^2 <= 0; the joint
-    (Psi, a, b) system is integrated piece by piece with fixed RK4 substeps.
+    (Psi, a, b) system is integrated piece by piece with fixed RK4 substeps;
+    v_pp is evaluated once per constant piece and at every stage of a smooth one.
     """
     if eig is None:
         eig = _spectrum.eigen_solve(profile, k, chi)
@@ -568,19 +591,30 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None, phase_per_step=None)
             ]
         )
 
+    def vpp_at(sig):
+        return float(eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig)))
+
     y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     for x0, x1, sig_const, sig_fn in _piece_table(profile):
-        smax = sig_const if sig_const is not None else float(np.max(sig_fn(np.linspace(x0, x1, 65))))
+        if sig_const is not None:
+            vpp_const = vpp_at(sig_const)
+
+            def f(xx, yy):
+                return rhs(xx, yy, sig_const, vpp_const)
+
+            smax = sig_const
+        else:
+
+            def f(xx, yy):
+                sig = float(sig_fn(xx))
+                return rhs(xx, yy, sig, vpp_at(sig))
+
+            smax = float(np.max(sig_fn(np.linspace(x0, x1, 65))))
         h_max = phase / max(omega * smax, 1e-30)
         n_steps = max(8, int(np.ceil((x1 - x0) / h_max)))
         h = (x1 - x0) / n_steps
         x = x0
         for _ in range(n_steps):
-            def f(xx, yy):
-                sig = sig_const if sig_const is not None else float(sig_fn(xx))
-                vpp = float(eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig)))
-                return rhs(xx, yy, sig, vpp)
-
             k1 = f(x, y)
             k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
             k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
@@ -621,8 +655,8 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
         cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
     T = 2.0 * np.pi * k / eig.omega
     marcher = _Marcher(profile, eos, T, cfg, np.array([profile.pbar]))
-    jw = marcher.omega_modes
     n = marcher.n
+    to_rates = marcher.to_rates
 
     def remainder(state, at, rot):
         (AA, _), (QQ, _) = state
@@ -631,10 +665,7 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
         dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
         # P1 = 1 (the evolved 0-mode), P2 = even part of Y: bilinear forcing
         force = dvp * Q + at.vpp0 * 1.0 * P
-        return (
-            -jw * _cos_coeffs_of_grid(dvp * P, cfg.M),
-            -jw * _cos_coeffs_of_grid(force, cfg.M),
-        )
+        return ((dvp * P) @ to_rates, force @ to_rates)
 
     a = np.zeros(cfg.M + 1)
     a[k] = 1.0

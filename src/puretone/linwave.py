@@ -263,14 +263,17 @@ def extend_tile(tile: TileField, chi: Optional[int] = None, check_tol: float = 1
 
 def tile_to_csv(tile: TileField, path):
     """Long-format CSV with header x,t,p,u."""
+    # tolist() gives Python floats, whose repr is that of float(np.float64);
+    # converting row by row keeps one row of them alive at a time
+    ts = [repr(tv) for tv in np.asarray(tile.t, dtype=float).tolist()]
+    p = np.asarray(tile.p, dtype=float)
+    u = np.asarray(tile.u, dtype=float)
     with open(path, "w") as fh:
         fh.write("x,t,p,u\n")
-        for i, xv in enumerate(tile.x):
-            for j, tv in enumerate(tile.t):
-                fh.write(
-                    f"{float(xv)!r},{float(tv)!r},"
-                    f"{float(tile.p[i, j])!r},{float(tile.u[i, j])!r}\n"
-                )
+        for i, xv in enumerate(np.asarray(tile.x, dtype=float).tolist()):
+            xs = repr(xv)
+            rows = zip(ts, p[i].tolist(), u[i].tolist())
+            fh.write("".join(f"{xs},{tv},{pv!r},{uv!r}\n" for tv, pv, uv in rows))
 
 
 def tile_to_binary(tile: TileField, path):

@@ -4,7 +4,8 @@ These deliberately avoid the Prüfer/rotation algebra: the transfer-matrix
 oracle is plain fixed-step RK4 of the first-order system
 Psi' = omega [[0, -1], [sigma^2, 0]] Psi, stepped piece by piece so no step
 straddles a jump.  The march oracle is plain fixed-step RK4 of the
-coefficient law itself, with its own transforms.
+coefficient law itself, with its own transforms; the FFT transforms are the
+reference for the library's dense DFT products.
 """
 
 import numpy as np
@@ -119,6 +120,30 @@ def dense_march_pwc(profile, eos, a, b, T, n_total=4000, n_quad=None):
             k4 = rhs(a + h * k3[0], b + h * k3[1], A)
             a = a + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             b = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return a, b
+
+
+def fft_coeffs_to_grid(a, b, n):
+    """FFT synthesis of sum a_j cos + b_j sin on t_i = i T / n (n >= 2 m + 2)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = a.shape[-1] - 1
+    spec = np.zeros(a.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spec[..., 0] = a[..., 0] * n
+    spec[..., 1 : m + 1] = (a[..., 1:] - 1j * b[..., 1:]) * (n / 2.0)
+    return np.fft.irfft(spec, n=n, axis=-1)
+
+
+def fft_grid_to_coeffs(values, m):
+    """FFT analysis: the leading m+1 cosine/sine coefficients of grid samples."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    spec = np.fft.rfft(values, axis=-1)
+    a = np.empty(values.shape[:-1] + (m + 1,))
+    b = np.zeros_like(a)
+    a[..., 0] = spec[..., 0].real / n
+    a[..., 1:] = spec[..., 1 : m + 1].real * (2.0 / n)
+    b[..., 1:] = spec[..., 1 : m + 1].imag * (-2.0 / n)
     return a, b
 
 

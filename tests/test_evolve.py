@@ -6,6 +6,7 @@ from puretone.errors import DomainError, ResonanceError, ShockProximityError
 from puretone.profile import PiecewiseConstantProfile, reversed_profile
 from puretone.sl_core import fundamental_matrix
 from puretone.spectrum import DivisorTable, divisors, eigen_solve
+from puretone import evolve
 from puretone.evolve import (
     EvolutionConfig,
     FourierField,
@@ -50,6 +51,68 @@ def test_grid_round_trip(rng):
     a, b = grid_to_coeffs(vals, 12)
     assert_allclose(a, y.cos, atol=1e-13)
     assert_allclose(b, y.sin, atol=1e-13)
+
+
+def _transform_sizes():
+    return [(m, n) for m in (1, 8, 16, 32, 128) for n in sorted({2 * m + 2, 4 * m, 4 * m + 3})]
+
+
+@pytest.mark.parametrize("m,n", _transform_sizes())
+def test_dense_transforms_match_fft(m, n):
+    from _oracles import fft_coeffs_to_grid, fft_grid_to_coeffs
+
+    rng = np.random.default_rng(1000 * m + n)
+    for shape in ((m + 1,), (33, m + 1)):
+        a = rng.normal(size=shape)
+        b = rng.normal(size=shape)
+        b[..., 0] = 0.0
+        scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+        err = np.max(np.abs(coeffs_to_grid(a, b, n) - fft_coeffs_to_grid(a, b, n)))
+        assert err <= 2e-14 * scale
+        # a sine series vanishes exactly at t = 0 and t = T/2
+        odd = coeffs_to_grid(np.zeros_like(a), b, n)
+        assert np.all(odd[..., 0] == 0.0) and (n % 2 or np.all(odd[..., n // 2] == 0.0))
+        values = rng.normal(size=shape[:-1] + (n,))
+        ref_a, ref_b = fft_grid_to_coeffs(values, m)
+        got_a, got_b = grid_to_coeffs(values, m)
+        assert got_a.shape == ref_a.shape and got_b.shape == ref_b.shape
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(got_a - ref_a)) <= 1e-15 * scale
+        assert np.max(np.abs(got_b - ref_b)) <= 1e-15 * scale
+
+
+def test_dft_tables_exactly_symmetric():
+    for m, n in _transform_sizes():
+        cos, sin = evolve._dft_basis(m, n)
+        assert np.array_equal(cos[:, 1:], cos[:, :0:-1])
+        assert np.array_equal(sin[:, 1:], -sin[:, :0:-1])
+        assert np.all(sin[:, 0] == 0.0) and np.all(cos[:, 0] == 1.0)
+        if n % 2 == 0:
+            assert np.all(sin[:, n // 2] == 0.0)
+            assert np.array_equal(cos[:, n // 2], (-1.0) ** np.arange(m + 1))
+
+
+@pytest.mark.parametrize("m", (8, 32))
+def test_march_rate_matrix_matches_fft(two_level, gamma2, eig1, m):
+    # the remainders' one analysis product: -j Omega times the cosine coefficients
+    from _oracles import fft_grid_to_coeffs
+
+    rng = np.random.default_rng(m)
+    for n in (4 * m, 4 * m + 3):
+        cfg = EvolutionConfig(M=m, n_quad=n)
+        marcher = evolve._Marcher(two_level, gamma2, eig1.T, cfg, np.array([1.0]))
+        values = rng.normal(size=(33, n))
+        ref = -marcher.omega_modes * fft_grid_to_coeffs(values, m)[0]
+        scale = np.max(np.abs(values)) * marcher.omega_modes[-1]
+        assert np.max(np.abs(values @ marcher.to_rates - ref)) <= 1e-15 * scale
+
+
+def test_transforms_refuse_too_few_points():
+    for m in (1, 8, 32):
+        with pytest.raises(DomainError):
+            coeffs_to_grid(np.ones(m + 1), np.ones(m + 1), 2 * m + 1)
+        with pytest.raises(DomainError):
+            grid_to_coeffs(np.ones(2 * m + 1), m)
 
 
 def test_projections(rng):
@@ -268,6 +331,33 @@ def test_lawson_step_is_fourth_order(two_level, gamma2, eig1, dense_oracle):
         assert 12.0 < coarse / fine < 20.0
 
 
+def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
+    # each RHS evaluation synthesizes the grid once through the module-level
+    # coeffs_to_grid, so counting its calls counts RHS evaluations
+    calls = []
+    synth = evolve.coeffs_to_grid
+
+    def counting_synth(a, b, n):
+        calls.append(n)
+        return synth(a, b, n)
+
+    per_step = []
+    step = evolve._Marcher._step
+
+    def counting_step(*args):
+        before = len(calls)
+        out = step(*args)
+        per_step.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(evolve, "coeffs_to_grid", counting_synth)
+    monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
+    evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, cfg16)
+    assert len(per_step) > 2 and set(per_step) == {4}
+    # outside the steps: one envelope evaluation per constant piece sizes its steps
+    assert len(calls) == 4 * len(per_step) + two_level.n_levels
+
+
 # -- linearized evolution -------------------------------------------------------------
 
 
@@ -442,3 +532,22 @@ def test_config_validation():
         EvolutionConfig(M=8, n_quad=16)  # below 4*M
     cfg = EvolutionConfig(M=8)
     assert cfg.resolved_n_quad() == 32
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"dx": -0.1},
+        {"dx": 0.0},
+        {"dx": float("nan")},
+        {"x_error_target": 0.0},
+        {"x_error_target": -1e-9},
+        {"k_accuracy": 0},
+        {"k_accuracy": -2},
+        {"guard_factor": 0.0},
+        {"guard_factor": -10.0},
+    ],
+)
+def test_config_rejects_invalid_knobs(knobs):
+    with pytest.raises(DomainError):
+        EvolutionConfig(M=8, **knobs)

@@ -9,6 +9,7 @@ from puretone.spectrum import eigen_solve
 from puretone.evolve import EvolutionConfig, FourierField, nonlinear_evolve
 from puretone.linwave import (
     LinearMode,
+    TileField,
     boundary_residual,
     eigenfunction_profiles,
     extend_tile,
@@ -252,6 +253,32 @@ def test_tile_csv_round_trip(mode1, tmp_path):
     assert data.size == tile.x.size * tile.t.size
     p_back = data["p"].reshape(tile.x.size, tile.t.size)
     assert np.array_equal(p_back, tile.p)
+
+
+def _per_value_csv(tile, path):
+    # the one-value-at-a-time formatter that tile_to_csv replaced
+    with open(path, "w") as fh:
+        fh.write("x,t,p,u\n")
+        for i, xv in enumerate(tile.x):
+            for j, tv in enumerate(tile.t):
+                fh.write(
+                    f"{float(xv)!r},{float(tv)!r},"
+                    f"{float(tile.p[i, j])!r},{float(tile.u[i, j])!r}\n"
+                )
+
+
+def test_tile_csv_bytes_match_per_value_formatter(tmp_path):
+    rng = np.random.default_rng(2024)
+    x = np.linspace(0.0, 1.0, 9)
+    t = np.arange(8) * (3.0 / 8)
+    p = rng.normal(size=(9, 8)) * 10.0 ** rng.integers(-300, 300, size=(9, 8))
+    u = rng.normal(size=(9, 8))
+    p[0, 0], p[1, 1], p[2, 2] = 5e-324, -0.0, 1e300
+    u[3, 3], u[4, 4], u[5, 5] = -2.5e-310, -0.0, -1e300
+    tile = TileField(x, t, p, u, chi=1, T=3.0)
+    tile_to_csv(tile, tmp_path / "tile.csv")
+    _per_value_csv(tile, tmp_path / "ref.csv")
+    assert (tmp_path / "tile.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_binary_magic_check(tmp_path):
