@@ -397,7 +397,8 @@ class _Marcher:
             targets = [xn for xn in nodes if x0 - eps < xn < x1 - eps] + [x1]
             if sig_const is not None:
                 const = self.frozen(sig_const)
-                eta = self.eta(state, remainder, const, sized)
+                # an explicit cfg.dx is honoured as is, so eta is not needed
+                eta = 1.0 if self.cfg.dx is not None else self.eta(state, remainder, const, sized)
                 dx = self.cfg.resolved_dx(self.profile, self.T, sig_const, eta)
             else:
                 dx = self.cfg.resolved_dx(self.profile, self.T)

@@ -23,9 +23,12 @@ M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)).
 Smooth pieces are stepped by the fourth-order Magnus method with two Gauss
 points (Iserles 2002, BIT 42:561), vectorized over omega: every step is the
 exponential of a traceless 2x2 matrix in closed form, so det = 1 holds step
-by step, and on a constant piece one step is the exact rotation.  The
-winding of theta is summed from per-step angle increments, and
-d theta/d omega is the exact derivative of the discrete angle.
+by step, and on a constant piece one step is the exact rotation.  Transfer
+matrices and end states are ordered products of the steps, formed by
+pairwise tree reduction in O(steps) 2x2 products.  The winding of theta
+comes from the phase integral, which fixes it wherever half the
+log-variation of sigma is at most pi/2, and d theta/d omega, carried
+through the same tree, is the exact derivative of the discrete angle.
 """
 
 from __future__ import annotations
@@ -142,7 +145,8 @@ _ERR_COMM = 0.1
 _ERR_QUAD = 1.0 / 4320.0
 
 #: largest number of Magnus steps on one piece, and of steps x omegas at once
-#: (the scan holds about 30 doubles per step and omega)
+#: (building the steps and their omega-derivatives peaks at about 35 doubles
+#: per step and omega; the tree reduction needs less)
 _MAX_STEPS, _MAX_BATCH = 2**17, 2**12
 
 
@@ -230,39 +234,94 @@ def _prefix_products(e):
     return p
 
 
+def _tree_product(e, de=None):
+    """(e[-1] @ ... @ e[0], its omega-derivative or None) by pairwise reduction.
+
+    O(steps) 2x2 products; a derivative pair combines as (B, B')(A, A') =
+    (BA, B'A + BA').
+    """
+    while e.shape[0] > 1:
+        n = e.shape[0] // 2 * 2
+        lo, hi = e[0:n:2], e[1:n:2]
+        if de is not None:
+            de = np.concatenate((de[1:n:2] @ lo + hi @ de[0:n:2], de[n:]))
+        e = np.concatenate((hi @ lo, e[n:]))
+    return e[0], None if de is None else de[0]
+
+
+def _spans(piece, knots, sig, sub):
+    """Step indices cutting a grid of `sub` steps per knot interval into spans,
+    and sigma at the cuts.
+
+    A span's half log-variation of sigma is at most pi/2, unless it is a
+    single step (the step rule makes steps far finer than that).  PCHIP is
+    monotone on each sample interval, so the variation is exact from sigma
+    at the cuts.  Spans end at knots where they can; a knot interval above
+    the bound is cut at its step boundaries.
+    """
+    pos = np.arange(knots.size) * sub
+    half = 0.5 * np.abs(np.diff(np.log(sig)))
+    if np.sum(half) <= 0.5 * np.pi:
+        return pos[[0, -1]], sig[[0, -1]]
+    wide = np.flatnonzero(half > 0.5 * np.pi)
+    if wide.size and sub > 1:
+        inner = np.arange(1, sub)
+        x = (knots[wide, None] + np.diff(knots)[wide, None] * (inner / sub)).ravel()
+        pos = np.concatenate((pos, (pos[wide, None] + inner).ravel()))
+        sig = np.concatenate((sig, piece.sigma(x)))
+        order = np.argsort(pos)
+        pos, sig = pos[order], sig[order]
+        half = 0.5 * np.abs(np.diff(np.log(sig)))
+    total = np.concatenate(([0.0], np.cumsum(half)))
+    cuts = [0]
+    for j in range(2, total.size):
+        if total[j] - total[cuts[-1]] > 0.5 * np.pi and cuts[-1] < j - 1:
+            cuts.append(j - 1)
+    cuts.append(total.size - 1)
+    return pos[cuts], sig[cuts]
+
+
 def _magnus_angle(piece, knots, omega, theta, r, zeta, tol):
     """Prüfer (theta, r, zeta or None) carried from knots[0] to knots[-1]; 1-D omega.
 
-    theta is unwrapped in the fixed frame (sigma_0 phi, psi), sigma_0 at the
-    span start: a step is an elliptic rotation by nu seen through a fixed
-    linear map, so it turns that angle by nu plus less than pi.  zeta =
+    The state goes through each span of steps as one tree-reduced product.
+    The winding comes from the phase: in the local frame (sigma phi, psi)
+    theta' = omega sigma - (sigma'/2 sigma) sin 2 theta, so across a span
+    theta moves by its phase (the sum of the steps' nu, ~ omega int sigma)
+    to within half the log-variation of sigma.  Spans are cut (_spans) until
+    that is at most pi/2, and the end angle is taken on the branch nearest
+    the start angle plus the phase; this needs steps that resolve the
+    solution, which the step rule gives at any sensible `tol`.  zeta =
     d theta/d omega is the exact derivative of the discrete angle, from
-    v = d(phi, psi)/d omega carried with the steps.
+    v = d(phi, psi)/d omega carried with the (product, derivative) pairs.
     """
-    s0, s1 = piece.sigma(np.array([knots[0], knots[-1]]))
-    rs0 = np.sqrt(s0)
-    y0 = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
-    turn, y_end, v_end = np.empty_like(omega), np.empty_like(y0), np.empty_like(y0)
-    for idx, _, grid in _step_groups(piece, knots, omega, tol):
+    sig = piece.sigma(knots)
+    rs0 = np.sqrt(sig[0])
+    y = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
+    v = None if zeta is None else zeta[:, None] * np.stack((-y[:, 1] / sig[0], sig[0] * y[:, 0]), axis=-1)
+    theta = theta.copy()
+    for idx, sub, grid in _step_groups(piece, knots, omega, tol):
         e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
-        p = _prefix_products(e)
-        ys = np.concatenate((y0[None, idx], (p @ y0[idx, :, None])[..., 0]))
-        slip = np.diff(np.arctan2(ys[..., 1], s0 * ys[..., 0]), axis=0) - nu
-        turn[idx] = np.sum(nu + slip - 2.0 * np.pi * np.round(slip / (2.0 * np.pi)), axis=0)
-        y_end[idx] = ys[-1]
-        if de:
-            # d p[-1]/d omega = p[-1] sum_k adj(p[k]) de[k] p[k-1]
-            u = (de[0] @ ys[:-1, :, :, None])[..., 0]
-            adj_u = np.stack((p[..., 1, 1] * u[..., 0] - p[..., 0, 1] * u[..., 1],
-                              p[..., 0, 0] * u[..., 1] - p[..., 1, 0] * u[..., 0]), axis=-1)
-            v0 = zeta[idx, None] * np.stack((-y0[idx, 1] / s0, s0 * y0[idx, 0]), axis=-1)
-            v_end[idx] = (p[-1] @ (v0 + np.sum(adj_u, axis=0))[..., None])[..., 0]
-    phi, psi = y_end[:, 0], y_end[:, 1]
-    theta_end = jump_angle(s0 / s1, theta + turn)
+        yi, th = y[idx, :, None], theta[idx]
+        vi = None if zeta is None else v[idx, :, None]
+        cut, s_cut = _spans(piece, knots, sig, sub)
+        for a, b, s_end in zip(cut[:-1], cut[1:], s_cut[1:]):
+            p, dp = _tree_product(e[a:b], de[0][a:b] if de else None)
+            if dp is not None:
+                vi = dp @ yi + p @ vi
+            yi = p @ yi
+            # the angle of (s_end phi, psi) on the branch nearest th + phase
+            ang = np.arctan2(yi[:, 1, 0], s_end * yi[:, 0, 0])
+            th = ang + 2.0 * np.pi * np.round((th + np.sum(nu[a:b], axis=0) - ang) / (2.0 * np.pi))
+        y[idx], theta[idx] = yi[..., 0], th
+        if vi is not None:
+            v[idx] = vi[..., 0]
+    s1 = sig[-1]
+    phi, psi = y[:, 0], y[:, 1]
     r_end = r * np.sqrt(s1 * phi * phi + psi * psi / s1)
     if zeta is None:
-        return theta_end, r_end, None
-    return theta_end, r_end, s1 * (phi * v_end[:, 1] - psi * v_end[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
+        return theta, r_end, None
+    return theta, r_end, s1 * (phi * v[:, 1] - psi * v[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
 
 
 def prufer_advance(piece, omega, state: PruferState, x_span=None, tol=PRUFER_TOL,
@@ -390,7 +449,7 @@ def _smooth_piece_matrix(piece: SmoothPiece, omega, tol=PRUFER_TOL):
     om = np.asarray(omega, dtype=float).reshape(-1)
     out = np.empty(om.shape + (2, 2))
     for idx, _, grid in _step_groups(piece, piece.x, om, tol):
-        out[idx] = _prefix_products(_magnus_steps(grid, om[idx])[0])[-1]
+        out[idx] = _tree_product(_magnus_steps(grid, om[idx])[0])[0]
     return out.reshape(np.shape(omega) + (2, 2))
 
 

@@ -5,10 +5,15 @@ oracle is plain fixed-step RK4 of the first-order system
 Psi' = omega [[0, -1], [sigma^2, 0]] Psi, stepped piece by piece so no step
 straddles a jump.  The march oracle is plain fixed-step RK4 of the
 coefficient law itself, with its own transforms; the FFT transforms are the
-reference for the library's dense DFT products.
+reference for the library's dense DFT products.  The prefix-product Magnus
+routines keep the library's former way of reducing the same Magnus steps:
+every intermediate state, the winding summed from per-step angle slips and
+the slope from an adjugate sum.
 """
 
 import numpy as np
+
+from puretone.sl_core import _magnus_steps, _prefix_products, _step_groups, jump_angle
 
 
 def rk4_step_matrix(omega, sigma, h):
@@ -52,15 +57,25 @@ def dense_transfer_smooth(profile, omega, n_total=4000):
         width = piece.x1 - piece.x0
         n = max(8, int(round(n_total * width / ell)))
         h = width / n
-        x = piece.x0
-        for _ in range(n):
-            k1 = _mat(omega, piece.sigma(x)) @ psi
-            k2 = _mat(omega, piece.sigma(x + 0.5 * h)) @ (psi + 0.5 * h * k1)
-            k3 = _mat(omega, piece.sigma(x + 0.5 * h)) @ (psi + 0.5 * h * k2)
-            k4 = _mat(omega, piece.sigma(x + h)) @ (psi + h * k3)
+        sig = piece.sigma(_stage_points(piece.x0, h, n))
+        for s0, s_half, s1 in sig:
+            m_half = _mat(omega, s_half)
+            k1 = _mat(omega, s0) @ psi
+            k2 = m_half @ (psi + 0.5 * h * k1)
+            k3 = m_half @ (psi + 0.5 * h * k2)
+            k4 = _mat(omega, s1) @ (psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
     return psi
+
+
+def _stage_points(x0, h, n):
+    """(x, x + h/2, x + h) of n RK4 steps, x accumulated step by step; shape (n, 3)."""
+    pts = np.empty((n, 3))
+    x = x0
+    for i in range(n):
+        pts[i] = x, x + 0.5 * h, x + h
+        x += h
+    return pts
 
 
 def _mat(omega, sigma):
@@ -71,20 +86,18 @@ def dense_prufer_angle(piece, omega, theta0, n=20_000):
     """Fixed-step RK4 for the scalar angle ODE on one smooth piece."""
     h = (piece.x1 - piece.x0) / n
     theta = theta0
-    x = piece.x0
+    pts = _stage_points(piece.x0, h, n)
+    sig, dsig = piece.sigma(pts), piece.dsigma(pts)
 
-    def f(xx, th):
-        s = float(piece.sigma(xx))
-        ds = float(piece.dsigma(xx))
-        return omega * s - 0.5 * (ds / s) * np.sin(2.0 * th)
+    def f(s, ds, th):
+        return omega * float(s) - 0.5 * (float(ds) / float(s)) * np.sin(2.0 * th)
 
-    for _ in range(n):
-        k1 = f(x, theta)
-        k2 = f(x + 0.5 * h, theta + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h, theta + 0.5 * h * k2)
-        k4 = f(x + h, theta + h * k3)
+    for (s0, s_half, s1), (d0, d_half, d1) in zip(sig, dsig):
+        k1 = f(s0, d0, theta)
+        k2 = f(s_half, d_half, theta + 0.5 * h * k1)
+        k3 = f(s_half, d_half, theta + 0.5 * h * k2)
+        k4 = f(s1, d1, theta + h * k3)
         theta += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += h
     return theta
 
 
@@ -145,6 +158,47 @@ def fft_grid_to_coeffs(values, m):
     a[..., 1:] = spec[..., 1 : m + 1].real * (2.0 / n)
     b[..., 1:] = spec[..., 1 : m + 1].imag * (-2.0 / n)
     return a, b
+
+
+def prefix_magnus_angle(piece, knots, omega, theta, r, zeta, tol):
+    """Prüfer (theta, r, zeta or None) across knots[0]..knots[-1] from prefix products.
+
+    theta is unwrapped in the fixed frame (sigma_0 phi, psi): a step is an
+    elliptic rotation by nu seen through a fixed linear map, so it turns that
+    angle by nu plus a slip of less than pi.  zeta = d theta/d omega comes
+    from d p[-1]/d omega = p[-1] sum_k adj(p[k]) de[k] p[k-1].
+    """
+    s0, s1 = piece.sigma(np.array([knots[0], knots[-1]]))
+    rs0 = np.sqrt(s0)
+    y0 = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
+    turn, y_end, v_end = np.empty_like(omega), np.empty_like(y0), np.empty_like(y0)
+    for idx, _, grid in _step_groups(piece, knots, omega, tol):
+        e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
+        p = _prefix_products(e)
+        ys = np.concatenate((y0[None, idx], (p @ y0[idx, :, None])[..., 0]))
+        slip = np.diff(np.arctan2(ys[..., 1], s0 * ys[..., 0]), axis=0) - nu
+        turn[idx] = np.sum(nu + slip - 2.0 * np.pi * np.round(slip / (2.0 * np.pi)), axis=0)
+        y_end[idx] = ys[-1]
+        if de:
+            u = (de[0] @ ys[:-1, :, :, None])[..., 0]
+            adj_u = np.stack((p[..., 1, 1] * u[..., 0] - p[..., 0, 1] * u[..., 1],
+                              p[..., 0, 0] * u[..., 1] - p[..., 1, 0] * u[..., 0]), axis=-1)
+            v0 = zeta[idx, None] * np.stack((-y0[idx, 1] / s0, s0 * y0[idx, 0]), axis=-1)
+            v_end[idx] = (p[-1] @ (v0 + np.sum(adj_u, axis=0))[..., None])[..., 0]
+    phi, psi = y_end[:, 0], y_end[:, 1]
+    theta_end = jump_angle(s0 / s1, theta + turn)
+    r_end = r * np.sqrt(s1 * phi * phi + psi * psi / s1)
+    if zeta is None:
+        return theta_end, r_end, None
+    return theta_end, r_end, s1 * (phi * v_end[:, 1] - psi * v_end[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
+
+
+def prefix_piece_matrix(piece, omega, tol):
+    """Transfer matrix of one smooth piece as the last prefix product; 1-D omega."""
+    out = np.empty(omega.shape + (2, 2))
+    for idx, _, grid in _step_groups(piece, piece.x, omega, tol):
+        out[idx] = _prefix_products(_magnus_steps(grid, omega[idx])[0])[-1]
+    return out
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

@@ -358,6 +358,30 @@ def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
     assert len(calls) == 4 * len(per_step) + two_level.n_levels
 
 
+def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
+    # with cfg.dx given, the step count does not depend on eta, so no
+    # envelope remainder is evaluated: every synthesis belongs to a step
+    calls = []
+    synth = evolve.coeffs_to_grid
+
+    def counting_synth(a, b, n):
+        calls.append(n)
+        return synth(a, b, n)
+
+    steps = []
+    step = evolve._Marcher._step
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(evolve, "coeffs_to_grid", counting_synth)
+    monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
+    evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, EvolutionConfig(M=16, dx=0.05))
+    assert len(steps) == 20
+    assert len(calls) == 4 * len(steps)
+
+
 # -- linearized evolution -------------------------------------------------------------
 
 

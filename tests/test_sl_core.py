@@ -4,11 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import dense_prufer_angle, dense_transfer_pwc, dense_transfer_smooth, random_pwc
-from puretone.errors import DomainError
+from _oracles import (
+    dense_prufer_angle,
+    dense_transfer_pwc,
+    dense_transfer_smooth,
+    prefix_magnus_angle,
+    prefix_piece_matrix,
+    random_pwc,
+)
+from puretone.errors import DomainError, IntegrationError
 from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile
 from puretone.sl_core import (
+    PRUFER_TOL,
     PruferState,
+    _smooth_piece_matrix,
     angle_and_slope_at_ell,
     angle_at_ell,
     fundamental_matrix,
@@ -363,3 +372,64 @@ def test_smooth_slope_is_derivative_of_discrete_angle(smooth_ramp, smooth_jumpy)
             _, zeta = angle_and_slope_at_ell(prof, w)
             fd = (angle_at_ell(prof, w + h) - angle_at_ell(prof, w - h)) / (2 * h)
             assert abs(zeta - fd) < 1e-8
+
+
+# -- tree-reduced products against the prefix-product reference ------------------------
+
+
+def _tree_test_pieces(smooth_ramp, smooth_jumpy):
+    x = np.linspace(0.0, 1.0, 65)
+    xo = np.linspace(0.0, 1.0, 129)
+    xr = np.linspace(0.0, 1.0, 257)
+    return (
+        *smooth_ramp.pieces,
+        *smooth_jumpy.pieces,
+        # sigma_max/sigma_min = 100 > e^pi: the span splits at sample knots
+        SmoothPiece(x, 100.0**x),
+        # half log-variation of sigma 4.1 and 13.5: several spans, on both
+        # slopes; on the second, parametric resonance moves theta up to 5.5
+        # away from its phase (at omega 12.6 and 25.1 among others), so a
+        # winding taken from the whole piece's phase would be off by 2 pi
+        SmoothPiece(xo, 1.0 + 0.8 * np.sin(12.0 * xo)),
+        SmoothPiece(xr, 1.0 + 0.8 * np.sin(40.0 * xr)),
+        # one sample interval above the bound: it splits at step boundaries,
+        # and at omega 1e-6 it is a single step
+        SmoothPiece([0.0, 1.0], [1.0, 100.0]),
+    )
+
+
+def test_tree_matches_prefix_products(smooth_ramp, smooth_jumpy):
+    # the phase-integral winding and the tree-carried slope give the windings
+    # and slopes of the per-step prefix-product reduction of the same steps
+    omegas = np.concatenate(([1e-6], np.geomspace(0.05, 200.0, 13)))
+    checked = 0
+    for piece in _tree_test_pieces(smooth_ramp, smooth_jumpy):
+        for w in omegas:
+            om = np.array([w])
+            try:
+                ref_th, ref_r, ref_zeta = prefix_magnus_angle(
+                    piece, piece.x, om, np.array([0.3]), np.array([1.0]), np.array([0.7]), PRUFER_TOL
+                )
+            except IntegrationError:  # more steps than the step rule allows
+                with pytest.raises(IntegrationError):
+                    prufer_advance(piece, w, PruferState(0.3, 1.0), zeta=0.7)
+                continue
+            state, zeta = prufer_advance(piece, w, PruferState(0.3, 1.0), zeta=0.7)
+            assert abs(state.theta - ref_th[0]) < 1e-9
+            assert abs(state.r / ref_r[0] - 1.0) < 1e-12
+            assert abs(zeta / ref_zeta[0] - 1.0) < 1e-10
+            psi = _smooth_piece_matrix(piece, w)
+            assert np.max(np.abs(psi - prefix_piece_matrix(piece, om, PRUFER_TOL)[0])) < 1e-13
+            checked += 1
+    assert checked >= 60
+
+
+def test_tree_profiles_match_prefix_products(smooth_ramp, smooth_jumpy):
+    # whole profiles, omega batched: the transfer matrix is the ordered
+    # product of the reference piece matrices
+    w = np.geomspace(0.05, 200.0, 9)
+    for prof in (smooth_ramp, smooth_jumpy):
+        ref = np.broadcast_to(np.eye(2), w.shape + (2, 2))
+        for piece in prof.pieces:
+            ref = prefix_piece_matrix(piece, w, PRUFER_TOL) @ ref
+        assert np.max(np.abs(fundamental_matrix(prof, w) - ref)) < 1e-13
