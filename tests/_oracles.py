@@ -6,9 +6,9 @@ Psi' = omega [[0, -1], [sigma^2, 0]] Psi, stepped piece by piece so no step
 straddles a jump.  The march oracle is plain fixed-step RK4 of the
 coefficient law itself, with its own transforms; the FFT transforms are the
 reference for the library's dense DFT products.  The prefix-product Magnus
-routines keep the library's former way of reducing the same Magnus steps:
-every intermediate state, the winding summed from per-step angle slips and
-the slope from an adjugate sum.
+routines reduce the library's own Magnus steps the long way, as the
+reference for its tree reduction: every intermediate state, the winding
+summed from per-step angle slips and the slope from an adjugate sum.
 """
 
 import numpy as np
