@@ -38,6 +38,14 @@ from .evolve import (
     weighted_norm,
 )
 
+#: Newton iterations per solve; forward-difference step of the Jacobian,
+#: relative to max(1, |u_i|)
+_MAX_NEWTON, _FD_STEP = 30, 1e-7
+
+#: a solve whose top two cosine coefficients exceed this share of the largest
+#: is repeated with M doubled, at most _MAX_M_DOUBLINGS times
+_TAIL_TOL, _MAX_M_DOUBLINGS = 1e-3, 2
+
 
 @dataclass
 class BifurcationProblem:
@@ -48,11 +56,6 @@ class BifurcationProblem:
     cfg: EvolutionConfig = None
     alphas: tuple = (1e-4, 2e-4, 5e-4, 1e-3)
     newton_tol: float = 1e-10
-    max_newton: int = 30
-    fd_step: float = 1e-7
-    resonance_tol: float = 1e-8
-    tail_tol: float = 1e-3
-    max_m_doublings: int = 2
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -77,9 +80,7 @@ class BifurcationProblem:
         """Resonance gate: refuse anything but a clean nonresonant verdict."""
         if self._cache.get("validated"):
             return
-        report = _spectrum.resonance_scan(
-            self.profile, self.k, self.chi, j_max=self.cfg.M, tol=self.resonance_tol
-        )
+        report = _spectrum.resonance_scan(self.profile, self.k, self.chi, j_max=self.cfg.M)
         if report.verdict != "nonresonant":
             raise ResonanceError(
                 f"k={self.k} mode is {report.verdict} "
@@ -130,14 +131,10 @@ def _mode_indices(m, k):
     return [j for j in range(1, m + 1) if j != k]
 
 
-def _quarter_rows(m, chi):
-    cs = np.array([sl_core.quarter_cos_sin(j * chi) for j in range(m + 1)])
-    return cs[:, 0], cs[:, 1]
-
-
-def _sine_components(a_out, b_out, c_arr, s_arr):
+def _sine_components(a_out, b_out, chi):
     """Sine coefficients of S applied to the evolved field, j = 1..M."""
-    return (c_arr * b_out - s_arr * a_out)[..., 1:]
+    c, s = sl_core.quarter_cos_sin(np.arange(a_out.shape[-1]) * chi)
+    return (c * b_out - s * a_out)[..., 1:]
 
 
 def residual(problem: BifurcationProblem, z, a_vec, alpha):
@@ -152,8 +149,7 @@ def residual(problem: BifurcationProblem, z, a_vec, alpha):
     (a_out, b_out), _ = evolve_coefficients(
         problem.profile, problem.eos, cos, np.zeros_like(cos), eig.T, problem.cfg
     )
-    c_arr, s_arr = _quarter_rows(m, problem.chi)
-    return _sine_components(a_out, b_out, c_arr, s_arr)
+    return _sine_components(a_out, b_out, problem.chi)
 
 
 class _NewtonWorkspace:
@@ -165,7 +161,6 @@ class _NewtonWorkspace:
         self.m = m
         self.idx = _mode_indices(m, problem.k)
         self.eig = problem.eigen()
-        self.c_arr, self.s_arr = _quarter_rows(m, problem.chi)
         self.table = problem.divisor_table(m)
         self.n_evolve = 0
 
@@ -187,18 +182,18 @@ class _NewtonWorkspace:
             self.eig.T,
             self.problem.cfg,
         )
-        return _sine_components(a_out, b_out, self.c_arr, self.s_arr)
+        return _sine_components(a_out, b_out, self.problem.chi)
 
     def residual(self, u):
         return self._evolve(self.unpack(u))
 
     def weighted(self, r):
-        return weighted_norm(r, self.table, b=self.problem.cfg.b, k=self.problem.k)
+        return weighted_norm(r, self.table, k=self.problem.k)
 
     def residual_and_jacobian(self, u):
         """One batched evolution: base plus M forward-difference columns."""
         n_unknowns = u.size
-        steps = self.problem.fd_step * np.maximum(1.0, np.abs(u))
+        steps = _FD_STEP * np.maximum(1.0, np.abs(u))
         batch = np.empty((n_unknowns + 1, self.m + 1))
         batch[0] = self.unpack(u)
         for i in range(n_unknowns):
@@ -231,13 +226,13 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
             diagnostics={"note": "quiet state solves exactly"},
         )
 
-    for doubling in range(problem.max_m_doublings + 1):
+    for doubling in range(_MAX_M_DOUBLINGS + 1):
         m = problem.cfg.M
         ws = _NewtonWorkspace(problem, alpha, m)
         u = np.zeros(m) if warm is None else _resize_warm(warm, m, problem.k)
         sol = _newton_loop(problem, ws, u, alpha, eig, pbar)
-        tail_ok = _tail_small(sol, problem)
-        if tail_ok or doubling == problem.max_m_doublings:
+        tail_ok = _tail_small(sol)
+        if tail_ok or doubling == _MAX_M_DOUBLINGS:
             if not tail_ok:
                 sol.diagnostics["tail_warning"] = "tail still large at max M"
             return sol
@@ -257,14 +252,14 @@ def _resize_warm(warm: PureToneSolution, m, k):
     return u
 
 
-def _tail_small(sol: PureToneSolution, problem) -> bool:
+def _tail_small(sol: PureToneSolution) -> bool:
     mags = np.abs(sol.a)
     peak = float(np.max(mags)) if np.any(mags > 0.0) else 0.0
     if peak == 0.0:
         return True
     tail = float(max(mags[-1], mags[-2]))
     sol.diagnostics["tail_fraction"] = tail / peak
-    return tail <= problem.tail_tol * peak
+    return tail <= _TAIL_TOL * peak
 
 
 def _newton_loop(problem, ws, u, alpha, eig, pbar):
@@ -279,7 +274,7 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
     wres = ws.weighted(r)
     iters = 0
     t0 = time.perf_counter()
-    for iters in range(1, problem.max_newton + 1):
+    for iters in range(1, _MAX_NEWTON + 1):
         if wres < problem.newton_tol:
             break
         _, jac = ws.residual_and_jacobian(u)
@@ -312,7 +307,7 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
     a_full = np.zeros(ws.m + 1)
     a_full[ws.idx] = u[1:]
     z = float(u[0])
-    aux = weighted_norm(np.where(others, r, 0.0), ws.table, b=problem.cfg.b, k=k)
+    aux = weighted_norm(np.where(others, r, 0.0), ws.table, k=k)
     return PureToneSolution(
         alpha=float(alpha),
         z=z,
@@ -386,7 +381,6 @@ def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck
     m = problem.cfg.M
     eig = problem.eigen()
     pbar = problem.profile.pbar
-    c_arr, s_arr = _quarter_rows(m, problem.chi)
     batch = np.zeros((4, m + 1))
     signs = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
     for row, (sa, sz) in zip(batch, signs):
@@ -395,7 +389,7 @@ def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck
     (a_out, b_out), _ = evolve_coefficients(
         problem.profile, problem.eos, batch, np.zeros_like(batch), eig.T, problem.cfg
     )
-    r = _sine_components(a_out, b_out, c_arr, s_arr)[:, problem.k - 1]
+    r = _sine_components(a_out, b_out, problem.chi)[:, problem.k - 1]
     fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h_alpha * h_z)
     d2 = second_derivative_quiet(problem.profile, problem.eos, problem.k, problem.chi, eig=eig)
     rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)

@@ -203,12 +203,10 @@ def boundary_operator(y: FourierField, chi: int) -> FourierField:
     """
     if chi not in (0, 1):
         raise DomainError("chi must be 0 or 1")
-    m = y.n_modes
-    out_sin = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        c, s = sl_core.quarter_cos_sin(j * chi)
-        out_sin[j] = c * y.sin[j] - s * y.cos[j]
-    return FourierField(y.T, np.zeros(m + 1), out_sin)
+    c, s = sl_core.quarter_cos_sin(np.arange(y.n_modes + 1) * chi)
+    out_sin = c * y.sin - s * y.cos
+    out_sin[0] = 0.0
+    return FourierField(y.T, np.zeros_like(out_sin), out_sin)
 
 
 # -- configuration -----------------------------------------------------------------
@@ -231,7 +229,6 @@ class EvolutionConfig:
     M: int
     n_quad: Optional[int] = None
     dx: Optional[float] = None
-    b: int = 3
     guard_factor: float = 10.0
     x_error_target: float = 1e-9
     k_accuracy: Optional[int] = None
@@ -561,13 +558,15 @@ class QuietSecondDerivative:
     fundamental: np.ndarray
 
 
-def second_derivative_quiet(profile, eos, k, chi, eig=None, phase_per_step=None):
-    """Duhamel path: integrate the forced SL system along [0, ell].
+def second_derivative_quiet(profile, eos, k, chi, eig=None):
+    """Duhamel integrals of the forced SL system along [0, ell].
 
-    In variation-of-parameters form (phi_hat, psi_hat) = Psi(x) (a, b)^T with
-    a' = v_pp omega phi phi_tilde and b' = -v_pp omega phi^2 <= 0; the joint
-    (Psi, a, b) system is integrated piece by piece with fixed RK4 substeps;
-    v_pp is evaluated once per constant piece and at every stage of a smooth one.
+    In variation-of-parameters form (phi_hat, psi_hat) = Psi(ell) (a, b)^T
+    with a = int v_pp omega phi phi_tilde and b = -int v_pp omega phi^2 <= 0,
+    where (phi, phi_tilde) is the first row of Psi(x).  On a constant piece
+    both are sinusoids of omega sigma x and the integrals are in closed form;
+    on a smooth piece they are composite Simpson sums over the Magnus states
+    at the step ends.  No stepper runs beyond the SL propagator itself.
     """
     if eig is None:
         eig = _spectrum.eigen_solve(profile, k, chi)
@@ -576,55 +575,18 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None, phase_per_step=None)
     pbar = profile.pbar
     if eos_ is None or pbar is None:
         raise DomainError("second derivative needs an equation of state and pbar")
-    phase = phase_per_step if phase_per_step is not None else 0.01
 
-    def rhs(x, y, sigma, vpp):
-        s2 = sigma * sigma
-        p00, p01, p10, p11, a, b = y
-        return np.array(
-            [
-                -omega * p10,
-                -omega * p11,
-                omega * s2 * p00,
-                omega * s2 * p01,
-                vpp * omega * p00 * p01,
-                -vpp * omega * p00 * p00,
-            ]
-        )
+    def vpp(sig):
+        return eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig))
 
-    def vpp_at(sig):
-        return float(eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig)))
-
-    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    for x0, x1, sig_const, sig_fn in _piece_table(profile):
-        if sig_const is not None:
-            vpp_const = vpp_at(sig_const)
-
-            def f(xx, yy):
-                return rhs(xx, yy, sig_const, vpp_const)
-
-            smax = sig_const
-        else:
-
-            def f(xx, yy):
-                sig = float(sig_fn(xx))
-                return rhs(xx, yy, sig, vpp_at(sig))
-
-            smax = float(np.max(sig_fn(np.linspace(x0, x1, 65))))
-        h_max = phase / max(omega * smax, 1e-30)
-        n_steps = max(8, int(np.ceil((x1 - x0) / h_max)))
-        h = (x1 - x0) / n_steps
-        x = x0
-        for _ in range(n_steps):
-            k1 = f(x, y)
-            k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(x + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
-
-    psi_mat = y[:4].reshape(2, 2)
-    a_ell, b_ell = y[4], y[5]
+    state = (np.eye(2), 0.0, 0.0)
+    if isinstance(profile, PiecewiseConstantProfile):
+        for sigma, width in zip(profile.sigma_levels, profile.widths):
+            state = _duhamel_constant(state, float(sigma), float(width), omega, vpp)
+    else:
+        for piece in profile.pieces:
+            state = _duhamel_smooth(state, piece, omega, vpp)
+    psi_mat, a_ell, b_ell = state
     phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
     psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
     c, s = sl_core.quarter_cos_sin(k * chi)
@@ -642,51 +604,50 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None, phase_per_step=None)
     )
 
 
-def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
-    """Pseudospectral cross check of the Duhamel path.
+def _duhamel_constant(state, sigma, width, omega, vpp):
+    """(Psi, a, b) across a constant piece, in closed form.
 
-    Evolves the second-variation field Z (zero data) together with the first
-    variation Y (the cosine k-mode) through the generic grid-based flux
-    machinery, with the bilinear forcing assembled on the collocation grid.
-    Returns a QuietSecondDerivative with phi_hat/psi_hat read off Z(ell).
+    With theta = omega sigma x from the piece's start, phi = u.(cos, sin)
+    theta and phi_tilde = w.(cos, sin) theta, u and w read off the entry
+    Psi; the integrals of cos^2, sin^2 and sin cos over the piece are exact.
     """
-    if eig is None:
-        eig = _spectrum.eigen_solve(profile, k, chi)
-    if cfg is None:
-        cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
-    T = 2.0 * np.pi * k / eig.omega
-    marcher = _Marcher(profile, eos, T, cfg, np.array([profile.pbar]))
-    n = marcher.n
-    to_rates = marcher.to_rates
+    psi_mat, a, b = state
+    rate = omega * sigma
+    turn = rate * width
+    half, tilt = 0.5 * width, np.sin(2.0 * turn) / (4.0 * rate)
+    cc, ss, sc = half + tilt, half - tilt, np.sin(turn) ** 2 / (2.0 * rate)
+    u0, u1 = psi_mat[0, 0], -psi_mat[1, 0] / sigma
+    w0, w1 = psi_mat[0, 1], -psi_mat[1, 1] / sigma
+    weight = omega * float(vpp(sigma))
+    a += weight * (u0 * w0 * cc + (u0 * w1 + u1 * w0) * sc + u1 * w1 * ss)
+    b -= weight * (u0 * u0 * cc + 2.0 * u0 * u1 * sc + u1 * u1 * ss)
+    return sl_core._pwc_piece_matrix(sigma, omega, width) @ psi_mat, a, b
 
-    def remainder(state, at, rot):
-        (AA, _), (QQ, _) = state
-        P = coeffs_to_grid(AA, np.zeros_like(AA), n)
-        Q = coeffs_to_grid(QQ, np.zeros_like(QQ), n)
-        dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
-        # P1 = 1 (the evolved 0-mode), P2 = even part of Y: bilinear forcing
-        force = dvp * Q + at.vpp0 * 1.0 * P
-        return ((dvp * P) @ to_rates, force @ to_rates)
 
-    a = np.zeros(cfg.M + 1)
-    a[k] = 1.0
-    z = np.zeros(cfg.M + 1)
-    state = ((a, np.zeros_like(a)), (z, np.zeros_like(z)))
-    (_, (QQ, VV)), _ = marcher.walk(state, remainder)
-    phi_hat, psi_hat = float(QQ[k]), float(VV[k])
-    c, s = sl_core.quarter_cos_sin(k * chi)
-    return QuietSecondDerivative(
-        k=k,
-        chi=chi,
-        omega=eig.omega,
-        T=T,
-        phi_hat=phi_hat,
-        psi_hat=psi_hat,
-        pairing=float(c * psi_hat - s * phi_hat),
-        a_ell=np.nan,
-        b_ell=np.nan,
-        fundamental=np.full((2, 2), np.nan),
-    )
+def _duhamel_smooth(state, piece, omega, vpp):
+    """(Psi, a, b) across a smooth piece by composite Simpson on Magnus states.
+
+    The knots are the samples and their midpoints, so every sample interval
+    holds an even number of equal steps and Simpson's pairs never straddle a
+    sample; Psi at every step end is a prefix product of the Magnus steps.
+    """
+    psi_mat, a, b = state
+    knots = np.sort(np.concatenate((piece.x, 0.5 * (piece.x[:-1] + piece.x[1:]))))
+    om = np.array([omega])
+    (_, sub, grid), = sl_core._step_groups(piece, knots, om, sl_core.PRUFER_TOL)
+    h = grid[0]
+    ends = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * h
+    steps = sl_core._prefix_products(sl_core._magnus_steps(grid, om)[0])[:, 0]
+    psis = np.concatenate((psi_mat[None], steps @ psi_mat))
+    weight = omega * vpp(piece.sigma(np.concatenate((knots[:1], ends))))
+    phi, phi_t = psis[:, 0, 0], psis[:, 0, 1]
+
+    def simpson(f):
+        return np.sum(h[::2] / 3.0 * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]))
+
+    a += simpson(weight * phi * phi_t)
+    b -= simpson(weight * phi * phi)
+    return psis[-1], a, b
 
 
 # -- divisor-scaled norm ----------------------------------------------------------------

@@ -55,9 +55,17 @@ def rotation(t) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def quarter_cos_sin(n: int):
-    """Exact (cos, sin) of n*pi/2 for integer n."""
-    return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[n % 4]
+#: exact (cos, sin) of n pi/2, indexed by n mod 4
+_QUARTER = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def quarter_cos_sin(n):
+    """Exact (cos, sin) of n*pi/2 for an integer or an integer array n.
+
+    Table lookup, so axis hits are exactly 0 and +-1, free of pi roundoff.
+    """
+    cs = _QUARTER[np.asarray(n) % 4]
+    return cs[..., 0], cs[..., 1]
 
 
 # -- jump maps -----------------------------------------------------------------

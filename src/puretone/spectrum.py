@@ -218,7 +218,7 @@ def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
         raise DomainError("chi must be 0 or 1")
     j = np.arange(1, j_max + 1)
     psi_mat = sl_core.fundamental_matrix(profile, j * 2.0 * np.pi / T)
-    c, s = np.array([sl_core.quarter_cos_sin(i * chi) for i in j]).reshape(j_max, 2).T
+    c, s = sl_core.quarter_cos_sin(j * chi)
     delta = c * psi_mat[:, 1, 0] - s * psi_mat[:, 0, 0]
     return DivisorTable(T=T, chi=chi, delta=delta)
 

@@ -8,12 +8,30 @@ coefficient law itself, with its own transforms; the FFT transforms are the
 reference for the library's dense DFT products.  The prefix-product Magnus
 routines reduce the library's own Magnus steps the long way, as the
 reference for its tree reduction: every intermediate state, the winding
-summed from per-step angle slips and the slope from an adjugate sum.
+summed from per-step angle slips and the slope from an adjugate sum.  The
+quiet second derivative has two references: fixed-step RK4 of the joint
+(Psi, a, b) Duhamel system, and the pseudospectral march of the second
+variation through the library's Lawson walker, which shares neither the SL
+algebra nor the quadrature of the library's closed-form path.
 """
 
 import numpy as np
 
-from puretone.sl_core import _magnus_steps, _prefix_products, _step_groups, jump_angle
+from puretone import spectrum
+from puretone.evolve import (
+    EvolutionConfig,
+    QuietSecondDerivative,
+    _Marcher,
+    _piece_table,
+    coeffs_to_grid,
+)
+from puretone.sl_core import (
+    _magnus_steps,
+    _prefix_products,
+    _step_groups,
+    jump_angle,
+    quarter_cos_sin,
+)
 
 
 def rk4_step_matrix(omega, sigma, h):
@@ -199,6 +217,130 @@ def prefix_piece_matrix(piece, omega, tol):
     for idx, _, grid in _step_groups(piece, piece.x, omega, tol):
         out[idx] = _prefix_products(_magnus_steps(grid, omega[idx])[0])[-1]
     return out
+
+
+def dense_second_derivative(profile, eos, k, chi, phase_per_step):
+    """Fixed-step RK4 of the joint (Psi, a, b) Duhamel system along [0, ell].
+
+    a' = v_pp omega phi phi_tilde and b' = -v_pp omega phi^2, with each piece
+    cut into equal steps of at most `phase_per_step` radians of omega sigma
+    (and at least 8); v_pp is evaluated once per constant piece and at every
+    stage of a smooth one.
+    """
+    eig = spectrum.eigen_solve(profile, k, chi)
+    omega = eig.omega
+    eos_ = eos if eos is not None else profile.eos
+    pbar = profile.pbar
+
+    def rhs(x, y, sigma, vpp):
+        s2 = sigma * sigma
+        p00, p01, p10, p11, a, b = y
+        return np.array(
+            [
+                -omega * p10,
+                -omega * p11,
+                omega * s2 * p00,
+                omega * s2 * p01,
+                vpp * omega * p00 * p01,
+                -vpp * omega * p00 * p00,
+            ]
+        )
+
+    def vpp_at(sig):
+        return float(eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig)))
+
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    for x0, x1, sig_const, sig_fn in _piece_table(profile):
+        if sig_const is not None:
+            vpp_const = vpp_at(sig_const)
+
+            def f(xx, yy):
+                return rhs(xx, yy, sig_const, vpp_const)
+
+            smax = sig_const
+        else:
+
+            def f(xx, yy):
+                sig = float(sig_fn(xx))
+                return rhs(xx, yy, sig, vpp_at(sig))
+
+            smax = float(np.max(sig_fn(np.linspace(x0, x1, 65))))
+        h_max = phase_per_step / max(omega * smax, 1e-30)
+        n_steps = max(8, int(np.ceil((x1 - x0) / h_max)))
+        h = (x1 - x0) / n_steps
+        x = x0
+        for _ in range(n_steps):
+            k1 = f(x, y)
+            k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(x + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x += h
+
+    psi_mat = y[:4].reshape(2, 2)
+    a_ell, b_ell = y[4], y[5]
+    phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
+    psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
+    c, s = quarter_cos_sin(k * chi)
+    return QuietSecondDerivative(
+        k=k,
+        chi=chi,
+        omega=omega,
+        T=eig.T,
+        phi_hat=float(phi_hat),
+        psi_hat=float(psi_hat),
+        pairing=float(c * psi_hat - s * phi_hat),
+        a_ell=float(a_ell),
+        b_ell=float(b_ell),
+        fundamental=psi_mat,
+    )
+
+
+def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
+    """Pseudospectral cross check of the Duhamel path.
+
+    Evolves the second-variation field Z (zero data) together with the first
+    variation Y (the cosine k-mode) through the generic grid-based flux
+    machinery, with the bilinear forcing assembled on the collocation grid.
+    Returns a QuietSecondDerivative with phi_hat/psi_hat read off Z(ell).
+    """
+    if eig is None:
+        eig = spectrum.eigen_solve(profile, k, chi)
+    if cfg is None:
+        cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
+    T = 2.0 * np.pi * k / eig.omega
+    marcher = _Marcher(profile, eos, T, cfg, np.array([profile.pbar]))
+    n = marcher.n
+    to_rates = marcher.to_rates
+
+    def remainder(state, at, rot):
+        (AA, _), (QQ, _) = state
+        P = coeffs_to_grid(AA, np.zeros_like(AA), n)
+        Q = coeffs_to_grid(QQ, np.zeros_like(QQ), n)
+        dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
+        # P1 = 1 (the evolved 0-mode), P2 = even part of Y: bilinear forcing
+        force = dvp * Q + at.vpp0 * 1.0 * P
+        return ((dvp * P) @ to_rates, force @ to_rates)
+
+    a = np.zeros(cfg.M + 1)
+    a[k] = 1.0
+    z = np.zeros(cfg.M + 1)
+    state = ((a, np.zeros_like(a)), (z, np.zeros_like(z)))
+    (_, (QQ, VV)), _ = marcher.walk(state, remainder)
+    phi_hat, psi_hat = float(QQ[k]), float(VV[k])
+    c, s = quarter_cos_sin(k * chi)
+    return QuietSecondDerivative(
+        k=k,
+        chi=chi,
+        omega=eig.omega,
+        T=T,
+        phi_hat=phi_hat,
+        psi_hat=psi_hat,
+        pairing=float(c * psi_hat - s * phi_hat),
+        a_ell=np.nan,
+        b_ell=np.nan,
+        fundamental=np.full((2, 2), np.nan),
+    )
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

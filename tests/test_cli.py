@@ -181,3 +181,9 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_verify_battery_passes(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert "8/8 checks passed" in out

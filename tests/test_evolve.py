@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import second_derivative_quiet_spectral
 from puretone.errors import DomainError, ResonanceError, ShockProximityError
 from puretone.profile import PiecewiseConstantProfile, reversed_profile
 from puretone.sl_core import fundamental_matrix
@@ -19,7 +20,6 @@ from puretone.evolve import (
     project_even,
     project_odd,
     second_derivative_quiet,
-    second_derivative_quiet_spectral,
     shift,
     weighted_norm,
 )
@@ -499,6 +499,23 @@ def test_duhamel_vs_spectral_smooth(smooth_jumpy, gamma2):
     d2b = second_derivative_quiet_spectral(smooth_jumpy, gamma2, 1, 1)
     assert d2a.b_ell < 0.0
     assert abs(d2a.pairing - d2b.pairing) < 1e-6 * max(1.0, abs(d2a.pairing))
+
+
+def test_second_derivative_matches_dense_duhamel(two_level, smooth_ramp, smooth_jumpy, gamma2, rng):
+    # closed form (constant pieces) and Simpson on Magnus states (smooth pieces)
+    # against fixed-step RK4 of the joint (Psi, a, b) system at 0.002 rad
+    from _oracles import dense_second_derivative, random_pwc
+
+    cases = [(two_level, k, chi, 1e-11) for k in (1, 2, 3) for chi in (0, 1) if chi or k % 2 == 0]
+    for _ in range(10):
+        cases.append((random_pwc(rng, pbar=1.0, eos=gamma2), int(rng.integers(1, 4)), 1, 1e-11))
+    cases += [(prof, k, 1, 1e-10) for prof in (smooth_ramp, smooth_jumpy) for k in (1, 4)]
+    for prof, k, chi, tol in cases:
+        got = second_derivative_quiet(prof, gamma2, k, chi)
+        ref = dense_second_derivative(prof, gamma2, k, chi, 0.002)
+        for name in ("pairing", "phi_hat", "psi_hat", "a_ell", "b_ell"):
+            want = getattr(ref, name)
+            assert abs(getattr(got, name) - want) <= tol * max(1.0, abs(want)), (k, chi, name)
 
 
 def test_pairing_identity_with_fundamental(two_level, gamma2):
