@@ -627,23 +627,22 @@ def _duhamel_constant(state, sigma, width, omega, vpp):
 def _duhamel_smooth(state, piece, omega, vpp):
     """(Psi, a, b) across a smooth piece by composite Simpson on Magnus states.
 
-    The knots are the samples and their midpoints, so every sample interval
-    holds an even number of equal steps and Simpson's pairs never straddle a
-    sample; Psi at every step end is a prefix product of the Magnus steps.
+    The integrands oscillate at 2 omega sigma whatever sigma' is, so every
+    sample interval gets an even number of equal steps h with Simpson's
+    relative error (2 omega sigma h)^4 / 180 within PRUFER_TOL, or more if
+    the Magnus step rule asks for more; Simpson's pairs never straddle a
+    sample.
     """
     psi_mat, a, b = state
-    knots = np.sort(np.concatenate((piece.x, 0.5 * (piece.x[:-1] + piece.x[1:]))))
-    om = np.array([omega])
-    (_, sub, grid), = sl_core._step_groups(piece, knots, om, sl_core.PRUFER_TOL)
-    h = grid[0]
-    ends = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * h
-    steps = sl_core._prefix_products(sl_core._magnus_steps(grid, om)[0])[:, 0]
-    psis = np.concatenate((psi_mat[None], steps @ psi_mat))
-    weight = omega * vpp(piece.sigma(np.concatenate((knots[:1], ends))))
+    phase = np.diff(piece.x) * np.maximum(piece.sigma_samples[:-1], piece.sigma_samples[1:])
+    steps = np.max(2.0 * abs(omega) * phase) / (180.0 * sl_core.PRUFER_TOL) ** 0.25
+    x, psis = sl_core.magnus_states(piece, omega, min_sub=2 * max(1, int(np.ceil(0.5 * steps))))
+    psis = psis @ psi_mat
+    weight = omega * vpp(piece.sigma(x))
     phi, phi_t = psis[:, 0, 0], psis[:, 0, 1]
 
     def simpson(f):
-        return np.sum(h[::2] / 3.0 * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]))
+        return np.sum((x[2::2] - x[:-1:2]) / 6.0 * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]))
 
     a += simpson(weight * phi * phi_t)
     b -= simpson(weight * phi * phi)

@@ -158,7 +158,7 @@ _ERR_QUAD = 1.0 / 4320.0
 _MAX_STEPS, _MAX_BATCH = 2**17, 2**12
 
 
-def _step_groups(piece, knots, omega, tol):
+def _step_groups(piece, knots, omega, tol, min_sub=1):
     """Yield (omega indices, steps per interval, (h, s1^2, s2^2) at the Gauss points).
 
     With steps h = dx / 2**level on sample intervals of width dx, the global
@@ -167,7 +167,8 @@ def _step_groups(piece, knots, omega, tol):
     large omega) and I_q that of |(sigma^2)''''| (the quadrature term), both
     from sigma' at the ends and midpoint of the cubic interval.  Each omega
     gets the smallest level that meets `tol`, so its value does not depend on
-    the batch; knot intervals lie inside sample intervals.
+    the batch; knot intervals lie inside sample intervals.  Every knot
+    interval holds max(2**level, min_sub) equal steps.
     """
     if not tol > 0.0:
         raise IntegrationError(f"Magnus step rule needs a positive tolerance (got {tol})")
@@ -180,14 +181,15 @@ def _step_groups(piece, knots, omega, tol):
     w = np.abs(omega)
     need = (_ERR_COMM * w**3 * comm + _ERR_QUAD * w * quad) / tol
     level = np.ceil(0.25 * np.log2(np.maximum(need, 1.0))).astype(int)
-    for sub in 2 ** np.unique(level):
+    subs = np.maximum(2**level, int(min_sub))
+    for sub in np.unique(subs):
         n = (knots.size - 1) * sub
         if n > _MAX_STEPS:
             raise IntegrationError(f"Magnus steps {n} above {_MAX_STEPS} (tol={tol:.3g})")
         h = np.repeat(np.diff(knots) / sub, sub)
         mid = np.repeat(knots[:-1], sub) + (np.tile(np.arange(sub), knots.size - 1) + 0.5) * h
         sq = piece.sigma(np.concatenate((mid - _GAUSS * h, mid + _GAUSS * h))) ** 2
-        idx = np.flatnonzero(2**level == sub)
+        idx = np.flatnonzero(subs == sub)
         for chunk in np.array_split(idx, min(idx.size, -(-n * idx.size // _MAX_BATCH))):
             yield chunk, sub, (h, sq[:n], sq[n:])
 
@@ -504,9 +506,24 @@ def sample_sl_solution(profile, omega, v0, x_grid) -> np.ndarray:
         piece = profile.pieces[i]
         # the targets join the sample knots, so every target ends a step
         knots = np.union1d(piece.x, targets)
-        (_, sub, grid), = _step_groups(piece, knots, om, PRUFER_TOL)
-        p = _prefix_products(_magnus_steps(grid, om)[0])[:, 0]
-        at_knot = np.concatenate(([v], (p @ v)[sub - 1 :: sub]))
+        x, psis = magnus_states(piece, om[0], knots)
+        at_knot = (psis @ v)[:: (x.size - 1) // (knots.size - 1)]
         out[:, sel] = at_knot[np.searchsorted(knots, targets)].T
         v = at_knot[-1]
     return out
+
+
+def magnus_states(piece: SmoothPiece, omega, knots=None, min_sub=1):
+    """(x, Psi(x)) at every Magnus step end of one smooth piece, Psi(x0) = I.
+
+    knots (default the samples) must contain the samples; every knot
+    interval holds the same number of equal steps, at least min_sub and as
+    many as the step rule needs.  x has one more entry than there are steps
+    and psis has shape (x.size, 2, 2).
+    """
+    knots = piece.x if knots is None else knots
+    om = np.array([float(omega)])
+    (_, sub, grid), = _step_groups(piece, knots, om, PRUFER_TOL, min_sub)
+    x = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * grid[0]
+    p = _prefix_products(_magnus_steps(grid, om)[0])[:, 0]
+    return np.concatenate((knots[:1], x)), np.concatenate((np.eye(2)[None], p))

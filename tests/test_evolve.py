@@ -505,14 +505,25 @@ def test_second_derivative_matches_dense_duhamel(two_level, smooth_ramp, smooth_
     # closed form (constant pieces) and Simpson on Magnus states (smooth pieces)
     # against fixed-step RK4 of the joint (Psi, a, b) system at 0.002 rad
     from _oracles import dense_second_derivative, random_pwc
+    from puretone.profile import SmoothPiece, SmoothProfile
 
     cases = [(two_level, k, chi, 1e-11) for k in (1, 2, 3) for chi in (0, 1) if chi or k % 2 == 0]
     for _ in range(10):
         cases.append((random_pwc(rng, pbar=1.0, eos=gamma2), int(rng.integers(1, 4)), 1, 1e-11))
-    cases += [(prof, k, 1, 1e-10) for prof in (smooth_ramp, smooth_jumpy) for k in (1, 4)]
-    for prof, k, chi, tol in cases:
+    # a gently varying piece: the Magnus rule alone would take few steps
+    x = np.linspace(0.0, 1.0, 33)
+    gentle = SmoothProfile((SmoothPiece(x, 1.0 + 0.01 * x),), pbar=1.0, eos=gamma2)
+    cases += [(prof, k, 1, 1e-10) for prof in (smooth_ramp, smooth_jumpy, gentle) for k in (1, 4)]
+    refs = [dense_second_derivative(prof, gamma2, k, chi, 0.002) for prof, k, chi, _ in cases]
+    # constant samples: the Magnus rule takes one step per interval, the
+    # closed form of the equal constant profile is the reference
+    flat = SmoothProfile((SmoothPiece(np.linspace(0.0, 1.0, 17), np.full(17, 1.7)),), pbar=1.0, eos=gamma2)
+    level = PiecewiseConstantProfile([1.7], [1.0], pbar=1.0, eos=gamma2)
+    for k in (1, 4):
+        cases.append((flat, k, 1, 1e-10))
+        refs.append(second_derivative_quiet(level, gamma2, k, 1))
+    for (prof, k, chi, tol), ref in zip(cases, refs):
         got = second_derivative_quiet(prof, gamma2, k, chi)
-        ref = dense_second_derivative(prof, gamma2, k, chi, 0.002)
         for name in ("pairing", "phi_hat", "psi_hat", "a_ell", "b_ell"):
             want = getattr(ref, name)
             assert abs(getattr(got, name) - want) <= tol * max(1.0, abs(want)), (k, chi, name)
