@@ -8,15 +8,29 @@ even initial data
 whose boundary image S E^ell y0 vanishes.  The amplitude alpha is prescribed;
 the unknowns are the 0-mode shift z (the bifurcation direction, powered by
 genuine nonlinearity) and the auxiliary coefficients a_j.  There is exactly
-one sine equation r_j per unknown, so the system is square and is solved by
-one coupled damped Newton iteration instead of the literal nested
-auxiliary-then-bifurcation construction; the two residual pieces are still
-reported separately in the diagnostics.  Rows j != k of the Jacobian are
-preconditioned by the fixed inverse divisors 1/delta_j.
+one sine equation r_j per unknown, so the system is square and is solved as
+one coupled system instead of the literal nested auxiliary-then-bifurcation
+construction; the two residual pieces are still reported separately in the
+diagnostics.
 
-Convergence is declared in the divisor-scaled norm, in which the linearized
-boundary operator is an isometry, so the weighted residual measures the H^b
-size of the remaining correction to y0.
+The iteration is a chord method on the quiet-state Jacobian, which the
+linear theory gives in closed form: S o L = diag(delta_j) on the a_j, and
+alpha times the genuine-nonlinearity pairing of `second_derivative_quiet`
+on z.  A chord step costs one single-row evolution.  A step that fails to
+halve the weighted residual replaces the chord matrix by a forward-difference
+Jacobian at the new iterate, one batched evolution of M + 1 rows, at most
+_MAX_REFRESH times per solve.  Along a branch the start is the previous
+solution scaled by (alpha / alpha_prev)^2, since z and the a_j are
+O(alpha^2).
+
+A solve stops when the weighted residual is below newton_tol and the z step
+is below _Z_STEP |z|.  The weighted residual is the divisor-scaled norm, in
+which the linearized boundary operator is an isometry, so it measures the
+H^b size of the remaining correction to the a_j; its k-row is not divided by
+alpha * pairing, so it leaves z loose, and the step test pins z.  The
+diagnostics report `contraction`, the largest ratio of successive weighted
+residuals over the steps taken from above newton_tol (below it the ratios
+are roundoff), and `refreshes`, the number of Jacobians taken.
 """
 
 from __future__ import annotations
@@ -38,9 +52,12 @@ from .evolve import (
     weighted_norm,
 )
 
-#: Newton iterations per solve; forward-difference step of the Jacobian,
-#: relative to max(1, |u_i|)
-_MAX_NEWTON, _FD_STEP = 30, 1e-7
+#: chord iterations per solve; forward-difference Jacobians that may replace
+#: the quiet chord matrix per solve, and their step relative to max(1, |u_i|)
+_MAX_NEWTON, _MAX_REFRESH, _FD_STEP = 30, 3, 1e-7
+
+#: a solve stops only once the z step is this small against z as well
+_Z_STEP = 1e-7
 
 #: a solve whose top two cosine coefficients exceed this share of the largest
 #: is repeated with M doubled, at most _MAX_M_DOUBLINGS times
@@ -87,6 +104,13 @@ class BifurcationProblem:
                 f"(min divisor {report.min_divisor:.3e} at j={report.argmin_j})"
             )
         self._cache["validated"] = True
+
+    def pairing(self):
+        """Genuine-nonlinearity pairing: d r_k / d z = alpha * pairing at the quiet state."""
+        if "pairing" not in self._cache:
+            d2 = second_derivative_quiet(self.profile, self.eos, self.k, self.chi, eig=self.eigen())
+            self._cache["pairing"] = d2.pairing
+        return self._cache["pairing"]
 
 
 @dataclass(frozen=True)
@@ -135,21 +159,6 @@ def _sine_components(a_out, b_out, chi):
     """Sine coefficients of S applied to the evolved field, j = 1..M."""
     c, s = sl_core.quarter_cos_sin(np.arange(a_out.shape[-1]) * chi)
     return (c * b_out - s * a_out)[..., 1:]
-
-
-def residual(problem: BifurcationProblem, z, a_vec, alpha):
-    """Boundary residual r_1..r_M of the assembled data (single evolution)."""
-    m = problem.cfg.M
-    eig = problem.eigen()
-    cos = np.asarray(a_vec, dtype=float).copy()
-    if cos.size != m + 1:
-        raise SolverError("a_vec must have M+1 entries (zeros at 0 and k)")
-    cos[0] = problem.profile.pbar + z
-    cos[problem.k] = alpha
-    (a_out, b_out), _ = evolve_coefficients(
-        problem.profile, problem.eos, cos, np.zeros_like(cos), eig.T, problem.cfg
-    )
-    return _sine_components(a_out, b_out, problem.chi)
 
 
 class _NewtonWorkspace:
@@ -207,12 +216,12 @@ class _NewtonWorkspace:
 
 
 def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSolution:
-    """Damped Newton on the square system r(z, {a_j}; alpha) = 0.
+    """Chord iteration on the square system r(z, {a_j}; alpha) = 0.
 
-    Rows j != k are scaled by 1/delta_j (the constant preconditioner that
-    the linear theory provides); convergence is weighted residual below
-    problem.newton_tol.  If the converged tail coefficients are not small
-    against max |a_j|, the cutoff M is doubled and the solve repeats.
+    The chord matrix is the quiet-state Jacobian, refreshed by a
+    forward-difference one only when a step fails to contract (module
+    docstring).  If the converged tail coefficients are not small against
+    max |a_j|, the cutoff M is doubled and the solve repeats.
     """
     problem.validate()
     pbar = problem.profile.pbar
@@ -229,7 +238,7 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
     for doubling in range(_MAX_M_DOUBLINGS + 1):
         m = problem.cfg.M
         ws = _NewtonWorkspace(problem, alpha, m)
-        u = np.zeros(m) if warm is None else _resize_warm(warm, m, problem.k)
+        u = np.zeros(m) if warm is None else _resize_warm(warm, m, problem.k, alpha)
         sol = _newton_loop(problem, ws, u, alpha, eig, pbar)
         tail_ok = _tail_small(sol)
         if tail_ok or doubling == _MAX_M_DOUBLINGS:
@@ -242,14 +251,15 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
     raise SolverError("unreachable")
 
 
-def _resize_warm(warm: PureToneSolution, m, k):
+def _resize_warm(warm: PureToneSolution, m, k, alpha):
+    """Start from a solution at another alpha: z and a_j are O(alpha^2)."""
     u = np.zeros(m)
     u[0] = warm.z
     a_old = warm.a
     for pos, j in enumerate(_mode_indices(m, k)):
         if j < a_old.size:
             u[1 + pos] = a_old[j]
-    return u
+    return u * (alpha / warm.alpha) ** 2 if warm.alpha else u
 
 
 def _tail_small(sol: PureToneSolution) -> bool:
@@ -264,42 +274,40 @@ def _tail_small(sol: PureToneSolution) -> bool:
 
 def _newton_loop(problem, ws, u, alpha, eig, pbar):
     k = problem.k
-    delta = ws.table.delta.copy()
-    scale = np.ones_like(delta)
     others = np.arange(1, ws.m + 1) != k
-    scale[others] = 1.0 / delta[others]
+    # the quiet Jacobian is diagonal in the unknowns' order: alpha * pairing
+    # at (r_k, z), delta_j at (r_j, a_j)
+    rows = np.array([k] + ws.idx) - 1
+    quiet = ws.table.delta[rows].copy()
+    quiet[0] = alpha * problem.pairing()
+    jac = None  # a forward-difference Jacobian, once the chord has been refreshed
 
-    best = None
     r = ws.residual(u)
     wres = ws.weighted(r)
-    iters = 0
+    contraction, refreshes = 0.0, 0
     t0 = time.perf_counter()
     for iters in range(1, _MAX_NEWTON + 1):
-        if wres < problem.newton_tol:
-            break
-        _, jac = ws.residual_and_jacobian(u)
-        try:
-            du = np.linalg.solve(jac * scale[:, None], -r * scale)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Newton system at alpha={alpha:g}: {exc}") from exc
-        step = 1.0
-        for _ in range(8):
-            u_try = u + step * du
-            r_try = ws.residual(u_try)
-            w_try = ws.weighted(r_try)
-            if w_try < wres or w_try < problem.newton_tol:
-                u, r, wres = u_try, r_try, w_try
-                break
-            step *= 0.5
+        if jac is None:
+            du = -r[rows] / quiet
         else:
-            break  # no progress along the Newton direction
-        if best is None or wres < best[1]:
-            best = (u.copy(), wres, r.copy())
-    if best is not None and best[1] < wres:
-        u, wres, r = best[0], best[1], best[2]
-
-    converged = bool(wres < problem.newton_tol)
-    if not converged:
+            try:
+                du = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular Jacobian at alpha={alpha:g}: {exc}") from exc
+        if wres < problem.newton_tol and abs(du[0]) <= _Z_STEP * abs(u[0]):
+            break
+        u = u + du
+        r_new = ws.residual(u)
+        w_new = ws.weighted(r_new)
+        # below newton_tol the steps only pin z and the ratios are roundoff
+        if wres >= problem.newton_tol:
+            contraction = max(contraction, w_new / wres)
+            if w_new > 0.5 * wres and refreshes < _MAX_REFRESH:
+                r_new, jac = ws.residual_and_jacobian(u)
+                w_new = ws.weighted(r_new)
+                refreshes += 1
+        r, wres = r_new, w_new
+    else:
         raise SolverError(
             f"Newton stalled at alpha={alpha:g}: weighted residual {wres:.3e} "
             f"after {iters} iterations"
@@ -314,7 +322,7 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
         a=a_full,
         residual_weighted=float(wres),
         newton_iters=iters,
-        converged=converged,
+        converged=True,
         k=k,
         chi=problem.chi,
         T=eig.T,
@@ -325,6 +333,8 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
             "auxiliary_residual": float(aux),
             "bifurcation_residual": float(abs(r[k - 1])),
             "evolutions": ws.n_evolve,
+            "contraction": float(contraction),
+            "refreshes": refreshes,
             "seconds": time.perf_counter() - t0,
         },
     )

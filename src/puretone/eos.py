@@ -92,6 +92,24 @@ class GammaLawEos:
     def sigma_from_factor(self, p_bar, A):
         return np.sqrt(-self.dvdp_from_factor(p_bar, A))
 
+    # -- increments relative to a base pressure, p = a (1 + x) -------------
+
+    def volume_remainder(self, x):
+        """f(x) = (1+x)**(-1/gamma) - 1 + x/gamma, free of cancellation.
+
+        v(a(1+x)) - v(a) - v_p(a) a x = v(a) f(x) at any A.  Evaluated as
+        expm1(-log1p(x)/gamma) + x/gamma, the relative error is about
+        eps/|x| where the direct form loses eps/x**2; f(0) = 0 exactly.
+        """
+        x = np.asarray(x, dtype=float)
+        g = 1.0 / self.gamma
+        return np.expm1(-g * np.log1p(x)) + g * x
+
+    def slope_increment(self, x):
+        """(1+x)**(-1-1/gamma) - 1 = v_p(a(1+x)) / v_p(a) - 1, free of cancellation."""
+        x = np.asarray(x, dtype=float)
+        return np.expm1(-(1.0 + 1.0 / self.gamma) * np.log1p(x))
+
 
 @dataclass(frozen=True)
 class QuietState:

@@ -30,14 +30,21 @@ the law is the SL rotation of each mode: with s^2 = -v_p(a_0, A),
     (a_j, b_j)(x + h) = [[cos th, -sin th / s], [s sin th, cos th]] (a_j, b_j)(x),
     th = j Omega s h,
 
-which each step applies exactly; RK4 carries only the remainder
-v(p) - v(a_0) - v_p(a_0) (p - a_0) in the b_j equation.  On a smooth piece
-the rotation takes the step-midpoint sigma and the remainder also carries
-the sigma variation.  Since the remainder is quadratic in the fluctuation,
-a constant piece takes few steps, sized from the remainder's share of the
-motion (EvolutionConfig).  Entropy jumps are the identity on (p, u)
-coefficients.  The remainder vanishes at quiet data, so quiet states are
-exact fixed points, bit for bit.
+which each step applies exactly; RK4 carries only the remainder in the b_j
+equation,
+
+    v(p) - v(a_0) - v_p(a_0) (p - a_0) = v(a_0) f((p - a_0) / a_0),
+    f(x) = (1+x)^(-1/gamma) - 1 + x/gamma,
+
+with f evaluated free of cancellation (GammaLawEos.volume_remainder): the
+direct difference of O(1) terms would lose eps/x^2 of an O(x^2) result.  On
+a smooth piece the rotation takes the step-midpoint sigma and the remainder
+also carries the sigma variation, (v_p(a_0) at the stage's sigma minus at
+the midpoint's) (p - a_0).  Since the remainder is quadratic in the
+fluctuation, a constant piece takes few steps, sized from the remainder's
+share of the motion (EvolutionConfig).  Entropy jumps are the identity on
+(p, u) coefficients.  f(0) = 0 exactly, so quiet states are exact fixed
+points, bit for bit.
 """
 
 from __future__ import annotations
@@ -294,9 +301,8 @@ def _fluct_grid(a, n):
 
 
 class _Frozen(NamedTuple):
-    """Equation-of-state constants at one entropy factor, on the grid of the mean."""
+    """Equation-of-state constants at one entropy factor and the mean a0, one per row."""
 
-    A: float
     v0: np.ndarray
     vp0: np.ndarray
     vpp0: np.ndarray
@@ -334,22 +340,19 @@ class _Marcher:
         self.pbar = profile.pbar
         if self.eos is None or self.pbar is None:
             raise DomainError("nonlinear work needs an equation of state and pbar")
-        # the mean as a contiguous grid: v(p) and v(a0) then share one code path,
-        # so the remainder is exactly zero at quiet data
-        self.a0_grid = np.repeat(np.asarray(a0, dtype=float), self.n, axis=-1)
+        self.a0 = np.asarray(a0, dtype=float)
 
     def frozen(self, sigma_val):
         eos_ = self.eos
         A = eos_.factor_from_sigma(self.pbar, sigma_val)
         return _Frozen(
-            A,
-            eos_.volume_from_factor(self.a0_grid, A),
-            eos_.dvdp_from_factor(self.a0_grid, A),
-            eos_.d2vdp2_from_factor(self.a0_grid, A),
+            eos_.volume_from_factor(self.a0, A),
+            eos_.dvdp_from_factor(self.a0, A),
+            eos_.d2vdp2_from_factor(self.a0, A),
         )
 
     def half_turn(self, rot, h):
-        s = np.sqrt(-rot.vp0[..., :1])
+        s = np.sqrt(-rot.vp0)
         theta = self.omega_modes * s * (0.5 * h)
         sn = np.sin(theta)
         return np.cos(theta), sn / s, s * sn
@@ -362,7 +365,7 @@ class _Marcher:
         rotation the piece is entered (data that enter as pure velocity have
         no remainder there, but gain one as they turn).
         """
-        s = np.sqrt(-rot.vp0[..., :1])
+        s = np.sqrt(-rot.vp0)
         envelope = tuple((np.hypot(a, b / s), np.zeros_like(b)) for a, b in state)
         try:
             ks = remainder(envelope, rot, rot)[:sized]
@@ -456,15 +459,16 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     jw = marcher.omega_modes
     n = marcher.n
     to_rates = marcher.to_rates
-    volume = marcher.eos.volume_from_factor
+    volume_remainder = marcher.eos.volume_remainder
 
     def remainder(state, at, rot):
         ((aa, _),) = state
         dp = _fluct_grid(aa, n)
-        p = a0 + dp
-        if np.min(p) <= 0.0:
+        if np.min(a0 + dp) <= 0.0:
             raise ShockProximityError("pressure lost positivity during evolution")
-        w = (volume(p, at.A) - at.v0) - rot.vp0 * dp
+        w = at.v0 * volume_remainder(dp / a0)
+        if at is not rot:
+            w = w + (at.vp0 - rot.vp0) * dp
         return (w @ to_rates,)
 
     g0 = _grad_bound(a, b, jw)
@@ -517,12 +521,15 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     def remainder(state, at, rot):
         (aa, _), (AA, _) = state
         dp = _fluct_grid(aa, n)
-        p = a0 + dp
-        if np.min(p) <= 0.0:
+        if np.min(a0 + dp) <= 0.0:
             raise ShockProximityError("pressure lost positivity during evolution")
-        w = (eos_.volume_from_factor(p, at.A) - at.v0) - rot.vp0 * dp
+        x = dp / a0
         P = coeffs_to_grid(AA, np.zeros_like(AA), n)
-        dvp_P = (eos_.dvdp_from_factor(p, at.A) - rot.vp0) * P
+        w = at.v0 * eos_.volume_remainder(x)
+        dvp_P = at.vp0 * eos_.slope_increment(x) * P
+        if at is not rot:
+            w = w + (at.vp0 - rot.vp0) * dp
+            dvp_P = dvp_P + (at.vp0 - rot.vp0) * P
         return (w @ to_rates, dvp_P @ to_rates)
 
     state = (

@@ -12,18 +12,22 @@ summed from per-step angle slips and the slope from an adjugate sum.  The
 quiet second derivative has two references: fixed-step RK4 of the joint
 (Psi, a, b) Duhamel system, and the pseudospectral march of the second
 variation through the library's Lawson walker, which shares neither the SL
-algebra nor the quadrature of the library's closed-form path.
+algebra nor the quadrature of the library's closed-form path.  The
+boundary residual of the bifurcation system at one assembled point, one
+unbatched evolution, probes S E^ell directly.
 """
 
 import numpy as np
 
 from puretone import spectrum
+from puretone.bifurcate import _sine_components
 from puretone.evolve import (
     EvolutionConfig,
     QuietSecondDerivative,
     _Marcher,
     _piece_table,
     coeffs_to_grid,
+    evolve_coefficients,
 )
 from puretone.sl_core import (
     _magnus_steps,
@@ -341,6 +345,22 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
         b_ell=np.nan,
         fundamental=np.full((2, 2), np.nan),
     )
+
+
+def residual(problem, z, a_vec, alpha):
+    """Boundary residual r_1..r_M of the assembled data, one unbatched evolution.
+
+    a_vec holds M+1 cosine coefficients; its entries 0 and k are replaced by
+    pbar + z and alpha.
+    """
+    cos = np.asarray(a_vec, dtype=float).copy()
+    assert cos.size == problem.cfg.M + 1
+    cos[0] = problem.profile.pbar + z
+    cos[problem.k] = alpha
+    (a_out, b_out), _ = evolve_coefficients(
+        problem.profile, problem.eos, cos, np.zeros_like(cos), problem.eigen().T, problem.cfg
+    )
+    return _sine_components(a_out, b_out, problem.chi)
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import residual
 from puretone.errors import ResonanceError, SolverError
 from puretone.eos import GammaLawEos
 from puretone.profile import PiecewiseConstantProfile, constant_profile
@@ -11,7 +12,6 @@ from puretone.bifurcate import (
     BifurcationProblem,
     branch_continue,
     dgdz_check,
-    residual,
     solve_at_alpha,
 )
 
@@ -75,6 +75,37 @@ def test_solve_regression_golden(problem):
     assert_allclose(sol.a[3], GOLD_A3, rtol=1e-4)
     assert sol.pbar_effective == sol.pbar + sol.z
     assert sol.diagnostics["bifurcation_residual"] < 1e-12
+
+
+def test_tight_tolerance_converges(two_level, gamma2):
+    # the cancellation-free march remainder leaves no floor near 1e-12
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1, newton_tol=1e-12)
+    for alpha in (1e-4, 1e-3):
+        sol = solve_at_alpha(problem, alpha)
+        assert sol.converged
+        assert sol.residual_weighted < 1e-12
+
+
+def test_default_branch_keeps_quiet_chord(two_level, gamma2):
+    # the quiet Jacobian contracts on the default schedule: no FD refresh
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
+    branch = branch_continue(problem)
+    assert branch.failure is None
+    for sol in branch.solutions:
+        assert sol.diagnostics["refreshes"] == 0
+        assert 0.0 < sol.diagnostics["contraction"] < 0.5
+        # one single-row evolution per chord iteration
+        assert sol.diagnostics["evolutions"] == sol.newton_iters
+
+
+def test_chord_refresh_at_large_alpha(two_level, gamma2):
+    # k = 2 at alpha 5e-2: the quiet chord stalls and one FD Jacobian rescues it
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=2, chi=1)
+    sol = solve_at_alpha(problem, 5e-2)
+    assert sol.converged
+    assert sol.residual_weighted < problem.newton_tol
+    assert sol.diagnostics["refreshes"] >= 1
+    assert sol.diagnostics["contraction"] > 0.5
 
 
 def test_quadratic_amplitude_scaling(quick_problem):

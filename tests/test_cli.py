@@ -109,6 +109,24 @@ def test_perturb_branch(profile_file, tmp_path):
     assert all(s["residual_weighted"] < 1e-10 for s in doc["solutions"])
 
 
+def test_perturb_diagnostics_byte_identical(profile_file, tmp_path):
+    # the solver diagnostics in the solution JSON are deterministic
+    docs = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        rc = main(
+            ["perturb", "--profile", profile_file, "--k", "1", "--modes", "8", "--nt", "32",
+             "--alpha-schedule", "1e-4,2e-4", "--out-dir", str(out)]
+        )
+        assert rc == 0
+        docs.append((out / "branch.json").read_bytes())
+    assert docs[0] == docs[1]
+    for sol in json.loads(docs[0])["solutions"]:
+        assert sol["diagnostics"]["refreshes"] == 0
+        assert 0.0 < sol["diagnostics"]["contraction"] < 0.5
+        assert "seconds" not in sol["diagnostics"]
+
+
 def test_quiet_tile_constant_field(profile_file, tmp_path):
     out = tmp_path / "out"
     rc = main(

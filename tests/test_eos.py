@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -96,3 +98,30 @@ def test_entropy_factor_definition():
     eos = GammaLawEos(1.4, k_ref=0.5)
     s = 0.3
     assert_allclose(eos.entropy_factor(s), (0.5 * np.exp(s)) ** (1 / 1.4), rtol=1e-15)
+
+
+def test_increments_match_decimal_reference():
+    # f(x) = (1+x)^(-g) - 1 + g x and (1+x)^(-1-g) - 1 against 50-digit
+    # arithmetic at the float g = 1/gamma the code uses, 1e-8 <= |x| <= 0.5
+    eps = np.finfo(float).eps
+    mags = np.logspace(-8.0, np.log10(0.5), 60)
+    xs = np.concatenate([mags, -mags])
+    for gamma in (1.4, 5.0 / 3.0, 2.0, 7.0):
+        eos = GammaLawEos(gamma)
+        f = eos.volume_remainder(xs)
+        slope = eos.slope_increment(xs)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            g = Decimal(1.0 / gamma)
+            for x, fx, sx in zip(xs, f, slope):
+                d = Decimal(float(x))
+                log1p = (1 + d).ln()
+                f_ref = (-g * log1p).exp() - 1 + g * d
+                slope_ref = (-(1 + g) * log1p).exp() - 1
+                f_err = float(abs((Decimal(float(fx)) - f_ref) / f_ref))
+                slope_err = float(abs((Decimal(float(sx)) - slope_ref) / slope_ref))
+                assert f_err <= 4.0 * eps * max(1.0, 1.0 / abs(x)), (gamma, x, f_err)
+                assert slope_err <= 4.0 * eps, (gamma, x, slope_err)
+        # quiet data: both increments vanish exactly
+        assert eos.volume_remainder(0.0) == 0.0
+        assert eos.slope_increment(0.0) == 0.0
