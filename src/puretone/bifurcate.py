@@ -18,13 +18,15 @@ linear theory gives in closed form: S o L = diag(delta_j) on the a_j, and
 alpha times the genuine-nonlinearity pairing of `second_derivative_quiet`
 on z.  A chord step costs one single-row evolution.  A step that fails to
 halve the weighted residual replaces the chord matrix by a forward-difference
-Jacobian at the new iterate, one batched evolution of M + 1 rows, at most
+Jacobian at the new iterate, one batched evolution of M rows, at most
 _MAX_REFRESH times per solve.  Along a branch the start is the previous
 solution scaled by (alpha / alpha_prev)^2, since z and the a_j are
 O(alpha^2).
 
 A solve stops when the weighted residual is below newton_tol and the z step
-is below _Z_STEP |z|.  The weighted residual is the divisor-scaled norm, in
+is below _Z_STEP |z|, or below _Z_ULPS ulps of pbar + z: z reaches the march
+only through that stored mean, so at small alpha its steps end up wandering
+by a few of those ulps and cannot shrink further.  The weighted residual is the divisor-scaled norm, in
 which the linearized boundary operator is an isometry, so it measures the
 H^b size of the remaining correction to the a_j; its k-row is not divided by
 alpha * pairing, so it leaves z loose, and the step test pins z.  The
@@ -56,8 +58,10 @@ from .evolve import (
 #: the quiet chord matrix per solve, and their step relative to max(1, |u_i|)
 _MAX_NEWTON, _MAX_REFRESH, _FD_STEP = 30, 3, 1e-7
 
-#: a solve stops only once the z step is this small against z as well
-_Z_STEP = 1e-7
+#: a solve stops only once the z step is this small against z as well, or is
+#: within _Z_ULPS units in the last place of the stored mean pbar + z, the
+#: resolution at which z reaches the march
+_Z_STEP, _Z_ULPS = 1e-7, 8
 
 #: a solve whose top two cosine coefficients exceed this share of the largest
 #: is repeated with M doubled, at most _MAX_M_DOUBLINGS times
@@ -105,12 +109,13 @@ class BifurcationProblem:
             )
         self._cache["validated"] = True
 
-    def pairing(self):
-        """Genuine-nonlinearity pairing: d r_k / d z = alpha * pairing at the quiet state."""
-        if "pairing" not in self._cache:
-            d2 = second_derivative_quiet(self.profile, self.eos, self.k, self.chi, eig=self.eigen())
-            self._cache["pairing"] = d2.pairing
-        return self._cache["pairing"]
+    def second_derivative(self):
+        """Quiet second derivative; its pairing gives d r_k / d z = alpha * pairing."""
+        if "d2" not in self._cache:
+            self._cache["d2"] = second_derivative_quiet(
+                self.profile, self.eos, self.k, self.chi, eig=self.eigen()
+            )
+        return self._cache["d2"]
 
 
 @dataclass(frozen=True)
@@ -199,20 +204,15 @@ class _NewtonWorkspace:
     def weighted(self, r):
         return weighted_norm(r, self.table, k=self.problem.k)
 
-    def residual_and_jacobian(self, u):
-        """One batched evolution: base plus M forward-difference columns."""
-        n_unknowns = u.size
+    def jacobian(self, u, r0):
+        """Forward differences about u, whose residual is r0: one batch of M rows."""
         steps = _FD_STEP * np.maximum(1.0, np.abs(u))
-        batch = np.empty((n_unknowns + 1, self.m + 1))
-        batch[0] = self.unpack(u)
-        for i in range(n_unknowns):
+        batch = np.empty((u.size, self.m + 1))
+        for i in range(u.size):
             up = u.copy()
             up[i] += steps[i]
-            batch[i + 1] = self.unpack(up)
-        r_all = self._evolve(batch)
-        r0 = r_all[0]
-        jac = (r_all[1:] - r0[None, :]).T / steps[None, :]
-        return r0, jac
+            batch[i] = self.unpack(up)
+        return (self._evolve(batch) - r0[None, :]).T / steps[None, :]
 
 
 def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSolution:
@@ -279,7 +279,7 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
     # at (r_k, z), delta_j at (r_j, a_j)
     rows = np.array([k] + ws.idx) - 1
     quiet = ws.table.delta[rows].copy()
-    quiet[0] = alpha * problem.pairing()
+    quiet[0] = alpha * problem.second_derivative().pairing
     jac = None  # a forward-difference Jacobian, once the chord has been refreshed
 
     r = ws.residual(u)
@@ -294,7 +294,8 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
                 du = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular Jacobian at alpha={alpha:g}: {exc}") from exc
-        if wres < problem.newton_tol and abs(du[0]) <= _Z_STEP * abs(u[0]):
+        z_tol = max(_Z_STEP * abs(u[0]), _Z_ULPS * np.spacing(pbar + u[0]))
+        if wres < problem.newton_tol and abs(du[0]) <= z_tol:
             break
         u = u + du
         r_new = ws.residual(u)
@@ -303,14 +304,13 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
         if wres >= problem.newton_tol:
             contraction = max(contraction, w_new / wres)
             if w_new > 0.5 * wres and refreshes < _MAX_REFRESH:
-                r_new, jac = ws.residual_and_jacobian(u)
-                w_new = ws.weighted(r_new)
+                jac = ws.jacobian(u, r_new)
                 refreshes += 1
         r, wres = r_new, w_new
     else:
         raise SolverError(
-            f"Newton stalled at alpha={alpha:g}: weighted residual {wres:.3e} "
-            f"after {iters} iterations"
+            f"Newton stalled at alpha={alpha:g}: weighted residual {wres:.3e}, "
+            f"z step {abs(du[0]):.3e} after {iters} iterations"
         )
     a_full = np.zeros(ws.m + 1)
     a_full[ws.idx] = u[1:]
@@ -401,7 +401,7 @@ def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck
     )
     r = _sine_components(a_out, b_out, problem.chi)[:, problem.k - 1]
     fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h_alpha * h_z)
-    d2 = second_derivative_quiet(problem.profile, problem.eos, problem.k, problem.chi, eig=eig)
+    d2 = problem.second_derivative()
     rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
     return DgdzCheck(
         fd_value=float(fd),

@@ -86,6 +86,28 @@ def test_tight_tolerance_converges(two_level, gamma2):
         assert sol.residual_weighted < 1e-12
 
 
+def test_small_amplitude_pins_z_at_mean_resolution(two_level, gamma2):
+    # at alpha 1e-5 z ~ 2e-11 moves the stored mean pbar + z by whole ulps,
+    # so the z-step stop must accept steps of that size
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
+    ref = solve_at_alpha(problem, 1e-4)
+    sol = solve_at_alpha(problem, 1e-5)
+    assert sol.converged
+    assert sol.residual_weighted < problem.newton_tol
+    assert_allclose(sol.z / 1e-5**2, ref.z / 1e-4**2, rtol=1e-3)
+
+
+def test_default_branch_at_large_mean(gamma2):
+    # pbar = 10 puts alpha / pbar = 1e-5 at the start of the default schedule
+    prof = PiecewiseConstantProfile([1.0, 2.0], [0.5, 0.5], pbar=10.0, eos=gamma2)
+    problem = BifurcationProblem(profile=prof, eos=gamma2, k=1, chi=1)
+    branch = branch_continue(problem)
+    assert branch.failure is None
+    assert len(branch.solutions) == len(problem.alphas)
+    ratios = [sol.z / sol.alpha**2 for sol in branch.solutions]
+    assert_allclose(ratios, ratios[-1], rtol=1e-3)
+
+
 def test_default_branch_keeps_quiet_chord(two_level, gamma2):
     # the quiet Jacobian contracts on the default schedule: no FD refresh
     problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
