@@ -9,7 +9,7 @@ time-periodic solutions assembled into space-time tiles by reflection.
 
 __version__ = "0.1.0"
 
-from .eos import GammaLawEos, QuietState
+from .eos import GammaLawEos
 from .errors import (
     BoundaryResidualError,
     DomainError,
@@ -47,19 +47,14 @@ from .spectrum import (
 from .evolve import (
     EvolutionConfig,
     FourierField,
-    boundary_operator,
     linearized_evolve,
     nonlinear_evolve,
-    project_even,
-    project_odd,
     second_derivative_quiet,
-    shift,
     weighted_norm,
 )
 from .linwave import (
     LinearMode,
     TileField,
-    boundary_residual,
     eigenfunction_profiles,
     extend_tile,
     mode_field,

@@ -37,7 +37,6 @@ are roundoff), and `refreshes`, the number of Jacobians taken.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -285,7 +284,6 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
     r = ws.residual(u)
     wres = ws.weighted(r)
     contraction, refreshes = 0.0, 0
-    t0 = time.perf_counter()
     for iters in range(1, _MAX_NEWTON + 1):
         if jac is None:
             du = -r[rows] / quiet
@@ -335,7 +333,6 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
             "evolutions": ws.n_evolve,
             "contraction": float(contraction),
             "refreshes": refreshes,
-            "seconds": time.perf_counter() - t0,
         },
     )
 

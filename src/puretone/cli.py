@@ -95,10 +95,13 @@ def _write_manifest(out: Path, command, args, t0, outputs, profile=None, extra=N
 
 
 def _parse_k_range(spec: str):
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(spec)]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(spec)]
+    except ValueError as exc:
+        raise _UsageFailure(f"--k-range wants K or LO:HI, got {spec!r}") from exc
 
 
 # -- commands ------------------------------------------------------------------
@@ -232,7 +235,7 @@ def _solution_doc(sol):
         "M": sol.M,
         "pbar": sol.pbar,
         "pbar_effective": sol.pbar_effective,
-        "diagnostics": {k: v for k, v in sol.diagnostics.items() if k != "seconds"},
+        "diagnostics": sol.diagnostics,
     }
 
 

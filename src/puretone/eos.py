@@ -110,14 +110,3 @@ class GammaLawEos:
         x = np.asarray(x, dtype=float)
         return np.expm1(-(1.0 + 1.0 / self.gamma) * np.log1p(x))
 
-
-@dataclass(frozen=True)
-class QuietState:
-    """Stationary state: constant pressure p_bar, zero velocity, fixed profile."""
-
-    p_bar: float
-    profile: object
-
-    def __post_init__(self):
-        if not self.p_bar > 0.0:
-            raise DomainError(f"p_bar must be positive, got {self.p_bar}")

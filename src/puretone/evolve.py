@@ -98,16 +98,6 @@ def coeffs_to_grid(a, b, n):
     return a @ cos + b @ sin
 
 
-def grid_to_coeffs(values, m):
-    """Leading m+1 cosine/sine coefficients of grid samples."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    cos, sin = _dft_basis(m, n)
-    a = values @ cos.T * (2.0 / n)
-    a[..., 0] *= 0.5
-    return a, values @ sin.T * (2.0 / n)
-
-
 # -- the field type ----------------------------------------------------------------
 
 
@@ -136,10 +126,6 @@ class FourierField:
         return self.cos.size - 1
 
     @classmethod
-    def zero(cls, T, m):
-        return cls(T, np.zeros(m + 1), np.zeros(m + 1))
-
-    @classmethod
     def constant(cls, T, value, m):
         a = np.zeros(m + 1)
         a[0] = value
@@ -151,19 +137,6 @@ class FourierField:
         a = np.zeros(m + 1)
         a[j] = amplitude
         return cls(T, a, np.zeros(m + 1))
-
-    @classmethod
-    def from_grid(cls, values, T, m):
-        a, b = grid_to_coeffs(values, m)
-        return cls(T, a, b)
-
-    def grid(self, n=None):
-        n = n if n is not None else max(4 * self.n_modes, 8)
-        return coeffs_to_grid(self.cos, self.sin, n)
-
-    def t_grid(self, n=None):
-        n = n if n is not None else max(4 * self.n_modes, 8)
-        return np.arange(n) * (self.T / n)
 
     def __add__(self, other):
         self._compatible(other)
@@ -181,39 +154,6 @@ class FourierField:
     def _compatible(self, other):
         if abs(other.T - self.T) > 1e-14 * self.T or other.cos.size != self.cos.size:
             raise DomainError("fields live on different periods or cutoffs")
-
-    def norm_inf(self, n=None):
-        return float(np.max(np.abs(self.grid(n))))
-
-
-def project_even(y: FourierField) -> FourierField:
-    return FourierField(y.T, y.cos.copy(), np.zeros_like(y.sin))
-
-
-def project_odd(y: FourierField) -> FourierField:
-    return FourierField(y.T, np.zeros_like(y.cos), y.sin.copy())
-
-
-def shift(y: FourierField, tau: float) -> FourierField:
-    """Time shift (T^tau y)(t) = y(t - tau): mode j rotates by j*2pi*tau/T."""
-    ang = np.arange(y.cos.size) * (2.0 * np.pi * tau / y.T)
-    c, s = np.cos(ang), np.sin(ang)
-    return FourierField(y.T, c * y.cos - s * y.sin, s * y.cos + c * y.sin)
-
-
-def boundary_operator(y: FourierField, chi: int) -> FourierField:
-    """S = R_- T^{-chi T/4}: quarter-period shift then odd projection.
-
-    On the cosine j-mode this produces -sin(j chi pi/2) times the sine mode,
-    which composed with quiet linearized evolution is exactly the divisor
-    delta_j.  Quarter turns use the exact integer table.
-    """
-    if chi not in (0, 1):
-        raise DomainError("chi must be 0 or 1")
-    c, s = sl_core.quarter_cos_sin(np.arange(y.n_modes + 1) * chi)
-    out_sin = c * y.sin - s * y.cos
-    out_sin[0] = 0.0
-    return FourierField(y.T, np.zeros_like(out_sin), out_sin)
 
 
 # -- configuration -----------------------------------------------------------------

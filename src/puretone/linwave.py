@@ -56,36 +56,9 @@ class LinearMode:
 
 def eigenfunction_profiles(profile, eig, nx: int = 512) -> LinearMode:
     """Integrate the SL system at omega_k from (1, 0) over an nx+1 point grid."""
-    x = np.linspace(0.0, profile.ell, nx + 1)
+    x = _x_grid(profile, nx)
     vals = sl_core.sample_sl_solution(profile, eig.omega, (1.0, 0.0), x)
     return LinearMode(k=eig.k, chi=eig.chi, omega=eig.omega, x=x, phi=vals[0], psi=vals[1])
-
-
-def sl_residual(mode: LinearMode, profile) -> float:
-    """Max residual of the first-order SL system on the sampled grid.
-
-    Derivatives are fourth-order central differences restricted to points at
-    least two grid cells inside each smooth piece (one-sided stencils across
-    a jump would see the discontinuity).
-    """
-    x, phi, psi = mode.x, mode.phi, mode.psi
-    h = x[1] - x[0]
-    sigma = profile.sigma_at(x)
-    omega = mode.omega
-
-    def d4(f):
-        return (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-
-    interior = np.zeros(x.size, dtype=bool)
-    interior[2:-2] = True
-    for edge in profile.edges[1:-1]:
-        interior &= np.abs(x - edge) > 2.5 * h
-    sel = interior[2:-2]
-    r1 = d4(phi) + omega * psi[2:-2]
-    r2 = d4(psi) - omega * sigma[2:-2] ** 2 * phi[2:-2]
-    if not np.any(sel):
-        return np.nan
-    return float(max(np.max(np.abs(r1[sel])), np.max(np.abs(r2[sel]))))
 
 
 @dataclass(frozen=True)
@@ -122,6 +95,13 @@ def _check_nt(nt, chi):
         raise DomainError("nt must be even, and divisible by 4 when chi = 1")
 
 
+def _x_grid(profile, nx):
+    """The nx + 1 uniform rows x_i = i ell / nx; nx >= 1."""
+    if nx < 1:
+        raise DomainError(f"nx must be at least 1 (got {nx})")
+    return np.linspace(0.0, profile.ell, nx + 1)
+
+
 def mode_field(mode: LinearMode, nt: int, meta=None) -> TileField:
     """Separated-variables mode P = cos(omega t) phi(x), U = sin(omega t) psi(x)."""
     _check_nt(nt, mode.chi)
@@ -136,7 +116,7 @@ def mode_field(mode: LinearMode, nt: int, meta=None) -> TileField:
 
 def quiet_tile(profile, pbar, T, nx, nt, chi, meta=None) -> TileField:
     _check_nt(nt, chi)
-    x = np.linspace(0.0, profile.ell, nx + 1)
+    x = _x_grid(profile, nx)
     t = np.arange(nt) * (T / nt)
     p = np.full((nx + 1, nt), float(pbar))
     u = np.zeros_like(p)
@@ -147,7 +127,7 @@ def nonlinear_tile(profile, eos, y0: FourierField, cfg: EvolutionConfig, nx, nt,
                    meta=None) -> TileField:
     """Tile of the nonlinear solution with data y0 (p rows even, u rows odd)."""
     _check_nt(nt, chi)
-    x = np.linspace(0.0, profile.ell, nx + 1)
+    x = _x_grid(profile, nx)
     _, snaps = nonlinear_evolve(profile, eos, y0, cfg, x_nodes=x)
     if len(snaps) != nx + 1:
         raise DomainError(f"trajectory returned {len(snaps)} of {nx + 1} requested rows")
@@ -170,21 +150,8 @@ def _odd_part_grid(row):
     return 0.5 * (row - reflected)
 
 
-def boundary_residual(y0: FourierField, y_ell: FourierField, chi: int, n_grid=None):
-    """(max |u(0,.)|, max |R_- T^{-chi T/4} y(ell,.)|) on the time grid."""
-    if chi not in (0, 1):
-        raise DomainError("chi must be 0 or 1")
-    n = n_grid if n_grid is not None else max(4 * y0.n_modes, 8)
-    r0 = float(np.max(np.abs(_odd_part_grid(coeffs_to_grid(np.zeros_like(y0.cos), y0.sin, n)))))
-    row = coeffs_to_grid(y_ell.cos, y_ell.sin, n)
-    if chi == 1:
-        row = np.roll(row, -(n // 4))
-    rell = float(np.max(np.abs(_odd_part_grid(row))))
-    return r0, rell
-
-
 def tile_boundary_residual(tile: TileField):
-    """Same residual pair read directly off the tile's grid rows."""
+    """(max |u(0,.)|, max |R_- T^{-chi T/4} y(ell,.)|) read off the tile's grid rows."""
     nt = tile.nt
     _check_nt(nt, tile.chi)
     r0 = float(np.max(np.abs(_odd_part_grid(tile.p[0] + tile.u[0]))))

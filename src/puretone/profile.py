@@ -107,9 +107,6 @@ class PiecewiseConstantProfile:
             raise DomainError("profile carries no equation of state / ambient pressure")
         return self.eos, self.pbar
 
-    def with_eos(self, eos: GammaLawEos, pbar: float) -> "PiecewiseConstantProfile":
-        return PiecewiseConstantProfile(self.sigma_levels, self.widths, pbar=pbar, eos=eos)
-
 
 @dataclass(frozen=True)
 class JumpAngleParams:
@@ -259,9 +256,6 @@ class SmoothProfile:
         if self.eos is None or self.pbar is None:
             raise DomainError("profile carries no equation of state / ambient pressure")
         return self.eos, self.pbar
-
-    def with_eos(self, eos: GammaLawEos, pbar: float) -> "SmoothProfile":
-        return SmoothProfile(self.pieces, pbar=pbar, eos=eos)
 
 
 def constant_profile(sigma, ell, pbar=None, eos=None) -> PiecewiseConstantProfile:

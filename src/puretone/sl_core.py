@@ -7,17 +7,20 @@ The first-order SL system for a mode of frequency omega,
 is propagated across [0, ell] by its fundamental matrix Psi(x; omega) with
 Psi(0) = I and det Psi = 1.  Angles are modified Prüfer angles
 
-    phi = r * cos(theta) / sqrt(sigma),   psi = r * sqrt(sigma) * sin(theta),
+    tan(theta) = psi / (sigma * phi),
 
 which on C1 intervals obey theta' = omega*sigma - (sigma'/2 sigma) sin 2*theta.
 At a jump of size J = sigma_-/sigma_+ continuity of (phi, psi) gives the
-angle map theta_+ = h(J, theta_-) and radius factor rho(J, theta_-).
+angle map theta_+ = h(J, theta_-).  The Prüfer radius is never carried: the
+angle chain is closed on its own, and amplitudes come from Psi.
 
 The angle h carries an explicit integer winding m = floor(z/pi + 1/2), so
 theta is continuous and unbounded in omega; eigenfrequencies are the roots of
-theta(ell, omega) = k*pi/2 with theta(0) = 0.
+theta(ell, omega) = k*pi/2 with theta(0) = 0.  One chain serves every
+profile: advance across piece i, then apply the jump map.  A constant piece
+turns theta by exactly omega*sigma_i*L_i.
 
-For piecewise constant profiles everything reduces to exact products of
+For piecewise constant profiles the transfer matrices are exact products of
 rotations R(omega*theta_i) conjugated by the aspect matrices
 M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)).
 Smooth pieces are stepped by the fourth-order Magnus method with two Gauss
@@ -33,12 +36,10 @@ through the same tree, is the exact derivative of the discrete angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile
+from .profile import PiecewiseConstantProfile, SmoothPiece
 
 #: maximum |det(Psi) - 1| tolerated after any composition
 PSI_DET_TOL = 1e-12
@@ -47,12 +48,7 @@ PSI_DET_TOL = 1e-12
 PRUFER_TOL = 1e-11
 
 
-# -- small 2x2 helpers ---------------------------------------------------------
-
-
-def rotation(t) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]])
+# -- exact quarter turns -------------------------------------------------------
 
 
 #: exact (cos, sin) of n pi/2, indexed by n mod 4
@@ -97,48 +93,6 @@ def jump_angle_dz(J, z):
     _, w = _split_winding(z)
     c, s = np.cos(w), np.sin(w)
     return J / (c * c + J * J * s * s)
-
-
-def jump_angle_dJ(J, z):
-    """dh/dJ = sin w cos w / (cos^2 w + J^2 sin^2 w), zero on the axes."""
-    J = _check_jump(J)
-    _, w = _split_winding(z)
-    c, s = np.cos(w), np.sin(w)
-    return s * c / (c * c + J * J * s * s)
-
-
-def jump_radius_factor(J, theta_minus):
-    """rho(J, theta) = sqrt(cos^2/J + J sin^2), the radius jump factor."""
-    J = _check_jump(J)
-    c, s = np.cos(theta_minus), np.sin(theta_minus)
-    return np.sqrt(c * c / J + J * s * s)
-
-
-# -- Prüfer state and smooth-piece integration ---------------------------------
-
-
-@dataclass(frozen=True)
-class PruferState:
-    theta: float
-    r: float = 1.0
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.r) > 0.0):
-            raise DomainError("Prüfer radius must be positive")
-
-    @classmethod
-    def from_solution(cls, phi, psi, sigma):
-        """Angle/radius of a (phi, psi) vector inside a medium of speed sigma."""
-        theta = np.arctan2(psi / np.sqrt(sigma), phi * np.sqrt(sigma))
-        r = np.sqrt(sigma * phi**2 + psi**2 / sigma)
-        return cls(float(theta), float(r))
-
-    def solution(self, sigma):
-        """Back to (phi, psi)."""
-        return (
-            self.r * np.cos(self.theta) / np.sqrt(sigma),
-            self.r * np.sqrt(sigma) * np.sin(self.theta),
-        )
 
 
 # -- Magnus propagation of smooth pieces ----------------------------------------
@@ -291,8 +245,8 @@ def _spans(piece, knots, sig, sub):
     return pos[cuts], sig[cuts]
 
 
-def _magnus_angle(piece, knots, omega, theta, r, zeta, tol):
-    """Prüfer (theta, r, zeta or None) carried from knots[0] to knots[-1]; 1-D omega.
+def _magnus_angle(piece, omega, theta, zeta, tol):
+    """(theta, zeta or None) carried across one smooth piece; 1-D omega.
 
     The state goes through each span of steps as one tree-reduced product.
     The winding comes from the phase: in the local frame (sigma phi, psi)
@@ -305,6 +259,7 @@ def _magnus_angle(piece, knots, omega, theta, r, zeta, tol):
     d theta/d omega is the exact derivative of the discrete angle, from
     v = d(phi, psi)/d omega carried with the (product, derivative) pairs.
     """
+    knots = piece.x
     sig = piece.sigma(knots)
     rs0 = np.sqrt(sig[0])
     y = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
@@ -326,116 +281,75 @@ def _magnus_angle(piece, knots, omega, theta, r, zeta, tol):
         y[idx], theta[idx] = yi[..., 0], th
         if vi is not None:
             v[idx] = vi[..., 0]
+    if zeta is None:
+        return theta, None
     s1 = sig[-1]
     phi, psi = y[:, 0], y[:, 1]
-    r_end = r * np.sqrt(s1 * phi * phi + psi * psi / s1)
-    if zeta is None:
-        return theta, r_end, None
-    return theta, r_end, s1 * (phi * v[:, 1] - psi * v[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
+    return theta, s1 * (phi * v[:, 1] - psi * v[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
 
 
-def prufer_advance(piece, omega, state: PruferState, x_span=None, tol=PRUFER_TOL,
-                   zeta=None):
-    """Advance (theta, r) across one C1 piece; vectorized over omega.
+def prufer_advance(piece: SmoothPiece, omega, theta, tol=PRUFER_TOL, zeta=None):
+    """Advance theta across one smooth piece; vectorized over omega.
 
-    `piece` is a SmoothPiece, or a constant sigma (float) with `x_span`
-    giving (x0, x1).  For constant sigma the update is the exact rotation
-    theta += omega*sigma*dx with r unchanged.  A smooth piece is stepped by
-    the fourth-order Magnus method on 2**level equal steps per sample
-    interval, the level chosen per omega from `tol` (see _step_groups), so a
-    value at one omega does not depend on the other omegas of the batch.
-    `state` holds scalars or arrays broadcasting against omega.  When `zeta`
-    (= d theta/d omega) is given, it is advanced alongside and the result is
-    (state, zeta).
+    The piece is stepped by the fourth-order Magnus method on 2**level
+    equal steps per sample interval, the level chosen per omega from `tol`
+    (see _step_groups), so a value at one omega does not depend on the other
+    omegas of the batch.  theta, and zeta = d theta/d omega when given,
+    broadcast against omega.  Returns (theta, zeta), zeta None when not given.
     """
-    if isinstance(piece, SmoothPiece):
-        shape = np.shape(omega)
-        flat = lambda v: np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1)
-        out = lambda v: v.reshape(shape) if shape else float(v[0])
-        x0, x1 = (piece.x0, piece.x1) if x_span is None else (float(x_span[0]), float(x_span[1]))
-        knots = np.concatenate(([x0], piece.x[(piece.x > x0) & (piece.x < x1)], [x1]))
-        th, r, ze = _magnus_angle(piece, knots, flat(omega), flat(state.theta), flat(state.r),
-                                  None if zeta is None else flat(zeta), tol)
-        new = PruferState(out(th), out(r))
-        ze = None if zeta is None else out(ze)
-    else:
-        if x_span is None:
-            raise DomainError("constant-sigma advance needs an explicit x_span")
-        x0, x1 = x_span
-        sigma = float(piece)
-        if sigma <= 0.0:
-            raise DomainError("sigma must be positive")
-        dx = x1 - x0
-        new = PruferState(state.theta + omega * sigma * dx, state.r)
-        ze = None if zeta is None else zeta + sigma * dx
-    if zeta is None:
-        return new
-    return new, ze
+    shape = np.shape(omega)
+    flat = lambda v: np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1)
+    out = lambda v: v.reshape(shape) if shape else float(v[0])
+    th, ze = _magnus_angle(piece, flat(omega), flat(theta), None if zeta is None else flat(zeta), tol)
+    return out(th), None if zeta is None else out(ze)
 
 
 # -- angle across the whole profile ---------------------------------------------
 
 
-def _pwc_angle_chain(jumps, angles, omega, theta0=0.0, with_slope=False):
-    """theta(ell) for a pwc profile; vectorized over omega (and batch axes).
+def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
+    """theta(ell), or (theta, d theta/d omega), through N pieces and N-1 jumps.
 
-    `jumps` has shape (..., N-1) and `angles` shape (..., N); omega broadcasts
-    against the batch shape.  Returns theta or (theta, d theta/d omega).
+    `jumps` has shape (..., N-1).  `pieces` is a pwc profile's angles, shape
+    (..., N), where piece i turns theta by exactly omega * angles[..., i]; or
+    a smooth profile's N pieces, each advanced by prufer_advance.  Vectorized
+    over omega, which broadcasts against the batch shape of jumps and angles.
     """
     omega = np.asarray(omega, dtype=float)
     z = np.broadcast_to(np.asarray(theta0, dtype=float), omega.shape).astype(float)
-    dz = np.zeros_like(z)
-    n = angles.shape[-1]
+    dz = np.zeros_like(z) if with_slope else None
+    pwc = isinstance(pieces, np.ndarray)
+    n = jumps.shape[-1] + 1
     for i in range(n):
-        z = z + omega * angles[..., i]
-        if with_slope:
-            dz = dz + angles[..., i]
+        if pwc:
+            z = z + omega * pieces[..., i]
+            if with_slope:
+                dz = dz + pieces[..., i]
+        else:
+            z, dz = prufer_advance(pieces[i], omega, z, zeta=dz)
         if i < n - 1:
             if with_slope:
                 dz = jump_angle_dz(jumps[..., i], z) * dz
             z = jump_angle(jumps[..., i], z)
-    if with_slope:
-        return z, dz
-    return z
+    return (z, dz) if with_slope else z
+
+
+def _chain_pieces(profile):
+    return profile.angles if isinstance(profile, PiecewiseConstantProfile) else profile.pieces
 
 
 def angle_at_ell(profile, omega, theta0=0.0):
     """Prüfer angle theta(ell, omega) with initial angle theta0 at x = 0.
 
-    Strictly increasing in omega; accepts vector omega.  For piecewise
-    constant profiles this is the exact rotation/jump chain; smooth pieces
-    are stepped by the Magnus propagator.
+    Strictly increasing in omega; accepts vector omega.  Exact for piecewise
+    constant profiles; smooth pieces are stepped by the Magnus propagator.
     """
-    if isinstance(profile, PiecewiseConstantProfile):
-        return _pwc_angle_chain(profile.jumps, profile.angles, omega, theta0)
-    return _smooth_angle(profile, omega, theta0, with_slope=False)
+    return _angle_chain(profile.jumps, _chain_pieces(profile), omega, theta0)
 
 
 def angle_and_slope_at_ell(profile, omega, theta0=0.0):
     """(theta(ell), d theta(ell)/d omega); the slope is positive."""
-    if isinstance(profile, PiecewiseConstantProfile):
-        return _pwc_angle_chain(profile.jumps, profile.angles, omega, theta0, with_slope=True)
-    return _smooth_angle(profile, omega, theta0, with_slope=True)
-
-
-def _smooth_angle(profile: SmoothProfile, omega, theta0, with_slope):
-    omega = np.asarray(omega, dtype=float)
-    state = PruferState(np.full(omega.shape, float(theta0)), np.ones(omega.shape))
-    zeta = np.zeros(omega.shape) if with_slope else None
-    jumps = profile.jumps
-    for i, piece in enumerate(profile.pieces):
-        if with_slope:
-            state, zeta = prufer_advance(piece, omega, state, zeta=zeta)
-        else:
-            state = prufer_advance(piece, omega, state)
-        if i < len(jumps):
-            if with_slope:
-                zeta = jump_angle_dz(jumps[i], state.theta) * zeta
-            state = PruferState(
-                jump_angle(jumps[i], state.theta),
-                state.r * jump_radius_factor(jumps[i], state.theta),
-            )
-    return (state.theta, zeta) if with_slope else state.theta
+    return _angle_chain(profile.jumps, _chain_pieces(profile), omega, theta0, with_slope=True)
 
 
 # -- fundamental (transfer) matrices --------------------------------------------

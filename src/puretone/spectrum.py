@@ -88,12 +88,6 @@ def kappa(profile, omega):
     return (2.0 / np.pi) * sl_core.angle_at_ell(profile, omega, 0.0)
 
 
-def kappa_slope(profile, omega):
-    """d kappa / d omega > 0."""
-    _, zeta = sl_core.angle_and_slope_at_ell(profile, omega, 0.0)
-    return (2.0 / np.pi) * zeta
-
-
 def asymptotic_slope(profile) -> float:
     """Lambda = (pi/2) / integral(sigma): the large-k limit of omega_k / k."""
     return (np.pi / 2.0) / sigma_integral(profile)
@@ -135,7 +129,7 @@ def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
     targets = np.asarray(targets, dtype=float)
     total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
     wiggle = jumps.shape[-1] * (np.pi / 2.0)
-    chain = lambda om: sl_core._pwc_angle_chain(jumps, angles, om, 0.0, with_slope=True)
+    chain = lambda om: sl_core._angle_chain(jumps, angles, om, 0.0, with_slope=True)
     return _solve_targets(chain, total, wiggle, targets, tol, max_iter)
 
 
@@ -216,6 +210,8 @@ def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
         raise DomainError("period T must be positive")
     if chi not in (0, 1):
         raise DomainError("chi must be 0 or 1")
+    if j_max < 1:
+        raise DomainError(f"j_max must be at least 1 (got {j_max})")
     j = np.arange(1, j_max + 1)
     psi_mat = sl_core.fundamental_matrix(profile, j * 2.0 * np.pi / T)
     c, s = sl_core.quarter_cos_sin(j * chi)

@@ -14,7 +14,11 @@ quiet second derivative has two references: fixed-step RK4 of the joint
 variation through the library's Lawson walker, which shares neither the SL
 algebra nor the quadrature of the library's closed-form path.  The
 boundary residual of the bifurcation system at one assembled point, one
-unbatched evolution, probes S E^ell directly.
+unbatched evolution, probes S E^ell directly.  The field operators (parity
+projections, time shift and the boundary operator S = R_- T^{-chi T/4})
+act on FourierField coefficients by their definitions, as the reference S
+of S o L = diag(delta_j).  The SL residual checks sampled solutions with
+fourth-order differences.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from puretone import spectrum
 from puretone.bifurcate import _sine_components
 from puretone.evolve import (
     EvolutionConfig,
+    FourierField,
     QuietSecondDerivative,
     _Marcher,
     _piece_table,
@@ -182,8 +187,8 @@ def fft_grid_to_coeffs(values, m):
     return a, b
 
 
-def prefix_magnus_angle(piece, knots, omega, theta, r, zeta, tol):
-    """Prüfer (theta, r, zeta or None) across knots[0]..knots[-1] from prefix products.
+def prefix_magnus_angle(piece, knots, omega, theta, zeta, tol):
+    """Prüfer (theta, zeta or None) across knots[0]..knots[-1] from prefix products.
 
     theta is unwrapped in the fixed frame (sigma_0 phi, psi): a step is an
     elliptic rotation by nu seen through a fixed linear map, so it turns that
@@ -209,10 +214,9 @@ def prefix_magnus_angle(piece, knots, omega, theta, r, zeta, tol):
             v_end[idx] = (p[-1] @ (v0 + np.sum(adj_u, axis=0))[..., None])[..., 0]
     phi, psi = y_end[:, 0], y_end[:, 1]
     theta_end = jump_angle(s0 / s1, theta + turn)
-    r_end = r * np.sqrt(s1 * phi * phi + psi * psi / s1)
     if zeta is None:
-        return theta_end, r_end, None
-    return theta_end, r_end, s1 * (phi * v_end[:, 1] - psi * v_end[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
+        return theta_end, None
+    return theta_end, s1 * (phi * v_end[:, 1] - psi * v_end[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
 
 
 def prefix_piece_matrix(piece, omega, tol):
@@ -361,6 +365,60 @@ def residual(problem, z, a_vec, alpha):
         problem.profile, problem.eos, cos, np.zeros_like(cos), problem.eigen().T, problem.cfg
     )
     return _sine_components(a_out, b_out, problem.chi)
+
+
+def project_even(y):
+    return FourierField(y.T, y.cos.copy(), np.zeros_like(y.sin))
+
+
+def project_odd(y):
+    return FourierField(y.T, np.zeros_like(y.cos), y.sin.copy())
+
+
+def shift(y, tau):
+    """Time shift (T^tau y)(t) = y(t - tau): mode j rotates by j*2pi*tau/T."""
+    ang = np.arange(y.cos.size) * (2.0 * np.pi * tau / y.T)
+    c, s = np.cos(ang), np.sin(ang)
+    return FourierField(y.T, c * y.cos - s * y.sin, s * y.cos + c * y.sin)
+
+
+def boundary_operator(y, chi):
+    """S = R_- T^{-chi T/4}: quarter-period shift then odd projection, chi in {0, 1}.
+
+    On the cosine j-mode this produces -sin(j chi pi/2) times the sine mode,
+    which composed with quiet linearized evolution is exactly the divisor
+    delta_j.  Quarter turns use the exact integer table.
+    """
+    c, s = quarter_cos_sin(np.arange(y.n_modes + 1) * chi)
+    out_sin = c * y.sin - s * y.cos
+    out_sin[0] = 0.0
+    return FourierField(y.T, np.zeros_like(out_sin), out_sin)
+
+
+def sl_residual(profile, omega, x, vals):
+    """Max residual of the first-order SL system for (phi, psi) = vals on a uniform x.
+
+    Derivatives are fourth-order central differences restricted to points at
+    least two grid cells inside each smooth piece (one-sided stencils across
+    a jump would see the discontinuity).
+    """
+    phi, psi = vals
+    h = x[1] - x[0]
+    sigma = profile.sigma_at(x)
+
+    def d4(f):
+        return (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+
+    interior = np.zeros(x.size, dtype=bool)
+    interior[2:-2] = True
+    for edge in profile.edges[1:-1]:
+        interior &= np.abs(x - edge) > 2.5 * h
+    sel = interior[2:-2]
+    r1 = d4(phi) + omega * psi[2:-2]
+    r2 = d4(psi) - omega * sigma[2:-2] ** 2 * phi[2:-2]
+    if not np.any(sel):
+        return np.nan
+    return float(max(np.max(np.abs(r1[sel])), np.max(np.abs(r2[sel]))))
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

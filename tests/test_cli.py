@@ -86,6 +86,22 @@ def test_resonance_report(profile_file, tmp_path):
     assert doc["min_divisor"] > 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["resonance", "--k", "1", "--jmax", "0"], 1, "DomainError"),
+        (["eigen", "--k-range", "abc"], 2, "_UsageFailure"),
+        (["divisors", "--jmax", "-3"], 1, "DomainError"),
+        (["mode", "--k", "1", "--nx", "0", "--nt", "32"], 1, "DomainError"),
+    ],
+)
+def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, error):
+    rc = main(argv + ["--profile", profile_file, "--out-dir", str(tmp_path)])
+    assert rc == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert not list(tmp_path.glob("*.csv"))
+
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     rc = main(
         ["perturb", "--profile", const_file, "--k", "1", "--modes", "8", "--nt", "32",

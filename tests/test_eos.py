@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from puretone.eos import GammaLawEos, QuietState
+from puretone.eos import GammaLawEos
 from puretone.errors import DomainError
 
 
@@ -90,8 +90,6 @@ def test_domain_errors():
         GammaLawEos(1.0)
     with pytest.raises(DomainError):
         GammaLawEos(2.0, k_ref=0.0)
-    with pytest.raises(DomainError):
-        QuietState(-1.0, None)
 
 
 def test_entropy_factor_definition():

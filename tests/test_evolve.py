@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import second_derivative_quiet_spectral
+from _oracles import (
+    boundary_operator,
+    fft_grid_to_coeffs,
+    project_even,
+    project_odd,
+    second_derivative_quiet_spectral,
+    shift,
+)
 from puretone.errors import DomainError, ResonanceError, ShockProximityError
 from puretone.profile import PiecewiseConstantProfile, reversed_profile
 from puretone.sl_core import fundamental_matrix
@@ -11,16 +18,11 @@ from puretone import evolve
 from puretone.evolve import (
     EvolutionConfig,
     FourierField,
-    boundary_operator,
     coeffs_to_grid,
     evolve_coefficients,
-    grid_to_coeffs,
     linearized_evolve,
     nonlinear_evolve,
-    project_even,
-    project_odd,
     second_derivative_quiet,
-    shift,
     weighted_norm,
 )
 
@@ -47,8 +49,8 @@ def _rand_field(rng, T, m):
 
 def test_grid_round_trip(rng):
     y = _rand_field(rng, 2.0, 12)
-    vals = y.grid(64)
-    a, b = grid_to_coeffs(vals, 12)
+    vals = coeffs_to_grid(y.cos, y.sin, 64)
+    a, b = fft_grid_to_coeffs(vals, 12)
     assert_allclose(a, y.cos, atol=1e-13)
     assert_allclose(b, y.sin, atol=1e-13)
 
@@ -59,7 +61,7 @@ def _transform_sizes():
 
 @pytest.mark.parametrize("m,n", _transform_sizes())
 def test_dense_transforms_match_fft(m, n):
-    from _oracles import fft_coeffs_to_grid, fft_grid_to_coeffs
+    from _oracles import fft_coeffs_to_grid
 
     rng = np.random.default_rng(1000 * m + n)
     for shape in ((m + 1,), (33, m + 1)):
@@ -72,13 +74,6 @@ def test_dense_transforms_match_fft(m, n):
         # a sine series vanishes exactly at t = 0 and t = T/2
         odd = coeffs_to_grid(np.zeros_like(a), b, n)
         assert np.all(odd[..., 0] == 0.0) and (n % 2 or np.all(odd[..., n // 2] == 0.0))
-        values = rng.normal(size=shape[:-1] + (n,))
-        ref_a, ref_b = fft_grid_to_coeffs(values, m)
-        got_a, got_b = grid_to_coeffs(values, m)
-        assert got_a.shape == ref_a.shape and got_b.shape == ref_b.shape
-        scale = np.max(np.abs(values))
-        assert np.max(np.abs(got_a - ref_a)) <= 1e-15 * scale
-        assert np.max(np.abs(got_b - ref_b)) <= 1e-15 * scale
 
 
 def test_dft_tables_exactly_symmetric():
@@ -95,8 +90,6 @@ def test_dft_tables_exactly_symmetric():
 @pytest.mark.parametrize("m", (8, 32))
 def test_march_rate_matrix_matches_fft(two_level, gamma2, eig1, m):
     # the remainders' one analysis product: -j Omega times the cosine coefficients
-    from _oracles import fft_grid_to_coeffs
-
     rng = np.random.default_rng(m)
     for n in (4 * m, 4 * m + 3):
         cfg = EvolutionConfig(M=m, n_quad=n)
@@ -111,8 +104,6 @@ def test_transforms_refuse_too_few_points():
     for m in (1, 8, 32):
         with pytest.raises(DomainError):
             coeffs_to_grid(np.ones(m + 1), np.ones(m + 1), 2 * m + 1)
-        with pytest.raises(DomainError):
-            grid_to_coeffs(np.ones(2 * m + 1), m)
 
 
 def test_projections(rng):
@@ -124,7 +115,7 @@ def test_projections(rng):
     assert_allclose((even + odd).cos, y.cos)
     assert_allclose((even + odd).sin, y.sin)
     # even part is symmetric on the grid
-    vals = even.grid(32)
+    vals = coeffs_to_grid(even.cos, even.sin, 32)
     assert_allclose(vals, np.roll(vals[::-1], 1), atol=1e-13)
 
 

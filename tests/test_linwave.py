@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import sl_residual
 from puretone.errors import BoundaryResidualError, DomainError
 from puretone.profile import constant_profile
 from puretone.sl_core import fundamental_matrix
 from puretone.spectrum import eigen_solve
-from puretone.evolve import EvolutionConfig, FourierField, nonlinear_evolve
+from puretone.evolve import EvolutionConfig, FourierField, coeffs_to_grid
 from puretone.linwave import (
-    LinearMode,
     TileField,
-    boundary_residual,
     eigenfunction_profiles,
     extend_tile,
     mode_field,
     nonlinear_tile,
     quiet_tile,
-    sl_residual,
     tile_boundary_residual,
     tile_from_binary,
     tile_to_binary,
@@ -59,10 +57,10 @@ def test_sl_residual_small(two_level, smooth_ramp):
     for k in (1, 2):
         eig = eigen_solve(two_level, k)
         mode = eigenfunction_profiles(two_level, eig, nx=1024)
-        assert sl_residual(mode, two_level) < 1e-7
+        assert sl_residual(two_level, mode.omega, mode.x, (mode.phi, mode.psi)) < 1e-7
     eig = eigen_solve(smooth_ramp, 2)
     mode = eigenfunction_profiles(smooth_ramp, eig, nx=1024)
-    assert sl_residual(mode, smooth_ramp) < 1e-7
+    assert sl_residual(smooth_ramp, mode.omega, mode.x, (mode.phi, mode.psi)) < 1e-7
 
 
 def test_orthogonality_weighted(two_level):
@@ -206,9 +204,12 @@ def test_boundary_residual_detuned_period(two_level):
         cos = np.zeros(m + 1)
         sin = np.zeros(m + 1)
         cos[1], sin[1] = psi[0, 0], psi[1, 0]
-        y_ell = FourierField(T, cos, sin)
-        y0 = FourierField.cosine(T, 1, 1.0, m=m)
-        r0, rell = boundary_residual(y0, y_ell, 1)
+        # rows x = 0 (the cosine 1-mode) and x = ell (its linear evolution)
+        n, zeros = 4 * m, np.zeros(m + 1)
+        p = np.stack((coeffs_to_grid(np.eye(m + 1)[1], zeros, n), coeffs_to_grid(cos, zeros, n)))
+        u = np.stack((np.zeros(n), coeffs_to_grid(zeros, sin, n)))
+        tile = TileField(np.array([0.0, two_level.ell]), np.arange(n) * (T / n), p, u, chi=1, T=T)
+        r0, rell = tile_boundary_residual(tile)
         assert r0 == 0.0
         if expect_small:
             assert rell < 1e-8
@@ -217,8 +218,7 @@ def test_boundary_residual_detuned_period(two_level):
 
 
 def test_boundary_residual_quiet(two_level):
-    y = FourierField.constant(4.0, 1.0, 4)
-    r0, rell = boundary_residual(y, y, 1)
+    r0, rell = tile_boundary_residual(quiet_tile(two_level, 1.0, 4.0, nx=4, nt=16, chi=1))
     assert (r0, rell) == (0.0, 0.0)
 
 

@@ -11,23 +11,20 @@ from _oracles import (
     prefix_magnus_angle,
     prefix_piece_matrix,
     random_pwc,
+    sl_residual,
 )
 from puretone.errors import DomainError, IntegrationError
 from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile
 from puretone.sl_core import (
     PRUFER_TOL,
-    PruferState,
     _smooth_piece_matrix,
     angle_and_slope_at_ell,
     angle_at_ell,
     fundamental_matrix,
     jump_angle,
-    jump_angle_dJ,
     jump_angle_dz,
-    jump_radius_factor,
     prufer_advance,
     quarter_cos_sin,
-    rotation,
     sample_sl_solution,
 )
 
@@ -71,7 +68,6 @@ def test_jump_angle_derivative_values():
     for J in (0.3, 2.5):
         assert_allclose(jump_angle_dz(J, 0.0), J, rtol=1e-14)
         assert_allclose(jump_angle_dz(J, np.pi / 2), 1.0 / J, rtol=1e-14)
-        assert_allclose(jump_angle_dJ(J, np.pi / 2), 0.0, atol=1e-14)
 
 
 def test_jump_angle_derivative_bounds(rng):
@@ -80,12 +76,6 @@ def test_jump_angle_derivative_bounds(rng):
     dz = jump_angle_dz(J, z)
     assert np.all(dz >= np.minimum(J, 1.0 / J) - 1e-12)
     assert np.all(dz <= np.maximum(J, 1.0 / J) + 1e-12)
-    # sharp bound: t/(1 + J^2 t^2) peaks at t = 1/J with value 1/(2J)
-    dJ = np.abs(jump_angle_dJ(J, z))
-    assert np.all(dJ <= 1.0 / (2.0 * J) + 1e-12)
-    for Jv in (0.3, 2.0, 7.0):
-        peak = abs(jump_angle_dJ(Jv, np.arctan(1.0 / Jv)))
-        assert_allclose(peak, 1.0 / (2.0 * Jv), rtol=1e-12)
 
 
 def test_jump_angle_derivatives_match_fd(rng):
@@ -94,19 +84,7 @@ def test_jump_angle_derivatives_match_fd(rng):
         J = rng.uniform(0.2, 5.0)
         z = rng.uniform(-6.0, 6.0)
         fd_z = (jump_angle(J, z + h) - jump_angle(J, z - h)) / (2 * h)
-        fd_J = (jump_angle(J + h, z) - jump_angle(J - h, z)) / (2 * h)
         assert abs(fd_z - jump_angle_dz(J, z)) < 1e-7
-        assert abs(fd_J - jump_angle_dJ(J, z)) < 1e-7
-
-
-def test_jump_radius_factor():
-    assert_allclose(jump_radius_factor(4.0, 0.0), 0.5, rtol=1e-14)
-    assert_allclose(jump_radius_factor(4.0, np.pi / 2), 2.0, rtol=1e-14)
-    th = np.linspace(0.0, 2 * np.pi, 64)
-    assert_allclose(jump_radius_factor(1.0, th), np.ones_like(th), rtol=1e-14)
-    rho = jump_radius_factor(3.0, th)
-    assert np.all(rho <= np.sqrt(3.0) + 1e-12)
-    assert np.all(rho >= 1.0 / np.sqrt(3.0) - 1e-12)
 
 
 def test_jump_domain_errors():
@@ -114,54 +92,36 @@ def test_jump_domain_errors():
         jump_angle(0.0, 1.0)
     with pytest.raises(DomainError):
         jump_angle(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        jump_radius_factor(0.0, 1.0)
 
 
 # -- Prüfer advance ----------------------------------------------------------------
 
 
 def test_constant_piece_is_exact_rotation():
-    st0 = PruferState(0.0, 1.0)
-    out = prufer_advance(1.0, np.pi / 2, st0, x_span=(0.0, 1.0))
-    assert out.theta == np.pi / 2 * 1.0  # exact arithmetic, no integration
-    assert out.r == 1.0
+    # a constant piece turns theta by omega * sigma * L: exact arithmetic, no integration
+    prof = PiecewiseConstantProfile([1.0], [1.0])
+    assert angle_at_ell(prof, np.pi / 2) == np.pi / 2
+    assert angle_and_slope_at_ell(prof, np.pi / 2) == (np.pi / 2, 1.0)
 
 
 def test_smooth_piece_matches_dense_reference(smooth_ramp):
     piece = smooth_ramp.pieces[0]
-    out = prufer_advance(piece, 1.0, PruferState(0.0, 1.0))
+    theta, zeta = prufer_advance(piece, 1.0, 0.0)
     ref = dense_prufer_angle(piece, 1.0, 0.0, n=40_000)
-    assert abs(out.theta - ref) < 1e-9
+    assert abs(theta - ref) < 1e-9
+    assert zeta is None
 
 
 def test_zeta_positive_along_integration(smooth_ramp):
     piece = smooth_ramp.pieces[0]
-    _, zeta = prufer_advance(piece, 2.0, PruferState(0.0, 1.0), zeta=0.0)
+    _, zeta = prufer_advance(piece, 2.0, 0.0, zeta=0.0)
     assert zeta > 0.0
 
 
-def test_prufer_state_round_trip():
-    st0 = PruferState.from_solution(0.7, -0.3, 1.7)
-    phi, psi = st0.solution(1.7)
-    assert_allclose([phi, psi], [0.7, -0.3], rtol=1e-14)
-
-
-def test_prufer_advance_misuse(smooth_ramp):
-    with pytest.raises(DomainError):
-        prufer_advance(1.0, 1.0, PruferState(0.0, 1.0))  # constant needs x_span
-    with pytest.raises(DomainError):
-        prufer_advance(-1.0, 1.0, PruferState(0.0, 1.0), x_span=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        PruferState(0.0, r=0.0)
-
-
 def test_step_underflow_raises(smooth_ramp):
-    from puretone.errors import IntegrationError
-
     piece = smooth_ramp.pieces[0]
     with pytest.raises(IntegrationError):
-        prufer_advance(piece, 5.0, PruferState(0.0, 1.0), tol=0.0)
+        prufer_advance(piece, 5.0, 0.0, tol=0.0)
 
 
 # -- angle across the profile ---------------------------------------------------------
@@ -211,7 +171,8 @@ def test_angle_slope_matches_fd(two_level, smooth_jumpy):
 def test_single_level_is_pure_rotation():
     prof = PiecewiseConstantProfile([1.0], [1.0])
     for w in (0.37, 2.0, 11.3):
-        assert_allclose(fundamental_matrix(prof, w), rotation(w), atol=1e-15)
+        rotation = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+        assert_allclose(fundamental_matrix(prof, w), rotation, atol=1e-15)
 
 
 def test_determinant_property(rng):
@@ -275,16 +236,6 @@ def test_composition_consistency_smooth():
         assert np.max(np.abs(whole_m - split)) < 1e-8
 
 
-def test_radius_jump_bounds(rng):
-    # r+/r- within [min(sqrt J, 1/sqrt J), max(...)] at every jump
-    for _ in range(100):
-        J = rng.uniform(0.1, 10.0)
-        th = rng.uniform(-8.0, 8.0)
-        ratio = float(jump_radius_factor(J, th))
-        lo, hi = sorted((np.sqrt(J), 1.0 / np.sqrt(J)))
-        assert lo - 1e-12 <= ratio <= hi + 1e-12
-
-
 def test_sample_solution_continuity(two_level, smooth_jumpy):
     # values at interior jumps are continuous; column matches Psi at ell
     for prof in (two_level, smooth_jumpy):
@@ -301,25 +252,15 @@ def test_sample_solution_continuity(two_level, smooth_jumpy):
 
 
 def test_prufer_reconstruction_satisfies_sl(smooth_ramp):
-    # reconstruct (phi, psi) from the Prüfer variables on a dense grid and
-    # check the first-order SL residual with 4th-order differences
-    piece = smooth_ramp.pieces[0]
+    # the sampled solution satisfies the first-order SL system (4th-order
+    # differences), and its Prüfer angle at ell is the chain's theta(ell)
     omega = 3.0
-    n = 801
-    x = np.linspace(0.0, 1.0, n)
-    state = PruferState.from_solution(1.0, 0.0, float(piece.sigma(0.0)))
-    phi = np.empty(n)
-    psi = np.empty(n)
-    phi[0], psi[0] = 1.0, 0.0
-    for i in range(1, n):
-        state = prufer_advance(piece, omega, state, x_span=(x[i - 1], x[i]))
-        phi[i], psi[i] = state.solution(float(piece.sigma(x[i])))
-    h = x[1] - x[0]
-    d = lambda f: (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
-    sig = np.asarray(piece.sigma(x))
-    r1 = np.max(np.abs(d(phi) + omega * psi[2:-2]))
-    r2 = np.max(np.abs(d(psi) - omega * sig[2:-2] ** 2 * phi[2:-2]))
-    assert max(r1, r2) < 1e-7
+    x = np.linspace(0.0, 1.0, 801)
+    vals = sample_sl_solution(smooth_ramp, omega, (1.0, 0.0), x)
+    assert sl_residual(smooth_ramp, omega, x, vals) < 1e-7
+    theta = angle_at_ell(smooth_ramp, omega)
+    ang = np.arctan2(vals[1, -1], smooth_ramp.sigma_at(1.0) * vals[0, -1])
+    assert abs(np.remainder(theta - ang + np.pi, 2.0 * np.pi) - np.pi) < 1e-9
 
 
 def test_quarter_table():
@@ -407,16 +348,15 @@ def test_tree_matches_prefix_products(smooth_ramp, smooth_jumpy):
         for w in omegas:
             om = np.array([w])
             try:
-                ref_th, ref_r, ref_zeta = prefix_magnus_angle(
-                    piece, piece.x, om, np.array([0.3]), np.array([1.0]), np.array([0.7]), PRUFER_TOL
+                ref_th, ref_zeta = prefix_magnus_angle(
+                    piece, piece.x, om, np.array([0.3]), np.array([0.7]), PRUFER_TOL
                 )
             except IntegrationError:  # more steps than the step rule allows
                 with pytest.raises(IntegrationError):
-                    prufer_advance(piece, w, PruferState(0.3, 1.0), zeta=0.7)
+                    prufer_advance(piece, w, 0.3, zeta=0.7)
                 continue
-            state, zeta = prufer_advance(piece, w, PruferState(0.3, 1.0), zeta=0.7)
-            assert abs(state.theta - ref_th[0]) < 1e-9
-            assert abs(state.r / ref_r[0] - 1.0) < 1e-12
+            theta, zeta = prufer_advance(piece, w, 0.3, zeta=0.7)
+            assert abs(theta - ref_th[0]) < 1e-9
             assert abs(zeta / ref_zeta[0] - 1.0) < 1e-10
             psi = _smooth_piece_matrix(piece, w)
             assert np.max(np.abs(psi - prefix_piece_matrix(piece, om, PRUFER_TOL)[0])) < 1e-13

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from _oracles import random_pwc
 from puretone.errors import DomainError
-from puretone.profile import PiecewiseConstantProfile, constant_profile
+from puretone.profile import PiecewiseConstantProfile, constant_profile, from_jump_angles
+from puretone.sl_core import angle_and_slope_at_ell
 from puretone.spectrum import (
     DEFAULT_MC_BOX,
     asymptotic_slope,
@@ -13,7 +14,6 @@ from puretone.spectrum import (
     eigen_solve,
     genericity_mc,
     kappa,
-    kappa_slope,
     resonance_scan,
 )
 
@@ -63,7 +63,7 @@ def test_kappa_slope_positive(rng):
     for _ in range(20):
         prof = random_pwc(rng)
         w = rng.uniform(0.1, 10.0)
-        slope = kappa_slope(prof, w)
+        slope = (2.0 / np.pi) * angle_and_slope_at_ell(prof, w)[1]
         h = 1e-6
         fd = (kappa(prof, w + h) - kappa(prof, w - h)) / (2 * h)
         assert slope > 0.0
@@ -160,6 +160,27 @@ def test_divisor_frequency_equivalence(two_level):
     assert not any(abs(d) < 1e-8 for j, d in enumerate(rep1.divisor_table.delta) if j != 0)
     assert not any(r < 1e-7 for (_, _, r) in rep1.ratio_checks)
 
+
+def test_pwc_roots_do_not_depend_on_batch():
+    # genericity's (samples, 1, N-1) batch through the angle chain gives each
+    # sample's own roots bit for bit, and eigen_ladder on the rebuilt profile
+    from puretone.spectrum import _pwc_solve_targets
+
+    rng = np.random.default_rng(21)
+    samples, levels, k_top = 300, 3, 12
+    (j_lo, j_hi), (t_lo, t_hi) = DEFAULT_MC_BOX
+    jumps = rng.uniform(j_lo, j_hi, size=(samples, levels - 1))
+    angles = rng.uniform(t_lo, t_hi, size=(samples, levels))
+    targets = np.arange(1, k_top + 1) * np.pi / 2.0
+    om, ok = _pwc_solve_targets(
+        jumps[:, None, :], angles[:, None, :], np.broadcast_to(targets, (samples, k_top))
+    )
+    assert np.all(ok)
+    for i in range(samples):
+        om_i, ok_i = _pwc_solve_targets(jumps[i], angles[i], targets)
+        assert np.all(ok_i) and np.array_equal(om_i, om[i])
+        ladder, _ = eigen_ladder(from_jump_angles(jumps[i], angles[i]), k_top)
+        assert np.max(np.abs(ladder / om[i] - 1.0)) <= 1e-14
 
 def test_genericity_deterministic():
     g1 = genericity_mc(2, 400, seed=11)
