@@ -97,8 +97,9 @@ class BifurcationProblem:
         return self._cache[key]
 
     def validate(self):
-        """Resonance gate: refuse anything but a clean nonresonant verdict."""
-        if self._cache.get("validated"):
+        """Resonance gate at j_max = cfg.M: refuse anything but a nonresonant verdict."""
+        key = ("validated", self.cfg.M)
+        if self._cache.get(key):
             return
         report = _spectrum.resonance_scan(self.profile, self.k, self.chi, j_max=self.cfg.M)
         if report.verdict != "nonresonant":
@@ -106,7 +107,7 @@ class BifurcationProblem:
                 f"k={self.k} mode is {report.verdict} "
                 f"(min divisor {report.min_divisor:.3e} at j={report.argmin_j})"
             )
-        self._cache["validated"] = True
+        self._cache[key] = True
 
     def second_derivative(self):
         """Quiet second derivative; its pairing gives d r_k / d z = alpha * pairing."""
@@ -245,6 +246,7 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
                 sol.diagnostics["tail_warning"] = "tail still large at max M"
             return sol
         problem.cfg = replace(problem.cfg, M=2 * m)
+        problem.validate()  # gate the divisors j in (M, 2M] as well
         warm = sol
 
     raise SolverError("unreachable")

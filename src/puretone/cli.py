@@ -98,10 +98,21 @@ def _parse_k_range(spec: str):
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
-            return range(int(lo), int(hi) + 1)
-        return [int(spec)]
+            ks = range(int(lo), int(hi) + 1)
+        else:
+            ks = [int(spec)]
     except ValueError as exc:
         raise _UsageFailure(f"--k-range wants K or LO:HI, got {spec!r}") from exc
+    if not ks:
+        raise _UsageFailure(f"--k-range {spec!r} is empty")
+    return ks
+
+
+def _floats(spec: str, flag: str):
+    try:
+        return [float(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise _UsageFailure(f"{flag} wants comma-separated numbers, got {spec!r}") from exc
 
 
 # -- commands ------------------------------------------------------------------
@@ -170,7 +181,7 @@ def cmd_genericity(args):
     t0 = time.perf_counter()
     box = spectrum.DEFAULT_MC_BOX
     if args.box:
-        vals = [float(v) for v in args.box.split(",")]
+        vals = _floats(args.box, "--box")
         if len(vals) != 4:
             raise _UsageFailure("--box wants J_LO,J_HI,TH_LO,TH_HI")
         box = ((vals[0], vals[1]), (vals[2], vals[3]))
@@ -256,7 +267,7 @@ def cmd_perturb(args):
     if args.alpha is not None:
         schedule = (args.alpha,)
     else:
-        schedule = tuple(float(v) for v in args.alpha_schedule.split(","))
+        schedule = tuple(_floats(args.alpha_schedule, "--alpha-schedule"))
     problem.validate()  # raises ResonanceError -> exit 3
     branch = bifurcate.branch_continue(problem, alphas=schedule)
     out = _out_dir(args)

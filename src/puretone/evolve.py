@@ -176,7 +176,6 @@ class EvolutionConfig:
     M: int
     n_quad: Optional[int] = None
     dx: Optional[float] = None
-    guard_factor: float = 10.0
     x_error_target: float = 1e-9
     k_accuracy: Optional[int] = None
 
@@ -191,8 +190,6 @@ class EvolutionConfig:
             raise DomainError("x_error_target must be positive")
         if self.k_accuracy is not None and self.k_accuracy < 1:
             raise DomainError("k_accuracy must be at least 1")
-        if not self.guard_factor > 0.0:
-            raise DomainError("guard_factor must be positive")
 
     def resolved_n_quad(self) -> int:
         return self.n_quad if self.n_quad is not None else 4 * self.M
@@ -228,7 +225,7 @@ def _piece_table(profile):
 
 
 def _grad_bound(a, b, omega_modes):
-    """l1 upper bound for max_t |d y/d t|, cheap guard monitor."""
+    """l1 upper bound for max_t |d y/d t|; finite only if every coefficient is."""
     mags = np.abs(a) + np.abs(b)
     return np.max(np.sum(omega_modes * mags, axis=-1))
 
@@ -245,26 +242,20 @@ class _Frozen(NamedTuple):
 
     v0: np.ndarray
     vp0: np.ndarray
-    vpp0: np.ndarray
 
 
-def _turn(state, rot):
-    """Rotate every (cos, sin) pair by the exact half-step SL transfer."""
-    c, sn_over_s, s_sn = rot
-    return tuple((c * a - sn_over_s * b, s_sn * a + c * b) for a, b in state)
-
-
-def _kick(state, ks, h):
-    return tuple((a, b + h * k) for (a, b), k in zip(state, ks))
+#: ShockProximityError once the time-gradient bound passes this multiple of its entry value
+_GUARD_FACTOR = 10.0
 
 
 class _Marcher:
     """Lawson (integrating-factor) RK4 walker through the profile.
 
-    The state is a tuple of (cos, sin) coefficient pairs over the mean a0.
-    Inside a step every pair turns exactly as the SL system with
-    s^2 = -v_p(a0, A), mode j by j Omega s dx (the algebra of
-    sl_core._pwc_piece_matrix, per batch row); RK4 carries only the
+    The state is one (a, b) pair of cos/sin coefficient arrays over the mean
+    a0 whose leading axis holds the marched fields: 0 is the solution, 1 (if
+    present) its first variation.  Inside a step every mode turns exactly as
+    the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx (the algebra
+    of sl_core._pwc_piece_matrix, per batch row); RK4 carries only the
     remainder, which drives the sine coefficients and vanishes at quiet data.
     """
 
@@ -283,13 +274,8 @@ class _Marcher:
         self.a0 = np.asarray(a0, dtype=float)
 
     def frozen(self, sigma_val):
-        eos_ = self.eos
-        A = eos_.factor_from_sigma(self.pbar, sigma_val)
-        return _Frozen(
-            eos_.volume_from_factor(self.a0, A),
-            eos_.dvdp_from_factor(self.a0, A),
-            eos_.d2vdp2_from_factor(self.a0, A),
-        )
+        eos_, A = self.eos, self.eos.factor_from_sigma(self.pbar, sigma_val)
+        return _Frozen(eos_.volume_from_factor(self.a0, A), eos_.dvdp_from_factor(self.a0, A))
 
     def half_turn(self, rot, h):
         s = np.sqrt(-rot.vp0)
@@ -297,8 +283,30 @@ class _Marcher:
         sn = np.sin(theta)
         return np.cos(theta), sn / s, s * sn
 
-    def eta(self, state, remainder, rot, sized):
-        """Remainder size against the rotation rate, in [0, 1].
+    def remainder(self, a, at, rot):
+        """Sine-coefficient rates of the remainder, one row per field of `a`.
+
+        The solution's row is v0 f(x), a variation's v_p(a0) slope_increment(x) P;
+        where the stage's constants `at` are not the rotation's `rot` (a smooth
+        piece), each row also gets (at.vp0 - rot.vp0) times its own field.
+        """
+        dp = _fluct_grid(a[0], self.n)
+        if np.min(self.a0 + dp) <= 0.0:
+            raise ShockProximityError("pressure lost positivity during evolution")
+        x = dp / self.a0
+        w = at.v0 * self.eos.volume_remainder(x)
+        if at is not rot:
+            w = w + (at.vp0 - rot.vp0) * dp
+        if a.shape[0] == 1:
+            return (w @ self.to_rates)[None]
+        P = coeffs_to_grid(a[1], np.zeros_like(a[1]), self.n)
+        dvp_P = at.vp0 * self.eos.slope_increment(x) * P
+        if at is not rot:
+            dvp_P = dvp_P + (at.vp0 - rot.vp0) * P
+        return np.stack((w @ self.to_rates, dvp_P @ self.to_rates))
+
+    def eta(self, a, b, rot):
+        """Remainder size against the rotation rate, in [0, 1], of field 0.
 
         Both are taken on the envelope: every mode at the cosine amplitude it
         reaches during the exact turn, so eta does not depend on where in its
@@ -306,39 +314,36 @@ class _Marcher:
         no remainder there, but gain one as they turn).
         """
         s = np.sqrt(-rot.vp0)
-        envelope = tuple((np.hypot(a, b / s), np.zeros_like(b)) for a, b in state)
+        envelope = np.hypot(a[:1], b[:1] / s)
         try:
-            ks = remainder(envelope, rot, rot)[:sized]
+            rem = float(np.max(np.abs(self.remainder(envelope, rot, rot))))
         except ShockProximityError:
             return 1.0  # the envelope leaves positive pressure: fully nonlinear
-        lin = max(float(np.max(self.omega_modes * s * s * a)) for a, _ in envelope[:sized])
-        rem = max(float(np.max(np.abs(k))) for k in ks)
+        lin = float(np.max(self.omega_modes * s * s * envelope))
         return rem / (lin + rem) if rem > 0.0 else 0.0
 
-    def walk(self, state, remainder, x_nodes=None, on_step=None, sized=None):
-        """March `state` from 0 to ell; snapshots are taken exactly at x_nodes.
+    def walk(self, a, b, x_nodes=None, on_step=None):
+        """March (a, b) from 0 to ell, snapshotting field 0 exactly at x_nodes.
 
-        remainder(state, at, rot) -> one sine derivative per pair, with `at`
-        the constants at the stage's x and `rot` those of the rotation (the
-        same object on a constant piece).  The step count of a constant piece
-        follows the first `sized` pairs (default all).
+        A constant piece's step count follows field 0 alone (eta), so a
+        variation's march stays linear in its data.
         """
         nodes = [] if x_nodes is None else list(np.sort(np.asarray(x_nodes, dtype=float)))
         snaps = []
         eps = 1e-12 * max(self.profile.ell, 1.0)
 
-        def take(x, state):
+        def take(x, a, b):
             while nodes and nodes[0] <= x + eps:
                 nodes.pop(0)
-                snaps.append(tuple((a.copy(), b.copy()) for a, b in state))
+                snaps.append((a[0].copy(), b[0].copy()))
 
-        take(0.0, state)
+        take(0.0, a, b)
         for x0, x1, sig_const, sig_fn in _piece_table(self.profile):
             targets = [xn for xn in nodes if x0 - eps < xn < x1 - eps] + [x1]
             if sig_const is not None:
                 const = self.frozen(sig_const)
                 # an explicit cfg.dx is honoured as is, so eta is not needed
-                eta = 1.0 if self.cfg.dx is not None else self.eta(state, remainder, const, sized)
+                eta = 1.0 if self.cfg.dx is not None else self.eta(a, b, const)
                 dx = self.cfg.resolved_dx(self.profile, self.T, sig_const, eta)
             else:
                 dx = self.cfg.resolved_dx(self.profile, self.T)
@@ -346,7 +351,7 @@ class _Marcher:
             for xt in targets:
                 seg = xt - x
                 if seg <= 0.0:
-                    take(xt, state)
+                    take(xt, a, b)
                     continue
                 n_steps = max(1, int(np.ceil(seg / dx)))
                 h = seg / n_steps
@@ -358,73 +363,66 @@ class _Marcher:
                         xs = (x, x + 0.5 * h, x + h)
                         stages = tuple(self.frozen(float(sig_fn(xx))) for xx in xs)
                         rot = self.half_turn(stages[1], h)
-                    state = self._step(remainder, state, h, rot, stages)
+                    a, b = self._step(self.remainder, a, b, h, rot, stages)
                     x += h
                     if on_step is not None:
-                        on_step(x, state)
+                        on_step(x, a, b)
                 x = xt
-                take(x, state)
+                take(x, a, b)
         # flush nodes that sit within rounding of ell (sum vs cumsum ulps)
-        take(self.profile.ell + 2.0 * eps, state)
-        return state, snaps
+        take(self.profile.ell + 2.0 * eps, a, b)
+        return (a, b), snaps
 
     @staticmethod
-    def _step(remainder, state, h, rot, stages):
+    def _step(remainder, a, b, h, rot, stages):
         """One Lawson RK4 step, E = exact half-step turn, N = remainder:
 
         k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
         k4 = N(E(E u + h k3)), u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.
-        The turn always uses the midpoint constants.
+        N reads only a and drives only b, so k3 = N(E u) and k2, k4 need only
+        the cosine half of their turns.  The turn uses the midpoint constants.
         """
         at0, mid, at1 = stages
-        k1 = remainder(state, at0, mid)
-        turned = _turn(state, rot)
-        k2 = remainder(_turn(_kick(state, k1, 0.5 * h), rot), mid, mid)
-        k3 = remainder(_kick(turned, k2, 0.5 * h), mid, mid)
-        k4 = remainder(_turn(_kick(turned, k3, h), rot), at1, mid)
-        k23 = tuple(p + q for p, q in zip(k2, k3))
-        out = _turn(_kick(_turn(_kick(state, k1, h / 6.0), rot), k23, h / 3.0), rot)
-        return _kick(out, k4, h / 6.0)
+        c, sn_over_s, s_sn = rot
+        k1 = remainder(a, at0, mid)
+        k2 = remainder(c * a - sn_over_s * (b + 0.5 * h * k1), mid, mid)
+        ta, tb = c * a - sn_over_s * b, s_sn * a + c * b
+        k3 = remainder(ta, mid, mid)
+        k4 = remainder(c * ta - sn_over_s * (tb + h * k3), at1, mid)
+        b = b + h / 6.0 * k1
+        a, b = c * a - sn_over_s * b, s_sn * a + c * b
+        b = b + h / 3.0 * (k2 + k3)
+        a, b = c * a - sn_over_s * b, s_sn * a + c * b
+        return a, b + h / 6.0 * k4
 
 
 def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     """Batched core of nonlinear_evolve; a, b have shape (..., M+1).
 
     The rows of a batch share one step count, set by the largest remainder.
+    Non-finite coefficients raise NumericalError; a time-gradient bound past
+    _GUARD_FACTOR times its entry value raises ShockProximityError.
     """
-    a = np.array(a, dtype=float, copy=True)
-    b = np.array(b, dtype=float, copy=True)
-    a0 = a[..., :1]
-    marcher = _Marcher(profile, eos, T, cfg, a0)
+    a = np.array(a, dtype=float)[None]
+    b = np.array(b, dtype=float)[None]
+    marcher = _Marcher(profile, eos, T, cfg, a[0, ..., :1])
     jw = marcher.omega_modes
-    n = marcher.n
-    to_rates = marcher.to_rates
-    volume_remainder = marcher.eos.volume_remainder
-
-    def remainder(state, at, rot):
-        ((aa, _),) = state
-        dp = _fluct_grid(aa, n)
-        if np.min(a0 + dp) <= 0.0:
-            raise ShockProximityError("pressure lost positivity during evolution")
-        w = at.v0 * volume_remainder(dp / a0)
-        if at is not rot:
-            w = w + (at.vp0 - rot.vp0) * dp
-        return (w @ to_rates,)
-
     g0 = _grad_bound(a, b, jw)
-    threshold = max(cfg.guard_factor * g0, 1e-8)
+    if not np.isfinite(g0):
+        raise NumericalError("non-finite entry coefficients")
+    threshold = max(_GUARD_FACTOR * g0, 1e-8)
 
-    def on_step(x, state):
-        ((aa, bb),) = state
-        if not (np.all(np.isfinite(aa)) and np.all(np.isfinite(bb))):
-            raise NumericalError(f"non-finite coefficients at x={x:.6g}")
-        if _grad_bound(aa, bb, jw) > threshold:
+    def on_step(x, a, b):
+        g = _grad_bound(a, b, jw)
+        if not g <= threshold:
+            if not np.isfinite(g):
+                raise NumericalError(f"non-finite coefficients at x={x:.6g}")
             raise ShockProximityError(
-                f"time-gradient bound exceeded {cfg.guard_factor} x initial at x={x:.6g}"
+                f"time-gradient bound exceeded {_GUARD_FACTOR} x initial at x={x:.6g}"
             )
 
-    ((a, b),), snaps = marcher.walk(((a, b),), remainder, x_nodes=x_nodes, on_step=on_step)
-    return (a, b), [pair for (pair,) in snaps]
+    (a, b), snaps = marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
+    return (a[0], b[0]), snaps
 
 
 def nonlinear_evolve(profile, eos, y0: FourierField, cfg: EvolutionConfig, x_nodes=None):
@@ -452,33 +450,9 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     """
     if y0.n_modes != cfg.M or Y0.n_modes != cfg.M:
         raise DomainError("field cutoffs must match cfg.M")
-    a0 = y0.cos[:1]
-    marcher = _Marcher(profile, eos, y0.T, cfg, a0)
-    n = marcher.n
-    to_rates = marcher.to_rates
-    eos_ = marcher.eos
-
-    def remainder(state, at, rot):
-        (aa, _), (AA, _) = state
-        dp = _fluct_grid(aa, n)
-        if np.min(a0 + dp) <= 0.0:
-            raise ShockProximityError("pressure lost positivity during evolution")
-        x = dp / a0
-        P = coeffs_to_grid(AA, np.zeros_like(AA), n)
-        w = at.v0 * eos_.volume_remainder(x)
-        dvp_P = at.vp0 * eos_.slope_increment(x) * P
-        if at is not rot:
-            w = w + (at.vp0 - rot.vp0) * dp
-            dvp_P = dvp_P + (at.vp0 - rot.vp0) * P
-        return (w @ to_rates, dvp_P @ to_rates)
-
-    state = (
-        (np.array(y0.cos, copy=True), np.array(y0.sin, copy=True)),
-        (np.array(Y0.cos, copy=True), np.array(Y0.sin, copy=True)),
-    )
-    # steps follow the base trajectory alone, so the march stays linear in Y0
-    (_, (AA, BB)), _ = marcher.walk(state, remainder, sized=1)
-    return FourierField(y0.T, AA, BB)
+    marcher = _Marcher(profile, eos, y0.T, cfg, y0.cos[:1])
+    (a, b), _ = marcher.walk(np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin)))
+    return FourierField(y0.T, a[1], b[1])
 
 
 # -- second derivative at the quiet state ---------------------------------------------

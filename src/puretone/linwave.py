@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -164,22 +163,24 @@ def tile_boundary_residual(tile: TileField):
 
 # -- reflection extension -----------------------------------------------------------
 
+#: largest boundary residual of a tile that extend_tile accepts
+_EXTEND_TOL = 1e-6
 
-def extend_tile(tile: TileField, chi: Optional[int] = None, check_tol: float = 1e-6) -> TileField:
+
+def extend_tile(tile: TileField) -> TileField:
     """Extend a [0, ell] tile to its full spatial period by index maps.
 
     Refuses (BoundaryResidualError) when the tile's boundary residual exceeds
-    check_tol.  Seam mismatches and the u(0,.) line are reported in
+    _EXTEND_TOL.  Seam mismatches and the u(0,.) line are reported in
     meta['seam_max'] and meta['u0_max']; joint periodicity of the result is
     exact by construction.
     """
-    chi = tile.chi if chi is None else chi
-    nt = tile.nt
+    chi, nt = tile.chi, tile.nt
     _check_nt(nt, chi)
     r0, rell = tile_boundary_residual(tile)
-    if max(r0, rell) > check_tol:
+    if max(r0, rell) > _EXTEND_TOL:
         raise BoundaryResidualError(
-            f"boundary residual ({r0:.3e}, {rell:.3e}) exceeds {check_tol:.1e}"
+            f"boundary residual ({r0:.3e}, {rell:.3e}) exceeds {_EXTEND_TOL:.1e}"
         )
     nx = tile.nx
     s = (nt // 2) * chi

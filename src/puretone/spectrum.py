@@ -342,8 +342,14 @@ def genericity_mc(
         raise DomainError("need at least two entropy levels")
     if samples < 1:
         raise DomainError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    # k = 1 alone leaves no pair l != k when l_max = 1, and no j != k when j_max = 1
+    if min(k_max, l_max, j_max) < 1 or (k_max == 1 and min(l_max, j_max) == 1):
+        raise DomainError(f"k_max={k_max}, l_max={l_max}, j_max={j_max} leave no triple to test")
     (j_lo, j_hi), (t_lo, t_hi) = box
+    # a point range (lo == hi) is a fixed value, e.g. J = 1, the isentropic limit
+    if not (0.0 < j_lo <= j_hi and 0.0 < t_lo <= t_hi):
+        raise DomainError(f"box ranges must be positive and nondecreasing, got {box}")
+    rng = np.random.default_rng(seed)
     jumps = rng.uniform(j_lo, j_hi, size=(samples, n_levels - 1))
     angles = rng.uniform(t_lo, t_hi, size=(samples, n_levels))
 

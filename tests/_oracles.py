@@ -304,38 +304,48 @@ def dense_second_derivative(profile, eos, k, chi, phase_per_step):
     )
 
 
+class _SecondVariationMarcher(_Marcher):
+    """The library walker on (Y, Z): Y the first variation, Z the second.
+
+    At the quiet base P1 = 1 (the evolved 0-mode), so Z is forced by v_pp Y
+    on the collocation grid; both fields carry the sigma variation within a
+    step, and both size the step count.
+    """
+
+    def remainder(self, a, at, rot):
+        P = coeffs_to_grid(a[0], np.zeros_like(a[0]), self.n)
+        Q = coeffs_to_grid(a[1], np.zeros_like(a[1]), self.n)
+        dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
+        g = 1.0 / self.eos.gamma
+        vpp = g * (g + 1.0) * at.v0 / self.a0**2
+        return np.stack(((dvp * P) @ self.to_rates, (dvp * Q + vpp * P) @ self.to_rates))
+
+    def eta(self, a, b, rot):
+        s = np.sqrt(-rot.vp0)
+        envelope = np.hypot(a, b / s)
+        rem = float(np.max(np.abs(self.remainder(envelope, rot, rot))))
+        lin = float(np.max(self.omega_modes * s * s * envelope))
+        return rem / (lin + rem) if rem > 0.0 else 0.0
+
+
 def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
     """Pseudospectral cross check of the Duhamel path.
 
     Evolves the second-variation field Z (zero data) together with the first
-    variation Y (the cosine k-mode) through the generic grid-based flux
-    machinery, with the bilinear forcing assembled on the collocation grid.
-    Returns a QuietSecondDerivative with phi_hat/psi_hat read off Z(ell).
+    variation Y (the cosine k-mode) through the library's Lawson walker,
+    with the bilinear forcing assembled on the collocation grid.  Returns a
+    QuietSecondDerivative with phi_hat/psi_hat read off Z(ell).
     """
     if eig is None:
         eig = spectrum.eigen_solve(profile, k, chi)
     if cfg is None:
         cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
     T = 2.0 * np.pi * k / eig.omega
-    marcher = _Marcher(profile, eos, T, cfg, np.array([profile.pbar]))
-    n = marcher.n
-    to_rates = marcher.to_rates
-
-    def remainder(state, at, rot):
-        (AA, _), (QQ, _) = state
-        P = coeffs_to_grid(AA, np.zeros_like(AA), n)
-        Q = coeffs_to_grid(QQ, np.zeros_like(QQ), n)
-        dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
-        # P1 = 1 (the evolved 0-mode), P2 = even part of Y: bilinear forcing
-        force = dvp * Q + at.vpp0 * 1.0 * P
-        return ((dvp * P) @ to_rates, force @ to_rates)
-
-    a = np.zeros(cfg.M + 1)
-    a[k] = 1.0
-    z = np.zeros(cfg.M + 1)
-    state = ((a, np.zeros_like(a)), (z, np.zeros_like(z)))
-    (_, (QQ, VV)), _ = marcher.walk(state, remainder)
-    phi_hat, psi_hat = float(QQ[k]), float(VV[k])
+    marcher = _SecondVariationMarcher(profile, eos, T, cfg, np.array([profile.pbar]))
+    a = np.zeros((2, cfg.M + 1))
+    a[0, k] = 1.0
+    (a, b), _ = marcher.walk(a, np.zeros_like(a))
+    phi_hat, psi_hat = float(a[1, k]), float(b[1, k])
     c, s = quarter_cos_sin(k * chi)
     return QuietSecondDerivative(
         k=k,

@@ -34,6 +34,28 @@ def quick_problem(two_level, gamma2):
     return BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1, cfg=cfg)
 
 
+def test_m_doubling_regates_the_doubled_cutoff(two_level, gamma2, monkeypatch):
+    # at alpha 1e-2 the M = 4 tail is large, so the solve doubles M once; the
+    # resonance gate must then cover the new divisors j in (4, 8] too
+    from puretone import bifurcate
+
+    gated = []
+    scan = bifurcate._spectrum.resonance_scan
+
+    def recording_scan(*args, **kwargs):
+        gated.append(kwargs["j_max"])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcate._spectrum, "resonance_scan", recording_scan)
+    problem = BifurcationProblem(
+        profile=two_level, eos=gamma2, k=1, chi=1, cfg=EvolutionConfig(M=4, k_accuracy=4)
+    )
+    sol = solve_at_alpha(problem, 1e-2)
+    assert sol.M == problem.cfg.M == 8
+    assert sol.converged
+    assert gated == [4, 8]
+
+
 def test_alpha_zero_trivial(problem):
     sol = solve_at_alpha(problem, 0.0)
     assert sol.z == 0.0

@@ -93,6 +93,9 @@ def test_resonance_report(profile_file, tmp_path):
         (["eigen", "--k-range", "abc"], 2, "_UsageFailure"),
         (["divisors", "--jmax", "-3"], 1, "DomainError"),
         (["mode", "--k", "1", "--nx", "0", "--nt", "32"], 1, "DomainError"),
+        (["eigen", "--k-range", "5:2"], 2, "_UsageFailure"),
+        (["perturb", "--k", "1", "--modes", "8", "--nt", "32", "--alpha-schedule", "abc"], 2,
+         "_UsageFailure"),
     ],
 )
 def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, error):
@@ -101,6 +104,24 @@ def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, er
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == error
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["--box", "a,b,c,d"], 2, "_UsageFailure"),
+        (["--box", "1,0.5,0.1,3"], 1, "DomainError"),
+        (["--kmax", "0"], 1, "DomainError"),
+        (["--jmax", "0"], 1, "DomainError"),
+    ],
+)
+def test_bad_genericity_arguments_fail_typed(tmp_path, capsys, argv, code, error):
+    rc = main(["genericity", "--samples", "50", "--out-dir", str(tmp_path)] + argv)
+    assert rc == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert not list(tmp_path.glob("*.csv"))
+
 
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     rc = main(

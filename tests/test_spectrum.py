@@ -218,6 +218,26 @@ def test_genericity_summary_and_box(two_level):
         genericity_mc(2, 0)
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"k_max": 0},
+        {"l_max": 0},
+        {"j_max": 0},
+        {"k_max": 1, "l_max": 1},  # no pair l != k
+        {"k_max": 1, "j_max": 1},  # no j != k
+        {"box": ((2.0, 1.0), (0.1, 3.0))},
+        {"box": ((0.2, 5.0), (3.0, 0.1))},
+        {"box": ((0.0, 5.0), (0.1, 3.0))},
+        {"box": ((0.2, 5.0), (-1.0, 3.0))},
+        {"box": ((0.2, float("nan")), (0.1, 3.0))},
+    ],
+)
+def test_genericity_refuses_degenerate_inputs(knobs):
+    with pytest.raises(DomainError):
+        genericity_mc(2, 10, **knobs)
+
+
 def test_smooth_profile_eigen(smooth_jumpy):
     eig = eigen_solve(smooth_jumpy, 2)
     assert eig.kappa_residual < 1e-10
