@@ -396,6 +396,30 @@ class _Marcher:
         return a, b + h / 6.0 * k4
 
 
+def _step_guard(a, b, omega_modes):
+    """The per-step hook of a march from (a, b), every field at once.
+
+    Non-finite entry data raise NumericalError here; after a step, a
+    time-gradient bound that is not <= _GUARD_FACTOR times its entry value
+    raises NumericalError if it is not finite, else ShockProximityError.
+    """
+    g0 = _grad_bound(a, b, omega_modes)
+    if not np.isfinite(g0):
+        raise NumericalError("non-finite entry coefficients")
+    threshold = max(_GUARD_FACTOR * g0, 1e-8)
+
+    def on_step(x, a, b):
+        g = _grad_bound(a, b, omega_modes)
+        if not g <= threshold:
+            if not np.isfinite(g):
+                raise NumericalError(f"non-finite coefficients at x={x:.6g}")
+            raise ShockProximityError(
+                f"time-gradient bound exceeded {_GUARD_FACTOR} x initial at x={x:.6g}"
+            )
+
+    return on_step
+
+
 def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     """Batched core of nonlinear_evolve; a, b have shape (..., M+1).
 
@@ -406,21 +430,7 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     a = np.array(a, dtype=float)[None]
     b = np.array(b, dtype=float)[None]
     marcher = _Marcher(profile, eos, T, cfg, a[0, ..., :1])
-    jw = marcher.omega_modes
-    g0 = _grad_bound(a, b, jw)
-    if not np.isfinite(g0):
-        raise NumericalError("non-finite entry coefficients")
-    threshold = max(_GUARD_FACTOR * g0, 1e-8)
-
-    def on_step(x, a, b):
-        g = _grad_bound(a, b, jw)
-        if not g <= threshold:
-            if not np.isfinite(g):
-                raise NumericalError(f"non-finite coefficients at x={x:.6g}")
-            raise ShockProximityError(
-                f"time-gradient bound exceeded {_GUARD_FACTOR} x initial at x={x:.6g}"
-            )
-
+    on_step = _step_guard(a, b, marcher.omega_modes)
     (a, b), snaps = marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
     return (a[0], b[0]), snaps
 
@@ -446,12 +456,14 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     The base state and the variation are advanced as one coupled system, so
     the linearization is taken along exactly the computed trajectory.  At a
     quiet base the remainder vanishes and the k-mode turns exactly by the
-    transfer matrix Psi(ell; k 2pi/T).
+    transfer matrix Psi(ell; k 2pi/T).  Both fields get evolve_coefficients'
+    guard: non-finite data raise NumericalError, at entry or after any step.
     """
     if y0.n_modes != cfg.M or Y0.n_modes != cfg.M:
         raise DomainError("field cutoffs must match cfg.M")
     marcher = _Marcher(profile, eos, y0.T, cfg, y0.cos[:1])
-    (a, b), _ = marcher.walk(np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin)))
+    a, b = np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin))
+    (a, b), _ = marcher.walk(a, b, on_step=_step_guard(a, b, marcher.omega_modes))
     return FourierField(y0.T, a[1], b[1])
 
 

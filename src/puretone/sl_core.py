@@ -80,19 +80,20 @@ def _split_winding(z):
     return m, z - m * np.pi
 
 
+def _jump_map(J, z, with_slope=False):
+    """(h(J, z), dh/dz or None) from one winding split and one cos/sin; J unchecked.
+
+    dh/dz = J / (cos^2 w + J^2 sin^2 w) lies in [min(J,1/J), max(J,1/J)].
+    """
+    m, w = _split_winding(z)
+    c, s = np.cos(w), np.sin(w)
+    h = m * np.pi + np.arctan2(J * s, c)
+    return h, (J / (c * c + J * J * s * s) if with_slope else None)
+
+
 def jump_angle(J, z):
     """h(J, z): post-jump Prüfer angle; same quadrant as z, fixes axes."""
-    J = _check_jump(J)
-    m, w = _split_winding(z)
-    return m * np.pi + np.arctan2(J * np.sin(w), np.cos(w))
-
-
-def jump_angle_dz(J, z):
-    """dh/dz = J / (cos^2 w + J^2 sin^2 w) in [min(J,1/J), max(J,1/J)]."""
-    J = _check_jump(J)
-    _, w = _split_winding(z)
-    c, s = np.cos(w), np.sin(w)
-    return J / (c * c + J * J * s * s)
+    return _jump_map(_check_jump(J), z)[0]
 
 
 # -- Magnus propagation of smooth pieces ----------------------------------------
@@ -314,7 +315,9 @@ def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
     (..., N), where piece i turns theta by exactly omega * angles[..., i]; or
     a smooth profile's N pieces, each advanced by prufer_advance.  Vectorized
     over omega, which broadcasts against the batch shape of jumps and angles.
+    The jumps are validated once per call.
     """
+    jumps = _check_jump(jumps)
     omega = np.asarray(omega, dtype=float)
     z = np.broadcast_to(np.asarray(theta0, dtype=float), omega.shape).astype(float)
     dz = np.zeros_like(z) if with_slope else None
@@ -328,9 +331,9 @@ def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
         else:
             z, dz = prufer_advance(pieces[i], omega, z, zeta=dz)
         if i < n - 1:
+            z, dh = _jump_map(jumps[..., i], z, with_slope)
             if with_slope:
-                dz = jump_angle_dz(jumps[..., i], z) * dz
-            z = jump_angle(jumps[..., i], z)
+                dz = dh * dz
     return (z, dz) if with_slope else z
 
 

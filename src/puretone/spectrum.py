@@ -11,7 +11,9 @@ jump gives deterministic brackets
     (k*pi/2 -+ (N-1)*pi/2) / integral(sigma)
 
 inside which a safeguarded Newton iteration (slope from the exact zeta chain)
-converges to machine accuracy.
+converges to machine accuracy.  All roots share one active-set solve: points
+are taken in fixed-size blocks, and a point stops being evaluated once it has
+converged, so each root is bit-identical to the root solved on its own.
 
 With the reference period T fixed, the j-th small divisor is the sine
 component of the boundary-shifted, linearly evolved cosine j-mode:
@@ -96,41 +98,73 @@ def asymptotic_slope(profile) -> float:
 # -- root solvers ----------------------------------------------------------------
 
 
-def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
-    """Vectorized safeguarded Newton for theta(ell, omega) = target.
+#: (sample, target) points a root solve carries at once; the rest wait their turn
+_BLOCK = 2**14
 
-    `angle_and_slope(omega)` returns (theta, d theta/d omega) at every omega
-    at once; theta(ell, omega) lies within `wiggle` of omega * `total`, which
-    brackets each root.  Returns (omega, converged mask).
+
+def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
+    """Active-set safeguarded Newton for theta(ell, omega) = target, point by point.
+
+    `angle_and_slope(omega, idx)` returns (theta, d theta/d omega) at the
+    points of flat indices idx into targets.shape; theta(ell, omega) lies
+    within `wiggle` of omega * `total` (broadcast against targets), which
+    brackets each root.  Points are solved in blocks of _BLOCK, and a point
+    leaves the active set once it has converged, so later passes evaluate
+    the chain only on the points still moving.  Each point runs the same
+    update as it would alone, so its root does not depend on the batch.
+    targets has at least one axis.  Returns (omega, converged mask), both
+    of targets' shape.
     """
     targets = np.asarray(targets, dtype=float)
-    lo = np.maximum((targets - wiggle) / total, 0.0)
-    hi = (targets + wiggle) / total
-    om = targets / total
-    om = np.clip(om, lo + 1e-30, hi)
+    shape, size = targets.shape, targets.size
+    total = np.broadcast_to(total, shape)
+    omega, ok = np.empty(size), np.ones(size, dtype=bool)
     tol_theta = tol * (np.pi / 2.0)
-    for _ in range(max_iter):
-        th, dth = angle_and_slope(om)
-        f = th - targets
-        done = np.abs(f) <= tol_theta
-        if np.all(done):
-            return om, done
-        hi = np.where(f > 0.0, np.minimum(hi, om), hi)
-        lo = np.where(f < 0.0, np.maximum(lo, om), lo)
-        cand = om - f / dth
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        om = np.where(done, om, np.where(bad, 0.5 * (lo + hi), cand))
-    th, _ = angle_and_slope(om)
-    return om, np.abs(th - targets) <= 10.0 * tol_theta
+    for start in range(0, size, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, size))
+        at = np.unravel_index(idx, shape)
+        t, tot = targets[at], total[at]
+        lo = np.maximum((t - wiggle) / tot, 0.0)
+        hi = (t + wiggle) / tot
+        om = np.clip(t / tot, lo + 1e-30, hi)
+        for _ in range(max_iter):
+            th, dth = angle_and_slope(om, idx)
+            f = th - t
+            done = np.abs(f) <= tol_theta
+            omega[idx[done]] = om[done]
+            if np.all(done):
+                break
+            keep = ~done
+            idx, t, lo, hi, om, f, dth = (v[keep] for v in (idx, t, lo, hi, om, f, dth))
+            hi = np.where(f > 0.0, np.minimum(hi, om), hi)
+            lo = np.where(f < 0.0, np.maximum(lo, om), lo)
+            cand = om - f / dth
+            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+            om = np.where(bad, 0.5 * (lo + hi), cand)
+        else:  # points still moving after max_iter passes get a 10x looser test
+            th, _ = angle_and_slope(om, idx)
+            omega[idx] = om
+            ok[idx] = np.abs(th - t) <= 10.0 * tol_theta
+    return omega.reshape(shape), ok.reshape(shape)
 
 
 def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
-    """Roots of the pwc chain; jumps (..., N-1), angles (..., N) broadcast against targets."""
+    """Roots of the pwc chain; jumps (..., N-1), angles (..., N) broadcast against targets.
+
+    The active points' jumps and angles are gathered from broadcast views,
+    so no flattened copy of the whole batch is made.
+    """
     targets = np.asarray(targets, dtype=float)
-    total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
+    shape = targets.shape
+    J = np.broadcast_to(jumps, shape + jumps.shape[-1:])
+    A = np.broadcast_to(angles, shape + angles.shape[-1:])
     wiggle = jumps.shape[-1] * (np.pi / 2.0)
-    chain = lambda om: sl_core._angle_chain(jumps, angles, om, 0.0, with_slope=True)
-    return _solve_targets(chain, total, wiggle, targets, tol, max_iter)
+
+    def chain(om, idx):
+        at = np.unravel_index(idx, shape)
+        return sl_core._angle_chain(J[at], A[at], om, 0.0, with_slope=True)
+
+    return _solve_targets(chain, np.sum(angles, axis=-1), wiggle, targets, tol, max_iter)
 
 
 def _solve_profile_targets(profile, targets):
@@ -139,7 +173,7 @@ def _solve_profile_targets(profile, targets):
         return _pwc_solve_targets(profile.jumps, profile.angles, targets)
     # |theta(ell) - omega*total| <= pi/2 per jump + TV(log sigma)/2 per piece
     wiggle = (profile.n_pieces - 1) * (np.pi / 2.0) + 0.5 * profile.log_sigma_variation() + 1e-9
-    slope = lambda om: sl_core.angle_and_slope_at_ell(profile, om, 0.0)
+    slope = lambda om, _idx: sl_core.angle_and_slope_at_ell(profile, om, 0.0)
     return _solve_targets(slope, sigma_integral(profile), wiggle, targets, KAPPA_TOL_SMOOTH)
 
 
@@ -150,10 +184,10 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
     even ones (the boundary angle is then a multiple of pi).
     """
     _validate_mode(k, chi)
-    om, ok = _solve_profile_targets(profile, np.asarray(k * np.pi / 2.0))
-    if not ok:
+    om, ok = _solve_profile_targets(profile, np.array([k * np.pi / 2.0]))
+    if not ok[0]:
         raise SolverError(f"eigenfrequency iteration for k={k} did not converge")
-    om = float(om)
+    om = float(om[0])
     res = abs(float(kappa(profile, om)) - k)
     return EigenFrequency(k=k, omega=om, T=2.0 * np.pi * k / om, chi=chi, kappa_residual=res)
 
@@ -333,7 +367,8 @@ def genericity_mc(
     """Sample (J, Theta) profiles and hunt for frequency-ratio resonances.
 
     For every sample the eigenfrequency ladder omega_1..omega_max is solved
-    (vectorized Newton), then over all pairs (k, l), l != k, the nearest
+    (one active-set Newton over all (sample, target) points, in blocks of
+    _BLOCK), then over all pairs (k, l), l != k, the nearest
     integer j = round(k omega_l / omega_k) <= j_max defines the relative
     residual |k omega_l - j omega_k| / (k omega_l).  Exact resonances are
     residuals below `exact_tol`.  Deterministic for a fixed seed.

@@ -18,7 +18,9 @@ unbatched evolution, probes S E^ell directly.  The field operators (parity
 projections, time shift and the boundary operator S = R_- T^{-chi T/4})
 act on FourierField coefficients by their definitions, as the reference S
 of S o L = diag(delta_j).  The SL residual checks sampled solutions with
-fourth-order differences.
+fourth-order differences.  The full-array safeguarded Newton evaluates
+the angle chain on every point in every pass, as the reference for the
+library's active-set, blocked root solve.
 """
 
 import numpy as np
@@ -35,6 +37,7 @@ from puretone.evolve import (
     evolve_coefficients,
 )
 from puretone.sl_core import (
+    _angle_chain,
     _magnus_steps,
     _prefix_products,
     _step_groups,
@@ -429,6 +432,43 @@ def sl_residual(profile, omega, x, vals):
     if not np.any(sel):
         return np.nan
     return float(max(np.max(np.abs(r1[sel])), np.max(np.abs(r2[sel]))))
+
+
+def full_array_solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
+    """Safeguarded Newton for theta(ell, omega) = target over the whole array each pass.
+
+    `angle_and_slope(omega)` returns (theta, d theta/d omega) at every omega
+    at once; theta(ell, omega) lies within `wiggle` of omega * `total`, which
+    brackets each root.  Returns (omega, converged mask).
+    """
+    targets = np.asarray(targets, dtype=float)
+    lo = np.maximum((targets - wiggle) / total, 0.0)
+    hi = (targets + wiggle) / total
+    om = targets / total
+    om = np.clip(om, lo + 1e-30, hi)
+    tol_theta = tol * (np.pi / 2.0)
+    for _ in range(max_iter):
+        th, dth = angle_and_slope(om)
+        f = th - targets
+        done = np.abs(f) <= tol_theta
+        if np.all(done):
+            return om, done
+        hi = np.where(f > 0.0, np.minimum(hi, om), hi)
+        lo = np.where(f < 0.0, np.maximum(lo, om), lo)
+        cand = om - f / dth
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        om = np.where(done, om, np.where(bad, 0.5 * (lo + hi), cand))
+    th, _ = angle_and_slope(om)
+    return om, np.abs(th - targets) <= 10.0 * tol_theta
+
+
+def full_array_pwc_solve_targets(jumps, angles, targets, tol=spectrum.KAPPA_TOL, max_iter=80):
+    """Roots of the pwc chain by full_array_solve_targets; shapes as for spectrum._pwc_solve_targets."""
+    targets = np.asarray(targets, dtype=float)
+    total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
+    wiggle = jumps.shape[-1] * (np.pi / 2.0)
+    chain = lambda om: _angle_chain(jumps, angles, om, 0.0, with_slope=True)
+    return full_array_solve_targets(chain, total, wiggle, targets, tol, max_iter)
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 property tests draw the same examples on every run and keep no
+# example database; each test keeps its own max_examples
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 from puretone.eos import GammaLawEos
 from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile

@@ -443,6 +443,33 @@ def test_linearized_is_linear(two_level, gamma2, eig1, rng):
     assert np.max(np.abs(lhs.sin - 2 * r1.sin - 3 * r2.sin)) < 1e-11
 
 
+def test_linearized_non_finite_entry_refused(two_level, gamma2, eig1):
+    base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
+    cos = FourierField.cosine(eig1.T, 1, 1.0, m=8).cos.copy()
+    cos[2] = np.nan
+    with pytest.raises(NumericalError):
+        linearized_evolve(two_level, gamma2, base, FourierField(eig1.T, cos, np.zeros(9)), EvolutionConfig(M=8))
+
+
+def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
+    # a NaN remainder from the third call on (inside the first step) must be
+    # caught by the step guard, not surface later as a FourierField domain error
+    calls = []
+    volume_remainder = GammaLawEos.volume_remainder
+
+    def spoiled(self, x):
+        calls.append(1)
+        out = volume_remainder(self, x)
+        return out * np.nan if len(calls) >= 3 else out
+
+    monkeypatch.setattr(GammaLawEos, "volume_remainder", spoiled)
+    base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
+    Y0 = FourierField.cosine(eig1.T, 2, 1.0, m=8)
+    with pytest.raises(NumericalError):
+        linearized_evolve(two_level, gamma2, base, Y0, EvolutionConfig(M=8))
+    assert len(calls) == 5  # the eta evaluation and the four stages of one step
+
+
 def test_smooth_profile_evolution_paths(smooth_jumpy, gamma2):
     # the smooth-sigma path: quiet state stays a bit-exact fixed point, and
     # the pseudospectral linearization agrees with the adaptive-Prüfer

@@ -17,12 +17,12 @@ from puretone.errors import DomainError, IntegrationError
 from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile
 from puretone.sl_core import (
     PRUFER_TOL,
+    _jump_map,
     _smooth_piece_matrix,
     angle_and_slope_at_ell,
     angle_at_ell,
     fundamental_matrix,
     jump_angle,
-    jump_angle_dz,
     prufer_advance,
     quarter_cos_sin,
     sample_sl_solution,
@@ -64,16 +64,20 @@ def test_jump_angle_monotone_in_z(J, z, dz):
     assert jump_angle(J, z + dz) > jump_angle(J, z) - 1e-12
 
 
+def _jump_slope(J, z):
+    return _jump_map(np.asarray(J, dtype=float), z, with_slope=True)[1]
+
+
 def test_jump_angle_derivative_values():
     for J in (0.3, 2.5):
-        assert_allclose(jump_angle_dz(J, 0.0), J, rtol=1e-14)
-        assert_allclose(jump_angle_dz(J, np.pi / 2), 1.0 / J, rtol=1e-14)
+        assert_allclose(_jump_slope(J, 0.0), J, rtol=1e-14)
+        assert_allclose(_jump_slope(J, np.pi / 2), 1.0 / J, rtol=1e-14)
 
 
 def test_jump_angle_derivative_bounds(rng):
     J = rng.uniform(0.05, 20.0, 200)
     z = rng.uniform(-20.0, 20.0, 200)
-    dz = jump_angle_dz(J, z)
+    dz = _jump_slope(J, z)
     assert np.all(dz >= np.minimum(J, 1.0 / J) - 1e-12)
     assert np.all(dz <= np.maximum(J, 1.0 / J) + 1e-12)
 
@@ -84,7 +88,18 @@ def test_jump_angle_derivatives_match_fd(rng):
         J = rng.uniform(0.2, 5.0)
         z = rng.uniform(-6.0, 6.0)
         fd_z = (jump_angle(J, z + h) - jump_angle(J, z - h)) / (2 * h)
-        assert abs(fd_z - jump_angle_dz(J, z)) < 1e-7
+        assert abs(fd_z - _jump_slope(J, z)) < 1e-7
+
+
+@given(jumps, angles)
+@settings(max_examples=300, deadline=None)
+def test_fused_jump_map_matches_jump_angle(J, z):
+    # one winding split and one cos/sin give jump_angle's h bit for bit, and
+    # a slope in [min(J, 1/J), max(J, 1/J)] up to the rounding of its quotient
+    h, dh = _jump_map(np.asarray(J), z, with_slope=True)
+    assert h == jump_angle(J, z)
+    eps = 4.0 * np.finfo(float).eps
+    assert min(J, 1.0 / J) * (1.0 - eps) <= dh <= max(J, 1.0 / J) * (1.0 + eps)
 
 
 def test_jump_domain_errors():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import random_pwc
+from _oracles import full_array_pwc_solve_targets, random_pwc
+from puretone import spectrum
 from puretone.errors import DomainError
 from puretone.profile import PiecewiseConstantProfile, constant_profile, from_jump_angles
 from puretone.sl_core import angle_and_slope_at_ell
@@ -181,6 +182,52 @@ def test_pwc_roots_do_not_depend_on_batch():
         assert np.all(ok_i) and np.array_equal(om_i, om[i])
         ladder, _ = eigen_ladder(from_jump_angles(jumps[i], angles[i]), k_top)
         assert np.max(np.abs(ladder / om[i] - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 80])
+def test_active_set_solve_matches_full_array_oracle(max_iter):
+    # below 80 passes some points are still moving and meet the 10x final check
+    rng = np.random.default_rng(31)
+    samples, levels, k_top = 300, 3, 12
+    (j_lo, j_hi), (t_lo, t_hi) = DEFAULT_MC_BOX
+    jumps = rng.uniform(j_lo, j_hi, size=(samples, 1, levels - 1))
+    angles = rng.uniform(t_lo, t_hi, size=(samples, 1, levels))
+    targets = np.broadcast_to(np.arange(1, k_top + 1) * np.pi / 2.0, (samples, k_top))
+    om, ok = spectrum._pwc_solve_targets(jumps, angles, targets, max_iter=max_iter)
+    ref_om, ref_ok = full_array_pwc_solve_targets(jumps, angles, targets, max_iter=max_iter)
+    assert np.array_equal(om, ref_om) and np.array_equal(ok, ref_ok)
+    if max_iter < 80:
+        assert not np.all(ok)
+
+
+def test_active_set_solve_without_jumps(const_profile):
+    # one level: zero jumps, so the gathered jump arrays have no columns
+    for targets in (np.arange(1, 13) * np.pi / 2.0, np.array([5 * np.pi / 2.0])):
+        om, ok = spectrum._pwc_solve_targets(const_profile.jumps, const_profile.angles, targets)
+        ref = full_array_pwc_solve_targets(const_profile.jumps, const_profile.angles, targets)
+        assert om.shape == targets.shape and np.all(ok)
+        assert np.array_equal(om, ref[0]) and np.array_equal(ok, ref[1])
+
+
+@pytest.mark.parametrize("block", [1, 7, 40 * 12 + 1])
+def test_genericity_does_not_depend_on_block(block, monkeypatch):
+    base = genericity_mc(3, 40, seed=17)
+    monkeypatch.setattr(spectrum, "_BLOCK", block)
+    g = genericity_mc(3, 40, seed=17)
+    assert np.array_equal(g.min_residual, base.min_residual, equal_nan=True)
+    assert np.array_equal(g.argmin_triple, base.argmin_triple)
+
+
+def test_smooth_roots_do_not_depend_on_batch(smooth_jumpy):
+    # the Magnus level is chosen per omega, so a smooth ladder solved as one
+    # batch gives every target's single solve bit for bit
+    targets = np.arange(1, 13) * np.pi / 2.0
+    om, ok = spectrum._solve_profile_targets(smooth_jumpy, targets)
+    assert np.all(ok)
+    for t, om_t in zip(targets, om):
+        one, ok_one = spectrum._solve_profile_targets(smooth_jumpy, np.array([t]))
+        assert ok_one[0] and one[0] == om_t
+
 
 def test_genericity_deterministic():
     g1 = genericity_mc(2, 400, seed=11)
