@@ -447,7 +447,7 @@ def test_linearized_non_finite_entry_refused(two_level, gamma2, eig1):
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     cos = FourierField.cosine(eig1.T, 1, 1.0, m=8).cos.copy()
     cos[2] = np.nan
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite entry"):
         linearized_evolve(two_level, gamma2, base, FourierField(eig1.T, cos, np.zeros(9)), EvolutionConfig(M=8))
 
 
@@ -465,7 +465,7 @@ def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, mo
     monkeypatch.setattr(GammaLawEos, "volume_remainder", spoiled)
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     Y0 = FourierField.cosine(eig1.T, 2, 1.0, m=8)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite coefficients at x="):
         linearized_evolve(two_level, gamma2, base, Y0, EvolutionConfig(M=8))
     assert len(calls) == 5  # the eta evaluation and the four stages of one step
 
