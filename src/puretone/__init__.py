@@ -21,6 +21,7 @@ from .errors import (
     SolverError,
 )
 from .profile import (
+    ConstantPiece,
     JumpAngleParams,
     PiecewiseConstantProfile,
     SmoothPiece,

@@ -88,10 +88,23 @@ def _write_manifest(out: Path, command, args, t0, outputs, profile=None, extra=N
     }
     if extra:
         manifest.update(extra)
-    path = out / f"{command}.manifest.json"
+    _write_json(out / f"{command}.manifest.json", manifest, default=str)
+
+
+def _write_json(path: Path, doc, default=None):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=default)
         fh.write("\n")
+
+
+def _write_tile(out: Path, stem, tile, binary):
+    """tile as <stem>.csv, and as <stem>.bin when binary; returns the paths."""
+    paths = [out / f"{stem}.csv"]
+    linwave.tile_to_csv(tile, paths[0])
+    if binary:
+        paths.append(out / f"{stem}.bin")
+        linwave.tile_to_binary(tile, paths[1])
+    return paths
 
 
 def _parse_k_range(spec: str):
@@ -170,9 +183,7 @@ def cmd_resonance(args):
             {"l": l, "j": j, "residual": r} for l, j, r in report.ratio_checks[:16]
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     _write_manifest(out, "resonance", args, t0, [path], profile=prof)
     return EXIT_OK
 
@@ -197,9 +208,7 @@ def cmd_genericity(args):
     ]
     _write_csv(csv_path, ["sample", "min_residual", "k", "j", "l"], rows)
     json_path = out / "genericity_summary.json"
-    with open(json_path, "w") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, result.summary())
     _write_manifest(out, "genericity", args, t0, [csv_path, json_path])
     return EXIT_OK
 
@@ -212,21 +221,13 @@ def cmd_mode(args):
     mode = linwave.eigenfunction_profiles(prof, eig, nx=args.nx)
     tile = linwave.mode_field(mode, args.nt, meta={"kind": "linear-mode", "k": args.k})
     out = _out_dir(args)
-    outputs = []
     prof_path = out / "mode_profile.csv"
     _write_csv(
         prof_path, ["x", "phi", "psi"],
         [(float(x), float(p), float(q)) for x, p, q in zip(mode.x, mode.phi, mode.psi)],
     )
-    outputs.append(prof_path)
     tile_out = linwave.extend_tile(tile) if args.extend else tile
-    csv_path = out / "mode_tile.csv"
-    linwave.tile_to_csv(tile_out, csv_path)
-    outputs.append(csv_path)
-    if args.binary:
-        bin_path = out / "mode_tile.bin"
-        linwave.tile_to_binary(tile_out, bin_path)
-        outputs.append(bin_path)
+    outputs = [prof_path] + _write_tile(out, "mode_tile", tile_out, args.binary)
     _write_manifest(out, "mode", args, t0, outputs, profile=prof,
                     extra={"omega": eig.omega, "T": eig.T})
     return EXIT_OK
@@ -280,9 +281,7 @@ def cmd_perturb(args):
         "solutions": [_solution_doc(s) for s in branch.solutions],
         "failure": branch.failure,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     _write_manifest(out, "perturb", args, t0, [path], profile=prof)
     if branch.failure is not None and not branch.solutions:
         return EXIT_NUMERICAL
@@ -315,14 +314,7 @@ def cmd_tile(args):
             meta={"kind": "pure-tone", "k": args.k, "alpha": args.alpha},
         )
     extended = linwave.extend_tile(tile)
-    outputs = []
-    csv_path = out / "tile.csv"
-    linwave.tile_to_csv(extended, csv_path)
-    outputs.append(csv_path)
-    if args.binary:
-        bin_path = out / "tile.bin"
-        linwave.tile_to_binary(extended, bin_path)
-        outputs.append(bin_path)
+    outputs = _write_tile(out, "tile", extended, args.binary)
     _write_manifest(out, "tile", args, t0, outputs, profile=prof,
                     extra={"seam_max": extended.meta.get("seam_max")})
     return EXIT_OK

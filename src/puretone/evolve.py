@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResonanceError, ShockProximityError
-from .profile import PiecewiseConstantProfile
+from .profile import ConstantPiece
 from . import sl_core
 from . import spectrum as _spectrum
 
@@ -213,17 +213,6 @@ class EvolutionConfig:
 # -- the x-march ----------------------------------------------------------------------
 
 
-def _piece_table(profile):
-    """(x0, x1, sigma_const_or_None, sigma_fn) per piece."""
-    edges = profile.edges
-    if isinstance(profile, PiecewiseConstantProfile):
-        return [
-            (edges[i], edges[i + 1], float(profile.sigma_levels[i]), None)
-            for i in range(profile.n_levels)
-        ]
-    return [(p.x0, p.x1, None, p.sigma) for p in profile.pieces]
-
-
 def _grad_bound(a, b, omega_modes):
     """l1 upper bound for max_t |d y/d t|; finite only if every coefficient is."""
     mags = np.abs(a) + np.abs(b)
@@ -338,16 +327,17 @@ class _Marcher:
                 snaps.append((a[0].copy(), b[0].copy()))
 
         take(0.0, a, b)
-        for x0, x1, sig_const, sig_fn in _piece_table(self.profile):
-            targets = [xn for xn in nodes if x0 - eps < xn < x1 - eps] + [x1]
-            if sig_const is not None:
-                const = self.frozen(sig_const)
+        for piece in self.profile.pieces:
+            targets = [xn for xn in nodes if piece.x0 - eps < xn < piece.x1 - eps] + [piece.x1]
+            constant = isinstance(piece, ConstantPiece)
+            if constant:
+                const = self.frozen(piece.level)
                 # an explicit cfg.dx is honoured as is, so eta is not needed
                 eta = 1.0 if self.cfg.dx is not None else self.eta(a, b, const)
-                dx = self.cfg.resolved_dx(self.profile, self.T, sig_const, eta)
+                dx = self.cfg.resolved_dx(self.profile, self.T, piece.level, eta)
             else:
                 dx = self.cfg.resolved_dx(self.profile, self.T)
-            x = x0
+            x = piece.x0
             for xt in targets:
                 seg = xt - x
                 if seg <= 0.0:
@@ -355,13 +345,13 @@ class _Marcher:
                     continue
                 n_steps = max(1, int(np.ceil(seg / dx)))
                 h = seg / n_steps
-                if sig_const is not None:
+                if constant:
                     stages = (const, const, const)
                     rot = self.half_turn(const, h)
                 for _ in range(n_steps):
-                    if sig_const is None:
+                    if not constant:
                         xs = (x, x + 0.5 * h, x + h)
-                        stages = tuple(self.frozen(float(sig_fn(xx))) for xx in xs)
+                        stages = tuple(self.frozen(float(piece.sigma(xx))) for xx in xs)
                         rot = self.half_turn(stages[1], h)
                     a, b = self._step(self.remainder, a, b, h, rot, stages)
                     x += h
@@ -513,12 +503,9 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
         return eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig))
 
     state = (np.eye(2), 0.0, 0.0)
-    if isinstance(profile, PiecewiseConstantProfile):
-        for sigma, width in zip(profile.sigma_levels, profile.widths):
-            state = _duhamel_constant(state, float(sigma), float(width), omega, vpp)
-    else:
-        for piece in profile.pieces:
-            state = _duhamel_smooth(state, piece, omega, vpp)
+    for piece in profile.pieces:
+        duhamel = _duhamel_constant if isinstance(piece, ConstantPiece) else _duhamel_smooth
+        state = duhamel(state, piece, omega, vpp)
     psi_mat, a_ell, b_ell = state
     phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
     psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
@@ -537,7 +524,7 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
     )
 
 
-def _duhamel_constant(state, sigma, width, omega, vpp):
+def _duhamel_constant(state, piece, omega, vpp):
     """(Psi, a, b) across a constant piece, in closed form.
 
     With theta = omega sigma x from the piece's start, phi = u.(cos, sin)
@@ -545,6 +532,7 @@ def _duhamel_constant(state, sigma, width, omega, vpp):
     Psi; the integrals of cos^2, sin^2 and sin cos over the piece are exact.
     """
     psi_mat, a, b = state
+    sigma, width = piece.level, piece.width
     rate = omega * sigma
     turn = rate * width
     half, tilt = 0.5 * width, np.sin(2.0 * turn) / (4.0 * rate)
@@ -554,7 +542,7 @@ def _duhamel_constant(state, sigma, width, omega, vpp):
     weight = omega * float(vpp(sigma))
     a += weight * (u0 * w0 * cc + (u0 * w1 + u1 * w0) * sc + u1 * w1 * ss)
     b -= weight * (u0 * u0 * cc + 2.0 * u0 * u1 * sc + u1 * u1 * ss)
-    return sl_core._pwc_piece_matrix(sigma, omega, width) @ psi_mat, a, b
+    return sl_core._piece_matrix(piece, omega) @ psi_mat, a, b
 
 
 def _duhamel_smooth(state, piece, omega, vpp):

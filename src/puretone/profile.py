@@ -1,17 +1,19 @@
-"""Entropy / wavespeed profiles on [0, ell].
+"""Entropy / wavespeed profiles on [0, ell], as tuples of contiguous pieces.
 
-Two concrete kinds:
+Each piece has ends x0 < x1, sigma(x) and sigma_samples, whose first and last
+entries are sigma at its ends; jumps are allowed between pieces.
 
-* :class:`PiecewiseConstantProfile` : N constant levels sigma_1..sigma_N of
-  widths L_1..L_N.  All Sturm-Liouville transfer algebra is exact here.
-* :class:`SmoothProfile` : piecewise-C1 sigma(x) given per piece as sampled
-  arrays with monotone cubic (PCHIP) interpolation, jumps allowed at the
-  interior breakpoints.
+* :class:`ConstantPiece` : sigma = level over a width; its SL transfer
+  algebra is exact.  A :class:`PiecewiseConstantProfile` holds N of them,
+  levels sigma_1..sigma_N of widths L_1..L_N.
+* :class:`SmoothPiece` : C1 sigma(x) sampled on an x grid with monotone cubic
+  (PCHIP) interpolation.  A :class:`SmoothProfile` holds any number of them.
 
-A profile may carry an equation of state and ambient pressure, in which case
-it supports the nonlinear machinery; sigma alone is enough for the linear
-(SL) machinery.  Both kinds serialize to the same JSON schema with a "kind"
-discriminator, see :func:`profile_to_dict`.
+Both profile kinds read edges, jumps, sigma_max, log_sigma_variation and
+sigma_at off their pieces.  A profile may carry an equation of state and
+ambient pressure, in which case it supports the nonlinear machinery; sigma
+alone is enough for the linear (SL) machinery.  Both kinds serialize to the
+same JSON schema with a "kind" discriminator, see :func:`profile_to_dict`.
 
 The even 2*ell-periodic extension implied by the tiling construction is never
 stored here; only the fundamental interval [0, ell] is represented.  Jumps
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,13 +49,84 @@ def _as_positive_array(values, name):
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantProfile:
+class ConstantPiece:
+    """One constant level of a pwc profile: sigma = level on [x0, x1].
+
+    width is the profile's own L_i; x0 and x1 are edges, cumulative sums
+    of the widths, so x1 - x0 may differ from width in the last bits.
+    """
+
+    x0: float
+    x1: float
+    level: float
+    width: float
+    sigma_samples: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma_samples", np.array([self.level, self.level]))
+
+    @property
+    def angle(self) -> float:
+        """Evolution angle theta_i = sigma_i * L_i."""
+        return self.level * self.width
+
+    def sigma(self, x):
+        return np.full(np.shape(x), self.level)
+
+
+class _PieceProfile:
+    """Profile properties shared by both kinds, read off `pieces`."""
+
+    @property
+    def n_pieces(self) -> int:
+        return len(self.pieces)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Piece edges x_0 = 0 < x_1 < ... < x_N."""
+        return np.array([p.x0 for p in self.pieces] + [self.pieces[-1].x1])
+
+    @property
+    def jumps(self) -> np.ndarray:
+        """J_i = sigma(x_i-) / sigma(x_i+) at the N-1 interior edges."""
+        pairs = zip(self.pieces[:-1], self.pieces[1:])
+        return np.array([left.sigma_samples[-1] / right.sigma_samples[0] for left, right in pairs])
+
+    @property
+    def sigma_max(self) -> float:
+        return float(max(np.max(p.sigma_samples) for p in self.pieces))
+
+    def log_sigma_variation(self) -> float:
+        """Total variation of log sigma inside the pieces (PCHIP is monotone
+        between samples, so the sample-based sum is exact for the interpolant)."""
+        return float(sum(np.sum(np.abs(np.diff(np.log(p.sigma_samples)))) for p in self.pieces))
+
+    def sigma_at(self, x):
+        """sigma(x), taking the right limit at interior edges."""
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_pieces - 1)
+        out = np.empty(x.shape)
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = piece.sigma(x[mask])
+        return out if x.ndim else float(out)
+
+    def require_eos(self):
+        if self.eos is None or self.pbar is None:
+            raise DomainError("profile carries no equation of state / ambient pressure")
+        return self.eos, self.pbar
+
+
+@dataclass(frozen=True)
+class PiecewiseConstantProfile(_PieceProfile):
     """N wavespeed levels sigma_i on consecutive intervals of width L_i."""
 
     sigma_levels: np.ndarray
     widths: np.ndarray
     pbar: Optional[float] = None
     eos: Optional[GammaLawEos] = None
+    pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = _as_positive_array(self.sigma_levels, "sigma_levels")
@@ -63,6 +137,9 @@ class PiecewiseConstantProfile:
             raise DomainError("pbar must be positive")
         object.__setattr__(self, "sigma_levels", sig)
         object.__setattr__(self, "widths", wid)
+        edges = np.concatenate(([0.0], np.cumsum(wid))).tolist()
+        pieces = map(ConstantPiece, edges[:-1], edges[1:], sig.tolist(), wid.tolist())
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @property
     def n_levels(self) -> int:
@@ -73,39 +150,14 @@ class PiecewiseConstantProfile:
         return float(np.sum(self.widths))
 
     @property
-    def edges(self) -> np.ndarray:
-        """Interval edges x_0 = 0 < x_1 < ... < x_N = ell."""
-        return np.concatenate(([0.0], np.cumsum(self.widths)))
-
-    @property
-    def jumps(self) -> np.ndarray:
-        """J_i = sigma_i / sigma_{i+1} at the N-1 interior interfaces."""
-        return self.sigma_levels[:-1] / self.sigma_levels[1:]
-
-    @property
     def angles(self) -> np.ndarray:
         """Evolution angles theta_i = sigma_i * L_i."""
         return self.sigma_levels * self.widths
-
-    @property
-    def sigma_max(self) -> float:
-        return float(np.max(self.sigma_levels))
-
-    def sigma_at(self, x):
-        """sigma(x), taking the right limit at interior edges."""
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_levels - 1)
-        return self.sigma_levels[idx]
 
     def entropy_factors(self) -> np.ndarray:
         """Per-level entropy factors A_i (requires eos and pbar)."""
         eos, pbar = self.require_eos()
         return eos.factor_from_sigma(pbar, self.sigma_levels)
-
-    def require_eos(self):
-        if self.eos is None or self.pbar is None:
-            raise DomainError("profile carries no equation of state / ambient pressure")
-        return self.eos, self.pbar
 
 
 @dataclass(frozen=True)
@@ -186,7 +238,7 @@ class SmoothPiece:
 
 
 @dataclass(frozen=True)
-class SmoothProfile:
+class SmoothProfile(_PieceProfile):
     """Piecewise C1 profile: contiguous smooth pieces with jumps in between."""
 
     pieces: tuple
@@ -207,55 +259,8 @@ class SmoothProfile:
         object.__setattr__(self, "pieces", pieces)
 
     @property
-    def n_pieces(self) -> int:
-        return len(self.pieces)
-
-    @property
     def ell(self) -> float:
         return self.pieces[-1].x1
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.array([p.x0 for p in self.pieces] + [self.ell])
-
-    @property
-    def jumps(self) -> np.ndarray:
-        """J_i = sigma(x_i-) / sigma(x_i+) at interior breakpoints."""
-        return np.array(
-            [
-                left.sigma_samples[-1] / right.sigma_samples[0]
-                for left, right in zip(self.pieces[:-1], self.pieces[1:])
-            ]
-        )
-
-    @property
-    def sigma_max(self) -> float:
-        return float(max(np.max(p.sigma_samples) for p in self.pieces))
-
-    def log_sigma_variation(self) -> float:
-        """Total variation of log sigma inside the pieces (PCHIP is monotone
-        between samples, so the sample-based sum is exact for the interpolant)."""
-        return float(
-            sum(np.sum(np.abs(np.diff(np.log(p.sigma_samples)))) for p in self.pieces)
-        )
-
-    def sigma_at(self, x):
-        x = np.asarray(x, dtype=float)
-        edges = self.edges
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, self.n_pieces - 1)
-        out = np.empty_like(np.atleast_1d(x), dtype=float)
-        flat_idx = np.atleast_1d(idx)
-        flat_x = np.atleast_1d(x)
-        for i, piece in enumerate(self.pieces):
-            mask = flat_idx == i
-            if np.any(mask):
-                out[mask] = piece.sigma(flat_x[mask])
-        return out if x.ndim else float(out[0])
-
-    def require_eos(self):
-        if self.eos is None or self.pbar is None:
-            raise DomainError("profile carries no equation of state / ambient pressure")
-        return self.eos, self.pbar
 
 
 def constant_profile(sigma, ell, pbar=None, eos=None) -> PiecewiseConstantProfile:
@@ -271,12 +276,8 @@ def reversed_profile(profile):
     uses (the extended entropy is even).
     """
     if isinstance(profile, PiecewiseConstantProfile):
-        return PiecewiseConstantProfile(
-            profile.sigma_levels[::-1].copy(),
-            profile.widths[::-1].copy(),
-            pbar=profile.pbar,
-            eos=profile.eos,
-        )
+        levels, widths = profile.sigma_levels[::-1].copy(), profile.widths[::-1].copy()
+        return PiecewiseConstantProfile(levels, widths, pbar=profile.pbar, eos=profile.eos)
     ell = profile.ell
     pieces = tuple(
         SmoothPiece((ell - p.x[::-1]), p.sigma_samples[::-1].copy())
@@ -325,32 +326,62 @@ def profile_to_dict(profile) -> dict:
     return doc
 
 
+def _field(obj, key, name, kind="a number"):
+    """obj[key] of a profile document: "a number", "a list of numbers" or "a list".
+
+    DomainError naming the field if obj is not an object, lacks the key or
+    holds a value of another kind.
+    """
+    if not isinstance(obj, dict):
+        raise DomainError(f"profile {name.rpartition('.')[0]} must be a JSON object")
+    if key not in obj:
+        raise DomainError(f"profile field {name!r} is missing")
+    value = obj[key]
+    items = [value] if kind == "a number" else value
+    if not isinstance(items, (list, tuple, np.ndarray)) or kind != "a list" and any(
+        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items
+    ):
+        raise DomainError(f"profile field {name!r} must be {kind} (got {value!r})")
+    return value
+
+
 def profile_from_dict(doc: dict):
+    """Inverse of profile_to_dict; DomainError names a missing or malformed field."""
+    if not isinstance(doc, dict):
+        raise DomainError("profile document must be a JSON object")
     kind = doc.get("kind")
-    pbar = doc.get("pbar")
+    pbar = None if doc.get("pbar") is None else _field(doc, "pbar", "pbar")
     eos = None
     if "eos" in doc:
-        eos = GammaLawEos(gamma=doc["eos"]["gamma"], k_ref=doc["eos"].get("k_ref", 1.0))
+        gamma = _field(doc["eos"], "gamma", "eos.gamma")
+        k_ref = _field(doc["eos"], "k_ref", "eos.k_ref") if "k_ref" in doc["eos"] else 1.0
+        eos = GammaLawEos(gamma=gamma, k_ref=k_ref)
     if kind == "pwc":
-        widths = np.array([lv["L"] for lv in doc["levels"]], dtype=float)
+        levels = _field(doc, "levels", "levels", "a list")
+        widths = [_field(lv, "L", f"levels[{i}].L") for i, lv in enumerate(levels)]
+        widths = np.array(widths, dtype=float)
         sigma = np.empty(widths.size)
-        for i, lv in enumerate(doc["levels"]):
+        for i, lv in enumerate(levels):
             if "sigma" in lv:
-                sigma[i] = lv["sigma"]
+                sigma[i] = _field(lv, "sigma", f"levels[{i}].sigma")
             elif "A" in lv:
                 if eos is None or pbar is None:
                     raise DomainError("entropy-factor levels need eos and pbar in the file")
-                sigma[i] = eos.sigma_from_factor(pbar, lv["A"])
+                sigma[i] = eos.sigma_from_factor(pbar, _field(lv, "A", f"levels[{i}].A"))
             else:
-                raise DomainError("each level needs 'sigma' or 'A'")
+                raise DomainError(f"profile field 'levels[{i}].sigma' (or 'A') is missing")
         profile = PiecewiseConstantProfile(sigma, widths, pbar=pbar, eos=eos)
     elif kind == "smooth":
-        pieces = tuple(SmoothPiece(p["x"], p["sigma"]) for p in doc["pieces"])
+        pieces = tuple(
+            SmoothPiece(_field(p, "x", f"pieces[{i}].x", "a list of numbers"),
+                        _field(p, "sigma", f"pieces[{i}].sigma", "a list of numbers"))
+            for i, p in enumerate(_field(doc, "pieces", "pieces", "a list"))
+        )
         profile = SmoothProfile(pieces, pbar=pbar, eos=eos)
     else:
         raise DomainError(f"unknown profile kind {kind!r}")
     if "ell" in doc:
-        ell = float(doc["ell"])
+        ell = float(_field(doc, "ell", "ell"))
         if abs(profile.ell - ell) > ELL_RTOL * max(1.0, abs(ell)) * 1e3:
             raise DomainError(f"declared ell={ell} does not match pieces (got {profile.ell})")
     return profile

@@ -16,17 +16,16 @@ angle chain is closed on its own, and amplitudes come from Psi.
 
 The angle h carries an explicit integer winding m = floor(z/pi + 1/2), so
 theta is continuous and unbounded in omega; eigenfrequencies are the roots of
-theta(ell, omega) = k*pi/2 with theta(0) = 0.  One chain serves every
-profile: advance across piece i, then apply the jump map.  A constant piece
-turns theta by exactly omega*sigma_i*L_i.
+theta(ell, omega) = k*pi/2 with theta(0) = 0.
 
-For piecewise constant profiles the transfer matrices are exact products of
-rotations R(omega*theta_i) conjugated by the aspect matrices
-M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)).
-Smooth pieces are stepped by the fourth-order Magnus method with two Gauss
+Every routine walks `profile.pieces` once and chooses its method per piece.
+Across a profile.ConstantPiece theta turns by exactly omega*sigma_i*L_i, and
+the transfer matrix is the rotation R(omega*sigma_i*L_i) conjugated by the
+aspect matrix M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)).
+A smooth piece is stepped by the fourth-order Magnus method with two Gauss
 points (Iserles 2002, BIT 42:561), vectorized over omega: every step is the
 exponential of a traceless 2x2 matrix in closed form, so det = 1 holds step
-by step, and on a constant piece one step is the exact rotation.  Transfer
+by step, and on a constant stretch one step is the exact rotation.  Transfer
 matrices and end states are ordered products of the steps, formed by
 pairwise tree reduction in O(steps) 2x2 products.  The winding of theta
 comes from the phase integral, which fixes it wherever half the
@@ -39,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .profile import PiecewiseConstantProfile, SmoothPiece
+from .profile import ConstantPiece, SmoothPiece
 
 #: maximum |det(Psi) - 1| tolerated after any composition
 PSI_DET_TOL = 1e-12
@@ -311,68 +310,63 @@ def prufer_advance(piece: SmoothPiece, omega, theta, tol=PRUFER_TOL, zeta=None):
 def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
     """theta(ell), or (theta, d theta/d omega), through N pieces and N-1 jumps.
 
-    `jumps` has shape (..., N-1).  `pieces` is a pwc profile's angles, shape
-    (..., N), where piece i turns theta by exactly omega * angles[..., i]; or
-    a smooth profile's N pieces, each advanced by prufer_advance.  Vectorized
-    over omega, which broadcasts against the batch shape of jumps and angles.
-    The jumps are validated once per call.
+    `jumps` has shape (..., N-1).  `pieces` is a profile's N pieces, or a
+    batch of pwc angles of shape (..., N).  A SmoothPiece is advanced by
+    prufer_advance; a ConstantPiece or a batch's piece turns theta by
+    exactly omega times its angle.  Vectorized over omega, which broadcasts
+    against the batch shape.  The jumps are validated once per call.
     """
     jumps = _check_jump(jumps)
+    if isinstance(pieces, np.ndarray):
+        pieces = [pieces[..., i] for i in range(pieces.shape[-1])]
     omega = np.asarray(omega, dtype=float)
     z = np.broadcast_to(np.asarray(theta0, dtype=float), omega.shape).astype(float)
     dz = np.zeros_like(z) if with_slope else None
-    pwc = isinstance(pieces, np.ndarray)
-    n = jumps.shape[-1] + 1
-    for i in range(n):
-        if pwc:
-            z = z + omega * pieces[..., i]
-            if with_slope:
-                dz = dz + pieces[..., i]
+    for i, piece in enumerate(pieces):
+        if isinstance(piece, SmoothPiece):
+            z, dz = prufer_advance(piece, omega, z, zeta=dz)
         else:
-            z, dz = prufer_advance(pieces[i], omega, z, zeta=dz)
-        if i < n - 1:
+            angle = piece.angle if isinstance(piece, ConstantPiece) else piece
+            z = z + omega * angle
+            if with_slope:
+                dz = dz + angle
+        if i < jumps.shape[-1]:
             z, dh = _jump_map(jumps[..., i], z, with_slope)
             if with_slope:
                 dz = dh * dz
     return (z, dz) if with_slope else z
 
 
-def _chain_pieces(profile):
-    return profile.angles if isinstance(profile, PiecewiseConstantProfile) else profile.pieces
-
-
 def angle_at_ell(profile, omega, theta0=0.0):
     """Prüfer angle theta(ell, omega) with initial angle theta0 at x = 0.
 
-    Strictly increasing in omega; accepts vector omega.  Exact for piecewise
-    constant profiles; smooth pieces are stepped by the Magnus propagator.
+    Strictly increasing in omega; accepts vector omega.  Exact across
+    constant pieces; smooth pieces are stepped by the Magnus propagator.
     """
-    return _angle_chain(profile.jumps, _chain_pieces(profile), omega, theta0)
+    return _angle_chain(profile.jumps, profile.pieces, omega, theta0)
 
 
 def angle_and_slope_at_ell(profile, omega, theta0=0.0):
     """(theta(ell), d theta(ell)/d omega); the slope is positive."""
-    return _angle_chain(profile.jumps, _chain_pieces(profile), omega, theta0, with_slope=True)
+    return _angle_chain(profile.jumps, profile.pieces, omega, theta0, with_slope=True)
 
 
 # -- fundamental (transfer) matrices --------------------------------------------
 
 
 def _pwc_piece_matrix(sigma, omega, dx):
-    """M(sigma) R(omega sigma dx) M(1/sigma), the exact constant-sigma transfer.
-
-    Vectorized over omega: the result has shape omega.shape + (2, 2).
-    """
+    """M(sigma) R(omega sigma dx) M(1/sigma), the exact constant-sigma transfer;
+    vectorized over omega, shape omega.shape + (2, 2)."""
     ang = np.asarray(omega, dtype=float) * (sigma * dx)
     c, s = np.cos(ang), np.sin(ang)
     return _traceless(c, 0.0, -s / sigma, sigma * s)
 
 
-def _smooth_piece_matrix(piece: SmoothPiece, omega, tol=PRUFER_TOL):
-    """Transfer matrix of one smooth piece, the ordered product of its Magnus steps.
-
-    Vectorized over omega: the result has shape omega.shape + (2, 2).
-    """
+def _piece_matrix(piece, omega, tol=PRUFER_TOL):
+    """Transfer matrix of one piece, exact if constant, else the ordered product
+    of its Magnus steps; vectorized over omega, shape omega.shape + (2, 2)."""
+    if isinstance(piece, ConstantPiece):
+        return _pwc_piece_matrix(piece.level, omega, piece.width)
     om = np.asarray(omega, dtype=float).reshape(-1)
     out = np.empty(om.shape + (2, 2))
     for idx, _, grid in _step_groups(piece, piece.x, om, tol):
@@ -389,38 +383,36 @@ def fundamental_matrix(profile, omega) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     psi_mat = np.broadcast_to(np.eye(2), omega.shape + (2, 2))
-    if isinstance(profile, PiecewiseConstantProfile):
-        for sigma, width in zip(profile.sigma_levels, profile.widths):
-            psi_mat = _pwc_piece_matrix(sigma, omega, width) @ psi_mat
-    else:
-        for piece in profile.pieces:
-            psi_mat = _smooth_piece_matrix(piece, omega) @ psi_mat
+    for piece in profile.pieces:
+        psi_mat = _piece_matrix(piece, omega) @ psi_mat
     return psi_mat
 
 
 def sample_sl_solution(profile, omega, v0, x_grid) -> np.ndarray:
     """Propagate the SL vector v0 = (phi, psi)(0) to every point of x_grid.
 
-    Returns an array of shape (2, len(x_grid)).  x_grid must be sorted and
-    inside [0, ell]; values at interior jumps are continuous so either side
-    gives the same answer.
+    Returns an array of shape (2, len(x_grid)).  x_grid may be in any order
+    and must lie inside [0, ell] (to within 1e-14), else DomainError; values
+    at interior jumps are continuous so either side gives the same answer.
+    A pwc ell (a sum of widths) may lie ulps past the last edge (a cumsum);
+    the last piece takes the points up to either.
     """
     x_grid = np.asarray(x_grid, dtype=float)
+    edges = profile.edges
+    top = max(profile.ell, edges[-1]) + 1e-14
+    if not np.all((x_grid >= -1e-14) & (x_grid <= top)):
+        raise DomainError(f"sample points must lie in [0, {profile.ell!r}]")
     out = np.empty((2, x_grid.size))
     v = np.asarray(v0, dtype=float)
-    edges = profile.edges
     om = np.array([float(omega)])
-    for i in range(edges.size - 1):
+    for i, piece in enumerate(profile.pieces):
         x0, x1 = edges[i], edges[i + 1]
-        last = i == edges.size - 2
-        sel = (x_grid >= x0 - 1e-14) & ((x_grid <= x1 + 1e-14) if last else (x_grid < x1))
+        sel = (x_grid >= x0 - 1e-14) & ((x_grid <= top) if i == edges.size - 2 else (x_grid < x1))
         targets = np.clip(x_grid[sel], x0, x1)
-        if isinstance(profile, PiecewiseConstantProfile):
-            sigma = profile.sigma_levels[i]
-            out[:, sel] = (_pwc_piece_matrix(sigma, om[0], targets - x0) @ v).T
-            v = _pwc_piece_matrix(sigma, om[0], x1 - x0) @ v
+        if isinstance(piece, ConstantPiece):
+            out[:, sel] = (_pwc_piece_matrix(piece.level, om[0], targets - x0) @ v).T
+            v = _pwc_piece_matrix(piece.level, om[0], x1 - x0) @ v
             continue
-        piece = profile.pieces[i]
         # the targets join the sample knots, so every target ends a step
         knots = np.union1d(piece.x, targets)
         x, psis = magnus_states(piece, om[0], knots)

@@ -222,14 +222,9 @@ def divisor_bound(profile) -> float:
     Prüfer variables contributes max(sqrt sigma(ell), 1/sqrt sigma(ell)).
     Within C1 pieces the log-radius moves by at most TV(log sigma)/2.
     """
-    if isinstance(profile, PiecewiseConstantProfile):
-        s0 = float(profile.sigma_levels[0])
-        s1 = float(profile.sigma_levels[-1])
-        interior = 1.0
-    else:
-        s0 = float(profile.pieces[0].sigma_samples[0])
-        s1 = float(profile.pieces[-1].sigma_samples[-1])
-        interior = np.exp(0.5 * profile.log_sigma_variation())
+    s0 = float(profile.pieces[0].sigma_samples[0])
+    s1 = float(profile.pieces[-1].sigma_samples[-1])
+    interior = np.exp(0.5 * profile.log_sigma_variation())
     jump_factor = float(np.prod(np.maximum(np.sqrt(profile.jumps), 1.0 / np.sqrt(profile.jumps))))
     return np.sqrt(s0) * max(np.sqrt(s1), 1.0 / np.sqrt(s1)) * jump_factor * interior
 

@@ -32,10 +32,10 @@ from puretone.evolve import (
     FourierField,
     QuietSecondDerivative,
     _Marcher,
-    _piece_table,
     coeffs_to_grid,
     evolve_coefficients,
 )
+from puretone.profile import ConstantPiece
 from puretone.sl_core import (
     _angle_chain,
     _magnus_steps,
@@ -261,8 +261,10 @@ def dense_second_derivative(profile, eos, k, chi, phase_per_step):
         return float(eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig)))
 
     y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    for x0, x1, sig_const, sig_fn in _piece_table(profile):
-        if sig_const is not None:
+    for piece in profile.pieces:
+        x0, x1 = piece.x0, piece.x1
+        if isinstance(piece, ConstantPiece):
+            sig_const = piece.level
             vpp_const = vpp_at(sig_const)
 
             def f(xx, yy):
@@ -272,10 +274,10 @@ def dense_second_derivative(profile, eos, k, chi, phase_per_step):
         else:
 
             def f(xx, yy):
-                sig = float(sig_fn(xx))
+                sig = float(piece.sigma(xx))
                 return rhs(xx, yy, sig, vpp_at(sig))
 
-            smax = float(np.max(sig_fn(np.linspace(x0, x1, 65))))
+            smax = float(np.max(piece.sigma(np.linspace(x0, x1, 65))))
         h_max = phase_per_step / max(omega * smax, 1e-30)
         n_steps = max(8, int(np.ceil((x1 - x0) / h_max)))
         h = (x1 - x0) / n_steps

@@ -123,6 +123,25 @@ def test_bad_genericity_arguments_fail_typed(tmp_path, capsys, argv, code, error
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "pwc"}, "levels"),
+        ({"kind": "pwc", "eos": {}, "levels": [{"sigma": 1.0, "L": 1.0}]}, "eos.gamma"),
+        ({"kind": "pwc", "levels": [{"sigma": "abc", "L": 1.0}]}, "levels[0].sigma"),
+    ],
+)
+def test_bad_profile_file_fails_typed(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["eigen", "--profile", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "_UsageFailure"
+    assert repr(field) in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     rc = main(
         ["perturb", "--profile", const_file, "--k", "1", "--modes", "8", "--nt", "32",

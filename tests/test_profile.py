@@ -56,6 +56,18 @@ def test_angles_and_jumps():
     assert_allclose(prof.edges, [0.0, 0.5, 1.0])
 
 
+def test_pwc_pieces_keep_cumulative_edges_and_own_widths():
+    # with twelve widths the pairwise np.sum (ell) and the running cumsum
+    # (the edges) may differ in the last bit; each keeps its own rounding
+    widths = np.random.default_rng(0).uniform(0.05, 1.0, 12)
+    prof = PiecewiseConstantProfile(np.linspace(1.0, 2.0, 12), widths)
+    edges = np.concatenate(([0.0], np.cumsum(widths)))
+    assert prof.ell == np.sum(widths)
+    assert np.array_equal(prof.edges, edges)
+    assert [(p.x0, p.x1, p.width) for p in prof.pieces] == list(zip(edges[:-1], edges[1:], widths))
+    assert np.array_equal([p.angle for p in prof.pieces], prof.angles)
+
+
 def test_sigma_integral_pwc():
     prof = PiecewiseConstantProfile([1.0, 2.0], [0.5, 0.5])
     assert_allclose(sigma_integral(prof), 1.5, rtol=1e-15)
@@ -154,6 +166,49 @@ def test_json_smooth_round_trip(smooth_jumpy, tmp_path):
 def test_json_bad_kind():
     with pytest.raises(DomainError):
         profile_from_dict({"kind": "nope", "ell": 1.0})
+
+
+_LEVEL = {"sigma": 1.0, "L": 1.0}
+_PIECE = {"x": [0.0, 1.0], "sigma": [1.0, 2.0]}
+
+
+def _pwc(**extra):
+    return {"kind": "pwc", "levels": [_LEVEL], **extra}
+
+
+def _smooth(*pieces):
+    return {"kind": "smooth", "pieces": list(pieces)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_LEVEL], "document must be a JSON object"),
+        ({"kind": "pwc"}, "'levels' is missing"),
+        (_pwc(levels=_LEVEL), "'levels' must be a list"),
+        (_pwc(levels=[1.0]), "levels[0] must be a JSON object"),
+        (_pwc(levels=[{"sigma": 1.0}]), "'levels[0].L' is missing"),
+        (_pwc(levels=[_LEVEL, {"L": 1.0}]), "'levels[1].sigma' (or 'A') is missing"),
+        (_pwc(levels=[{"sigma": "abc", "L": 1.0}]), "'levels[0].sigma' must be a number"),
+        (_pwc(levels=[{"sigma": 1.0, "L": None}]), "'levels[0].L' must be a number"),
+        (_pwc(eos={}), "'eos.gamma' is missing"),
+        (_pwc(eos=2.0), "eos must be a JSON object"),
+        (_pwc(eos={"gamma": "2"}), "'eos.gamma' must be a number"),
+        (_pwc(eos={"gamma": 2.0, "k_ref": [1.0]}), "'eos.k_ref' must be a number"),
+        (_pwc(pbar=True), "'pbar' must be a number"),
+        (_pwc(ell="1"), "'ell' must be a number"),
+        ({"kind": "smooth"}, "'pieces' is missing"),
+        (_smooth({"sigma": [1.0, 2.0]}), "'pieces[0].x' is missing"),
+        (_smooth({"x": [0.0, 1.0]}), "'pieces[0].sigma' is missing"),
+        (_smooth(_PIECE, "p"), "pieces[1] must be a JSON object"),
+        (_smooth({"x": [0.0, 1.0], "sigma": "abc"}), "'pieces[0].sigma' must be a list of numbers"),
+        (_smooth({"x": [0, "1"], "sigma": [1, 2]}), "'pieces[0].x' must be a list of numbers"),
+    ],
+)
+def test_json_malformed_fields_fail_typed(doc, message):
+    with pytest.raises(DomainError) as info:
+        profile_from_dict(doc)
+    assert message in str(info.value)
 
 
 def test_json_ell_mismatch():

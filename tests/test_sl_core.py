@@ -13,12 +13,21 @@ from _oracles import (
     random_pwc,
     sl_residual,
 )
+from puretone import sl_core
 from puretone.errors import DomainError, IntegrationError
-from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile
+from puretone.evolve import (
+    EvolutionConfig,
+    FourierField,
+    linearized_evolve,
+    nonlinear_evolve,
+    second_derivative_quiet,
+)
+from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile, from_jump_angles
 from puretone.sl_core import (
     PRUFER_TOL,
+    PSI_DET_TOL,
     _jump_map,
-    _smooth_piece_matrix,
+    _piece_matrix,
     angle_and_slope_at_ell,
     angle_at_ell,
     fundamental_matrix,
@@ -27,6 +36,7 @@ from puretone.sl_core import (
     quarter_cos_sin,
     sample_sl_solution,
 )
+from puretone.spectrum import DEFAULT_MC_BOX, eigen_solve, resonance_scan
 
 jumps = st.floats(min_value=1e-3, max_value=1e3)
 angles = st.floats(min_value=-30.0, max_value=30.0)
@@ -245,9 +255,7 @@ def test_composition_consistency_smooth():
     right_piece = SmoothPiece(xr, 1.0 + xr)
     for w in (1.3, 5.2):
         whole_m = fundamental_matrix(whole, w)
-        from puretone.sl_core import _smooth_piece_matrix
-
-        split = _smooth_piece_matrix(right_piece, w) @ fundamental_matrix(left, w)
+        split = _piece_matrix(right_piece, w) @ fundamental_matrix(left, w)
         assert np.max(np.abs(whole_m - split)) < 1e-8
 
 
@@ -264,6 +272,28 @@ def test_sample_solution_continuity(two_level, smooth_jumpy):
         jump_idx = np.argmin(np.abs(x - 0.5)) if prof is two_level else np.argmin(np.abs(x - 0.4))
         step = np.abs(np.diff(vals, axis=1))
         assert step[:, jump_idx].max() < 10 * np.median(step.max(axis=0))
+
+
+def test_sample_solution_refuses_points_outside(two_level, smooth_jumpy):
+    # points past the 1e-14 slack were never written; the grid may be unsorted
+    for prof in (two_level, smooth_jumpy):
+        for bad in ([0.2, 1.5], [2.0], [-1e-3, 0.5], [np.nan]):
+            with pytest.raises(DomainError):
+                sample_sl_solution(prof, 2.3, (1.0, 0.0), bad)
+        x = np.array([0.7, 1.0 + 5e-15, 0.1, -5e-15, 0.45])
+        order = np.argsort(x)
+        vals = sample_sl_solution(prof, 2.3, (1.0, 0.0), x)
+        assert np.array_equal(vals[:, order], sample_sl_solution(prof, 2.3, (1.0, 0.0), x[order]))
+
+
+def test_sample_solution_reaches_ell_past_the_last_edge():
+    # with these widths ell = np.sum lies 2.8e-14 past the last edge, a
+    # cumsum; the row at ell was left unwritten (nan, 1e152) before
+    widths = [24.984, 25.353, 24.95, 25.783, 24.931, 14.803, 21.201, 23.092, 12.652, 20.9,
+              27.52, 6.603]
+    prof = PiecewiseConstantProfile(np.linspace(1.0, 2.0, 12), widths)
+    vals = sample_sl_solution(prof, 0.05, (1.0, 0.0), np.linspace(0.0, prof.ell, 17))
+    assert np.max(np.abs(vals[:, -1] - fundamental_matrix(prof, 0.05)[:, 0])) < 1e-12
 
 
 def test_prufer_reconstruction_satisfies_sl(smooth_ramp):
@@ -310,6 +340,68 @@ def test_constant_samples_reproduce_pwc_rotation():
         assert abs(th_s - th_p) < 1e-13
         assert abs(zeta_s - zeta_p) < 1e-13
         assert np.max(np.abs(fundamental_matrix(smooth, w) - fundamental_matrix(pwc, w))) < 1e-13
+
+
+_J_BOX, _THETA_BOX = DEFAULT_MC_BOX
+
+
+@st.composite
+def _jump_angle_draws(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    jumps = draw(st.lists(st.floats(*_J_BOX), min_size=n - 1, max_size=n - 1))
+    thetas = draw(st.lists(st.floats(*_THETA_BOX), min_size=n, max_size=n))
+    return jumps, thetas
+
+
+@given(_jump_angle_draws())
+@settings(max_examples=100, deadline=None)
+def test_constant_pieces_match_their_smooth_twin(draw):
+    # a pwc profile and the SmoothProfile of two-sample constant pieces built
+    # from the same levels share every piece property and the SL outputs
+    pwc = from_jump_angles(*draw)
+    twin = SmoothProfile(tuple(SmoothPiece([p.x0, p.x1], [p.level] * 2) for p in pwc.pieces))
+    assert np.array_equal(pwc.edges, twin.edges)
+    assert np.array_equal(pwc.jumps, twin.jumps)
+    assert pwc.sigma_max == twin.sigma_max
+    assert pwc.log_sigma_variation() == twin.log_sigma_variation() == 0.0
+    x = np.linspace(0.0, pwc.ell, 41)
+    assert np.array_equal(pwc.sigma_at(x), twin.sigma_at(x))
+    # to 1e-12 relative to the largest entry: theta, its slope and Psi reach
+    # 10-100 here, and the twin's Magnus rotation rounds differently
+    w = np.array([0.05, 0.7, 3.1, 12.0])
+    for pwc_out, twin_out in (
+        (fundamental_matrix(pwc, w), fundamental_matrix(twin, w)),
+        (np.array(angle_and_slope_at_ell(pwc, w)), np.array(angle_and_slope_at_ell(twin, w))),
+    ):
+        assert np.max(np.abs(pwc_out - twin_out)) <= 1e-12 * max(1.0, np.max(np.abs(twin_out)))
+    assert np.max(np.abs(np.linalg.det(fundamental_matrix(pwc, w)) - 1.0)) <= PSI_DET_TOL
+
+
+def test_pwc_work_stays_out_of_smooth_machinery(two_level, gamma2, monkeypatch):
+    # a constant piece is never sampled as a SmoothPiece nor sent through
+    # prufer_advance, so pwc work records no calls to either
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((SmoothPiece, "sigma"), (SmoothPiece, "dsigma"), (sl_core, "prufer_advance")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    eig = eigen_solve(two_level, 1)
+    resonance_scan(two_level, 1, j_max=16)
+    fundamental_matrix(two_level, np.array([0.5, 4.0]))
+    second_derivative_quiet(two_level, gamma2, 1, 1)
+    cfg = EvolutionConfig(M=8)
+    cos, sin = np.zeros(9), np.zeros(9)
+    cos[0], cos[1], sin[2] = 1.0, 1e-3, 5e-4
+    y0 = FourierField(eig.T, cos, sin)
+    nonlinear_evolve(two_level, gamma2, y0, cfg)
+    linearized_evolve(two_level, gamma2, y0, FourierField(eig.T, np.eye(9)[1], np.eye(9)[2]), cfg)
+    assert calls == []
 
 
 def test_smooth_high_frequency_matches_dense_oracle(smooth_jumpy):
@@ -373,7 +465,7 @@ def test_tree_matches_prefix_products(smooth_ramp, smooth_jumpy):
             theta, zeta = prufer_advance(piece, w, 0.3, zeta=0.7)
             assert abs(theta - ref_th[0]) < 1e-9
             assert abs(zeta / ref_zeta[0] - 1.0) < 1e-10
-            psi = _smooth_piece_matrix(piece, w)
+            psi = _piece_matrix(piece, w)
             assert np.max(np.abs(psi - prefix_piece_matrix(piece, om, PRUFER_TOL)[0])) < 1e-13
             checked += 1
     assert checked >= 60
