@@ -74,7 +74,6 @@ class BifurcationProblem:
     k: int
     chi: int = 1
     cfg: EvolutionConfig = None
-    alphas: tuple = (1e-4, 2e-4, 5e-4, 1e-3)
     newton_tol: float = 1e-10
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -221,7 +220,7 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
     The chord matrix is the quiet-state Jacobian, refreshed by a
     forward-difference one only when a step fails to contract (module
     docstring).  If the converged tail coefficients are not small against
-    max |a_j|, the cutoff M is doubled and the solve repeats.
+    max |a_j|, the cutoff M is doubled (n_quad kept >= 4 M) and the solve repeats.
     """
     problem.validate()
     pbar = problem.profile.pbar
@@ -245,7 +244,8 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
             if not tail_ok:
                 sol.diagnostics["tail_warning"] = "tail still large at max M"
             return sol
-        problem.cfg = replace(problem.cfg, M=2 * m)
+        n_quad = problem.cfg.n_quad and max(problem.cfg.n_quad, 4 * (2 * m))  # None stays 4 M
+        problem.cfg = replace(problem.cfg, M=2 * m, n_quad=n_quad)
         problem.validate()  # gate the divisors j in (M, 2M] as well
         warm = sol
 
@@ -339,10 +339,10 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
     )
 
 
-def branch_continue(problem: BifurcationProblem, alphas=None) -> BranchResult:
+def branch_continue(problem: BifurcationProblem, alphas=(1e-4, 2e-4, 5e-4, 1e-3)) -> BranchResult:
     """Walk the amplitude schedule with warm starts; stop at first failure."""
     problem.validate()
-    schedule = tuple(alphas if alphas is not None else problem.alphas)
+    schedule = tuple(alphas)
     if any(a2 <= a1 for a1, a2 in zip(schedule, schedule[1:])):
         raise SolverError("alpha schedule must be strictly increasing")
     solutions = []
@@ -379,7 +379,7 @@ class DgdzCheck:
     h_z: float
 
 
-def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck:
+def dgdz_check(problem: BifurcationProblem) -> DgdzCheck:
     """Central finite differences of f(alpha, z) against the Duhamel pairing.
 
     f(alpha, z) is the k-th sine coefficient of S E^ell (pbar + z + alpha
@@ -390,16 +390,17 @@ def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck
     m = problem.cfg.M
     eig = problem.eigen()
     pbar = problem.profile.pbar
+    h = 3e-4  # the central-difference step in alpha and in z
     batch = np.zeros((4, m + 1))
     signs = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
     for row, (sa, sz) in zip(batch, signs):
-        row[0] = pbar + sz * h_z
-        row[problem.k] = sa * h_alpha
+        row[0] = pbar + sz * h
+        row[problem.k] = sa * h
     (a_out, b_out), _ = evolve_coefficients(
         problem.profile, problem.eos, batch, np.zeros_like(batch), eig.T, problem.cfg
     )
     r = _sine_components(a_out, b_out, problem.chi)[:, problem.k - 1]
-    fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h_alpha * h_z)
+    fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
     d2 = problem.second_derivative()
     rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
     return DgdzCheck(
@@ -410,6 +411,6 @@ def dgdz_check(problem: BifurcationProblem, h_alpha=3e-4, h_z=3e-4) -> DgdzCheck
         phi_hat=d2.phi_hat,
         psi_hat=d2.psi_hat,
         b_ell=d2.b_ell,
-        h_alpha=float(h_alpha),
-        h_z=float(h_z),
+        h_alpha=h,
+        h_z=h,
     )

@@ -136,6 +136,8 @@ def cmd_eigen(args):
     prof = _load_profile(args.profile)
     chi = _chi_of(args)
     ks = [k for k in _parse_k_range(args.k_range) if chi == 1 or k % 2 == 0]
+    if not ks:
+        raise _UsageFailure(f"--k-range {args.k_range!r} holds no even k for --chi acoustic")
     rows = []
     for k in ks:
         eig = spectrum.eigen_solve(prof, k, chi)

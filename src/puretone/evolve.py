@@ -573,16 +573,14 @@ def _duhamel_smooth(state, piece, omega, vpp):
 # -- divisor-scaled norm ----------------------------------------------------------------
 
 
-def weighted_norm(y, table, b=3, k=None):
-    """Divisor-scaled H^b norm of an odd (sine) field.
+def weighted_norm(sines, table, k):
+    """Divisor-scaled H^b norm, b = 3, of an odd field's sine coefficients c_1..c_m.
 
     ||y||^2 = beta^2 + sum_{j != k} c_j^2 delta_j^{-2} j^{2b} with
     beta = c_k k^{2b}; the k-mode is the kernel direction and is not divided
     by its (vanishing) divisor.  A zero divisor at j != k is a resonance.
     """
-    if k is None:
-        raise DomainError("weighted_norm needs the distinguished mode k")
-    sines = y.sin[1:] if isinstance(y, FourierField) else np.asarray(y, dtype=float)
+    sines = np.asarray(sines, dtype=float)
     m = sines.size
     if table.j_max < m:
         raise DomainError("divisor table does not cover all modes of the field")
@@ -594,6 +592,6 @@ def weighted_norm(y, table, b=3, k=None):
         raise ResonanceError(f"zero divisor at j={1 + int(np.flatnonzero(bad)[0])}")
     total = 0.0
     if k <= m:
-        total += (sines[k - 1] * k ** (2 * b)) ** 2
-    total += np.sum((sines[others] / delta[others]) ** 2 * js[others] ** (2 * b))
+        total += (sines[k - 1] * k**6) ** 2
+    total += np.sum((sines[others] / delta[others]) ** 2 * js[others] ** 6)
     return float(np.sqrt(total))

@@ -56,7 +56,7 @@ class LinearMode:
 def eigenfunction_profiles(profile, eig, nx: int = 512) -> LinearMode:
     """Integrate the SL system at omega_k from (1, 0) over an nx+1 point grid."""
     x = _x_grid(profile, nx)
-    vals = sl_core.sample_sl_solution(profile, eig.omega, (1.0, 0.0), x)
+    vals = sl_core.sample_sl_solution(profile, eig.omega, x)
     return LinearMode(k=eig.k, chi=eig.chi, omega=eig.omega, x=x, phi=vals[0], psi=vals[1])
 
 

@@ -23,6 +23,7 @@ continuity required of the extension at those points.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import numbers
@@ -81,16 +82,20 @@ class _PieceProfile:
     def n_pieces(self) -> int:
         return len(self.pieces)
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        """Piece edges x_0 = 0 < x_1 < ... < x_N."""
-        return np.array([p.x0 for p in self.pieces] + [self.pieces[-1].x1])
+        """Piece edges x_0 = 0 < x_1 < ... < x_N; read-only, built once."""
+        edges = np.array([p.x0 for p in self.pieces] + [self.pieces[-1].x1])
+        edges.flags.writeable = False
+        return edges
 
-    @property
+    @functools.cached_property
     def jumps(self) -> np.ndarray:
-        """J_i = sigma(x_i-) / sigma(x_i+) at the N-1 interior edges."""
+        """J_i = sigma(x_i-) / sigma(x_i+) at the N-1 interior edges; read-only, built once."""
         pairs = zip(self.pieces[:-1], self.pieces[1:])
-        return np.array([left.sigma_samples[-1] / right.sigma_samples[0] for left, right in pairs])
+        jumps = np.array([left.sigma_samples[-1] / right.sigma_samples[0] for left, right in pairs])
+        jumps.flags.writeable = False
+        return jumps
 
     @property
     def sigma_max(self) -> float:

@@ -43,7 +43,7 @@ from .profile import ConstantPiece, SmoothPiece
 #: maximum |det(Psi) - 1| tolerated after any composition
 PSI_DET_TOL = 1e-12
 
-#: default error target of the Magnus step rule on one smooth piece
+#: error target of the Magnus step rule on one smooth piece
 PRUFER_TOL = 1e-11
 
 
@@ -112,7 +112,7 @@ _ERR_QUAD = 1.0 / 4320.0
 _MAX_STEPS, _MAX_BATCH = 2**17, 2**12
 
 
-def _step_groups(piece, knots, omega, tol, min_sub=1):
+def _step_groups(piece, knots, omega, min_sub=1):
     """Yield (omega indices, steps per interval, (h, s1^2, s2^2) at the Gauss points).
 
     With steps h = dx / 2**level on sample intervals of width dx, the global
@@ -120,12 +120,10 @@ def _step_groups(piece, knots, omega, tol, min_sub=1):
     I_c the integral of sigma sigma'^2 (the commutator term, dominant at
     large omega) and I_q that of |(sigma^2)''''| (the quadrature term), both
     from sigma' at the ends and midpoint of the cubic interval.  Each omega
-    gets the smallest level that meets `tol`, so its value does not depend on
-    the batch; knot intervals lie inside sample intervals.  Every knot
+    gets the smallest level that meets PRUFER_TOL, so its value does not
+    depend on the batch; knot intervals lie inside sample intervals.  Every knot
     interval holds max(2**level, min_sub) equal steps.
     """
-    if not tol > 0.0:
-        raise IntegrationError(f"Magnus step rule needs a positive tolerance (got {tol})")
     x, samples = piece.x, piece.sigma_samples
     dx = np.diff(x)
     d0, d1, dm = np.split(piece.dsigma(np.concatenate((x[:-1], x[1:], x[:-1] + 0.5 * dx))), 3)
@@ -133,13 +131,13 @@ def _step_groups(piece, knots, omega, tol, min_sub=1):
     comm = np.sum(dx**5 * np.maximum(samples[:-1], samples[1:]) * (d0**2 + 4.0 * dm**2 + d1**2) / 6.0)
     quad = np.sum(dx**5 * np.abs(8.0 * dm * d3 + 6.0 * d2 * d2))
     w = np.abs(omega)
-    need = (_ERR_COMM * w**3 * comm + _ERR_QUAD * w * quad) / tol
+    need = (_ERR_COMM * w**3 * comm + _ERR_QUAD * w * quad) / PRUFER_TOL
     level = np.ceil(0.25 * np.log2(np.maximum(need, 1.0))).astype(int)
     subs = np.maximum(2**level, int(min_sub))
     for sub in np.unique(subs):
         n = (knots.size - 1) * sub
         if n > _MAX_STEPS:
-            raise IntegrationError(f"Magnus steps {n} above {_MAX_STEPS} (tol={tol:.3g})")
+            raise IntegrationError(f"Magnus steps {n} above {_MAX_STEPS}")
         h = np.repeat(np.diff(knots) / sub, sub)
         mid = np.repeat(knots[:-1], sub) + (np.tile(np.arange(sub), knots.size - 1) + 0.5) * h
         sq = piece.sigma(np.concatenate((mid - _GAUSS * h, mid + _GAUSS * h))) ** 2
@@ -245,7 +243,7 @@ def _spans(piece, knots, sig, sub):
     return pos[cuts], sig[cuts]
 
 
-def _magnus_angle(piece, omega, theta, zeta, tol):
+def _magnus_angle(piece, omega, theta, zeta):
     """(theta, zeta or None) carried across one smooth piece; 1-D omega.
 
     The state goes through each span of steps as one tree-reduced product.
@@ -255,7 +253,7 @@ def _magnus_angle(piece, omega, theta, zeta, tol):
     to within half the log-variation of sigma.  Spans are cut (_spans) until
     that is at most pi/2, and the end angle is taken on the branch nearest
     the start angle plus the phase; this needs steps that resolve the
-    solution, which the step rule gives at any sensible `tol`.  zeta =
+    solution, which the step rule gives.  zeta =
     d theta/d omega is the exact derivative of the discrete angle, from
     v = d(phi, psi)/d omega carried with the (product, derivative) pairs.
     """
@@ -265,7 +263,7 @@ def _magnus_angle(piece, omega, theta, zeta, tol):
     y = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
     v = None if zeta is None else zeta[:, None] * np.stack((-y[:, 1] / sig[0], sig[0] * y[:, 0]), axis=-1)
     theta = theta.copy()
-    for idx, sub, grid in _step_groups(piece, knots, omega, tol):
+    for idx, sub, grid in _step_groups(piece, knots, omega):
         e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
         yi, th = y[idx, :, None], theta[idx]
         vi = None if zeta is None else v[idx, :, None]
@@ -288,27 +286,27 @@ def _magnus_angle(piece, omega, theta, zeta, tol):
     return theta, s1 * (phi * v[:, 1] - psi * v[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
 
 
-def prufer_advance(piece: SmoothPiece, omega, theta, tol=PRUFER_TOL, zeta=None):
+def prufer_advance(piece: SmoothPiece, omega, theta, zeta=None):
     """Advance theta across one smooth piece; vectorized over omega.
 
     The piece is stepped by the fourth-order Magnus method on 2**level
-    equal steps per sample interval, the level chosen per omega from `tol`
-    (see _step_groups), so a value at one omega does not depend on the other
-    omegas of the batch.  theta, and zeta = d theta/d omega when given,
+    equal steps per sample interval, the level chosen per omega from
+    PRUFER_TOL (see _step_groups), so a value at one omega does not depend
+    on the other omegas of the batch.  theta, and zeta = d theta/d omega when given,
     broadcast against omega.  Returns (theta, zeta), zeta None when not given.
     """
     shape = np.shape(omega)
     flat = lambda v: np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(-1)
     out = lambda v: v.reshape(shape) if shape else float(v[0])
-    th, ze = _magnus_angle(piece, flat(omega), flat(theta), None if zeta is None else flat(zeta), tol)
+    th, ze = _magnus_angle(piece, flat(omega), flat(theta), None if zeta is None else flat(zeta))
     return out(th), None if zeta is None else out(ze)
 
 
 # -- angle across the whole profile ---------------------------------------------
 
 
-def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
-    """theta(ell), or (theta, d theta/d omega), through N pieces and N-1 jumps.
+def _angle_chain(jumps, pieces, omega, with_slope=False):
+    """theta(ell), or (theta, d theta/d omega), from theta(0) = 0 across N pieces, N-1 jumps.
 
     `jumps` has shape (..., N-1).  `pieces` is a profile's N pieces, or a
     batch of pwc angles of shape (..., N).  A SmoothPiece is advanced by
@@ -320,7 +318,7 @@ def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
     if isinstance(pieces, np.ndarray):
         pieces = [pieces[..., i] for i in range(pieces.shape[-1])]
     omega = np.asarray(omega, dtype=float)
-    z = np.broadcast_to(np.asarray(theta0, dtype=float), omega.shape).astype(float)
+    z = np.zeros(omega.shape)
     dz = np.zeros_like(z) if with_slope else None
     for i, piece in enumerate(pieces):
         if isinstance(piece, SmoothPiece):
@@ -337,18 +335,18 @@ def _angle_chain(jumps, pieces, omega, theta0=0.0, with_slope=False):
     return (z, dz) if with_slope else z
 
 
-def angle_at_ell(profile, omega, theta0=0.0):
-    """Prüfer angle theta(ell, omega) with initial angle theta0 at x = 0.
+def angle_at_ell(profile, omega):
+    """Prüfer angle theta(ell, omega) from theta(0) = 0, the reflection condition u(0) = 0.
 
     Strictly increasing in omega; accepts vector omega.  Exact across
     constant pieces; smooth pieces are stepped by the Magnus propagator.
     """
-    return _angle_chain(profile.jumps, profile.pieces, omega, theta0)
+    return _angle_chain(profile.jumps, profile.pieces, omega)
 
 
-def angle_and_slope_at_ell(profile, omega, theta0=0.0):
-    """(theta(ell), d theta(ell)/d omega); the slope is positive."""
-    return _angle_chain(profile.jumps, profile.pieces, omega, theta0, with_slope=True)
+def angle_and_slope_at_ell(profile, omega):
+    """(theta(ell), d theta(ell)/d omega) from theta(0) = 0; the slope is positive."""
+    return _angle_chain(profile.jumps, profile.pieces, omega, with_slope=True)
 
 
 # -- fundamental (transfer) matrices --------------------------------------------
@@ -362,14 +360,14 @@ def _pwc_piece_matrix(sigma, omega, dx):
     return _traceless(c, 0.0, -s / sigma, sigma * s)
 
 
-def _piece_matrix(piece, omega, tol=PRUFER_TOL):
+def _piece_matrix(piece, omega):
     """Transfer matrix of one piece, exact if constant, else the ordered product
     of its Magnus steps; vectorized over omega, shape omega.shape + (2, 2)."""
     if isinstance(piece, ConstantPiece):
         return _pwc_piece_matrix(piece.level, omega, piece.width)
     om = np.asarray(omega, dtype=float).reshape(-1)
     out = np.empty(om.shape + (2, 2))
-    for idx, _, grid in _step_groups(piece, piece.x, om, tol):
+    for idx, _, grid in _step_groups(piece, piece.x, om):
         out[idx] = _tree_product(_magnus_steps(grid, om[idx])[0])[0]
     return out.reshape(np.shape(omega) + (2, 2))
 
@@ -388,8 +386,8 @@ def fundamental_matrix(profile, omega) -> np.ndarray:
     return psi_mat
 
 
-def sample_sl_solution(profile, omega, v0, x_grid) -> np.ndarray:
-    """Propagate the SL vector v0 = (phi, psi)(0) to every point of x_grid.
+def sample_sl_solution(profile, omega, x_grid) -> np.ndarray:
+    """Propagate the SL vector (phi, psi)(0) = (1, 0) to every point of x_grid.
 
     Returns an array of shape (2, len(x_grid)).  x_grid may be in any order
     and must lie inside [0, ell] (to within 1e-14), else DomainError; values
@@ -403,7 +401,7 @@ def sample_sl_solution(profile, omega, v0, x_grid) -> np.ndarray:
     if not np.all((x_grid >= -1e-14) & (x_grid <= top)):
         raise DomainError(f"sample points must lie in [0, {profile.ell!r}]")
     out = np.empty((2, x_grid.size))
-    v = np.asarray(v0, dtype=float)
+    v = np.array([1.0, 0.0])
     om = np.array([float(omega)])
     for i, piece in enumerate(profile.pieces):
         x0, x1 = edges[i], edges[i + 1]
@@ -432,7 +430,7 @@ def magnus_states(piece: SmoothPiece, omega, knots=None, min_sub=1):
     """
     knots = piece.x if knots is None else knots
     om = np.array([float(omega)])
-    (_, sub, grid), = _step_groups(piece, knots, om, PRUFER_TOL, min_sub)
+    (_, sub, grid), = _step_groups(piece, knots, om, min_sub)
     x = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * grid[0]
     p = _prefix_products(_magnus_steps(grid, om)[0])[:, 0]
     return np.concatenate((knots[:1], x)), np.concatenate((np.eye(2)[None], p))

@@ -27,7 +27,6 @@ are exactly the resonances k*omega_l = j*omega_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,9 +41,10 @@ KAPPA_TOL = 1e-12
 #: target PRUFER_TOL on each piece
 KAPPA_TOL_SMOOTH = 5e-11
 
-#: default thresholds of the resonance verdict
+#: thresholds of the resonance verdict (RESONANCE_TOL is the default `tol`)
 RESONANCE_TOL = 1e-8
 BORDERLINE_TOL = 1e-10
+EXACT_TOL = 1e-12  # genericity_mc counts residuals below this as exact resonances
 
 #: default Monte-Carlo sampling box: J in [0.2, 5], theta in [0.1, 3]
 DEFAULT_MC_BOX = ((0.2, 5.0), (0.1, 3.0))
@@ -87,7 +87,7 @@ class ResonanceReport:
 
 def kappa(profile, omega):
     """Continuous mode count (2/pi) theta(ell, omega)."""
-    return (2.0 / np.pi) * sl_core.angle_at_ell(profile, omega, 0.0)
+    return (2.0 / np.pi) * sl_core.angle_at_ell(profile, omega)
 
 
 def asymptotic_slope(profile) -> float:
@@ -148,7 +148,7 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
     return omega.reshape(shape), ok.reshape(shape)
 
 
-def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
+def _pwc_solve_targets(jumps, angles, targets, max_iter=80):
     """Roots of the pwc chain; jumps (..., N-1), angles (..., N) broadcast against targets.
 
     The active points' jumps and angles are gathered from broadcast views,
@@ -162,9 +162,9 @@ def _pwc_solve_targets(jumps, angles, targets, tol=KAPPA_TOL, max_iter=80):
 
     def chain(om, idx):
         at = np.unravel_index(idx, shape)
-        return sl_core._angle_chain(J[at], A[at], om, 0.0, with_slope=True)
+        return sl_core._angle_chain(J[at], A[at], om, with_slope=True)
 
-    return _solve_targets(chain, np.sum(angles, axis=-1), wiggle, targets, tol, max_iter)
+    return _solve_targets(chain, np.sum(angles, axis=-1), wiggle, targets, KAPPA_TOL, max_iter)
 
 
 def _solve_profile_targets(profile, targets):
@@ -173,7 +173,7 @@ def _solve_profile_targets(profile, targets):
         return _pwc_solve_targets(profile.jumps, profile.angles, targets)
     # |theta(ell) - omega*total| <= pi/2 per jump + TV(log sigma)/2 per piece
     wiggle = (profile.n_pieces - 1) * (np.pi / 2.0) + 0.5 * profile.log_sigma_variation() + 1e-9
-    slope = lambda om, _idx: sl_core.angle_and_slope_at_ell(profile, om, 0.0)
+    slope = lambda om, _idx: sl_core.angle_and_slope_at_ell(profile, om)
     return _solve_targets(slope, sigma_integral(profile), wiggle, targets, KAPPA_TOL_SMOOTH)
 
 
@@ -192,7 +192,7 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
     return EigenFrequency(k=k, omega=om, T=2.0 * np.pi * k / om, chi=chi, kappa_residual=res)
 
 
-def eigen_ladder(profile, k_max: int, chi: int = 1):
+def eigen_ladder(profile, k_max: int):
     """omega_1..omega_{k_max} (chi=1 labels); returns (omega, kappa_residual)."""
     ks = np.arange(1, k_max + 1, dtype=float)
     om, ok = _solve_profile_targets(profile, ks * np.pi / 2.0)
@@ -254,14 +254,12 @@ def resonance_scan(
     chi: int = 1,
     j_max: int = 64,
     tol: float = RESONANCE_TOL,
-    borderline: float = BORDERLINE_TOL,
-    l_max: Optional[int] = None,
 ) -> ResonanceReport:
     """Divisor scan at T = T_k plus the frequency-ratio cross check.
 
-    Verdict: 'nonresonant' iff min_{j != k} |delta_j(T_k)| > tol,
-    'resonant' below `borderline`, 'borderline' in between.  The ratio check
-    looks for integer relations k*omega_l ~ j*omega_k; these are exactly the
+    Verdict: 'nonresonant' iff min_{j != k} |delta_j(T_k)| > tol, 'resonant'
+    below BORDERLINE_TOL, 'borderline' in between.  The ratio check looks for
+    integer relations k*omega_l ~ j*omega_k (l <= j_max + 2); these are the
     zeros of delta_j, since delta_j(T_k) = 0 means j*2pi/T_k meets the
     boundary condition and hence is itself an eigenfrequency omega_l.
     """
@@ -272,24 +270,22 @@ def resonance_scan(
         absd[k - 1] = np.inf
     argmin_j = int(np.argmin(absd)) + 1
     min_div = float(absd[argmin_j - 1])
-    if min_div < borderline:
+    if min_div < BORDERLINE_TOL:
         verdict = "resonant"
     elif min_div <= tol:
         verdict = "borderline"
     else:
         verdict = "nonresonant"
 
-    if l_max is None:
-        l_max = j_max + 2
-    om_ladder, _ = eigen_ladder(profile, l_max, chi=1)
+    om_ladder, _ = eigen_ladder(profile, j_max + 2)
     checks = []
-    for l in range(1, l_max + 1):
+    for l, om_l in enumerate(om_ladder, start=1):
         if l == k:
             continue
-        j_star = int(np.rint(k * om_ladder[l - 1] / eig.omega))
+        j_star = int(np.rint(k * om_l / eig.omega))
         if j_star < 1 or j_star > j_max or j_star == k:
             continue
-        resid = abs(k * om_ladder[l - 1] - j_star * eig.omega) / eig.omega
+        resid = abs(k * om_l - j_star * eig.omega) / eig.omega
         checks.append((l, j_star, resid))
     checks.sort(key=lambda t: t[2])
     min_ratio = checks[0][2] if checks else np.inf
@@ -301,7 +297,7 @@ def resonance_scan(
         min_divisor=min_div,
         argmin_j=argmin_j,
         tol=tol,
-        borderline=borderline,
+        borderline=BORDERLINE_TOL,
         divisor_table=table,
         ratio_checks=tuple(checks),
         min_ratio_residual=float(min_ratio),
@@ -357,7 +353,6 @@ def genericity_mc(
     k_max: int = 12,
     l_max: int = 12,
     j_max: int = 24,
-    exact_tol: float = 1e-12,
 ) -> GenericityResult:
     """Sample (J, Theta) profiles and hunt for frequency-ratio resonances.
 
@@ -366,7 +361,7 @@ def genericity_mc(
     _BLOCK), then over all pairs (k, l), l != k, the nearest
     integer j = round(k omega_l / omega_k) <= j_max defines the relative
     residual |k omega_l - j omega_k| / (k omega_l).  Exact resonances are
-    residuals below `exact_tol`.  Deterministic for a fixed seed.
+    residuals below EXACT_TOL.  Deterministic for a fixed seed.
     """
     if n_levels < 2:
         raise DomainError("need at least two entropy levels")
@@ -411,7 +406,7 @@ def genericity_mc(
 
     min_res[~sample_ok] = np.nan
     finite = min_res[sample_ok]
-    n_exact = int(np.sum(finite < exact_tol))
+    n_exact = int(np.sum(finite < EXACT_TOL))
     edges = np.arange(-16.0, 0.5, 0.5)
     logs = np.log10(np.clip(finite, 1e-300, None))
     counts, edges = np.histogram(np.clip(logs, edges[0], edges[-1]), bins=edges)
@@ -423,7 +418,7 @@ def genericity_mc(
         k_max=k_max,
         l_max=l_max,
         j_max=j_max,
-        exact_tol=exact_tol,
+        exact_tol=EXACT_TOL,
         min_residual=min_res,
         argmin_triple=argmin,
         n_exact=n_exact,

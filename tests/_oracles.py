@@ -190,7 +190,7 @@ def fft_grid_to_coeffs(values, m):
     return a, b
 
 
-def prefix_magnus_angle(piece, knots, omega, theta, zeta, tol):
+def prefix_magnus_angle(piece, knots, omega, theta, zeta):
     """Prüfer (theta, zeta or None) across knots[0]..knots[-1] from prefix products.
 
     theta is unwrapped in the fixed frame (sigma_0 phi, psi): a step is an
@@ -202,7 +202,7 @@ def prefix_magnus_angle(piece, knots, omega, theta, zeta, tol):
     rs0 = np.sqrt(s0)
     y0 = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
     turn, y_end, v_end = np.empty_like(omega), np.empty_like(y0), np.empty_like(y0)
-    for idx, _, grid in _step_groups(piece, knots, omega, tol):
+    for idx, _, grid in _step_groups(piece, knots, omega):
         e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
         p = _prefix_products(e)
         ys = np.concatenate((y0[None, idx], (p @ y0[idx, :, None])[..., 0]))
@@ -222,10 +222,10 @@ def prefix_magnus_angle(piece, knots, omega, theta, zeta, tol):
     return theta_end, s1 * (phi * v_end[:, 1] - psi * v_end[:, 0]) / (s1 * s1 * phi * phi + psi * psi)
 
 
-def prefix_piece_matrix(piece, omega, tol):
+def prefix_piece_matrix(piece, omega):
     """Transfer matrix of one smooth piece as the last prefix product; 1-D omega."""
     out = np.empty(omega.shape + (2, 2))
-    for idx, _, grid in _step_groups(piece, piece.x, omega, tol):
+    for idx, _, grid in _step_groups(piece, piece.x, omega):
         out[idx] = _prefix_products(_magnus_steps(grid, omega[idx])[0])[-1]
     return out
 
@@ -469,7 +469,7 @@ def full_array_pwc_solve_targets(jumps, angles, targets, tol=spectrum.KAPPA_TOL,
     targets = np.asarray(targets, dtype=float)
     total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
     wiggle = jumps.shape[-1] * (np.pi / 2.0)
-    chain = lambda om: _angle_chain(jumps, angles, om, 0.0, with_slope=True)
+    chain = lambda om: _angle_chain(jumps, angles, om, with_slope=True)
     return full_array_solve_targets(chain, total, wiggle, targets, tol, max_iter)
 
 

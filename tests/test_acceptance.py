@@ -61,8 +61,7 @@ def branch9(two, eos2):
     """Criterion 9 branch, shared with criterion 10."""
     cfg = EvolutionConfig(M=32, n_quad=256, k_accuracy=6)
     problem = BifurcationProblem(
-        profile=two, eos=eos2, k=1, chi=1, cfg=cfg,
-        alphas=(1e-4, 2e-4, 5e-4, 1e-3), newton_tol=1e-10,
+        profile=two, eos=eos2, k=1, chi=1, cfg=cfg, newton_tol=1e-10,
     )
     t0 = time.perf_counter()
     branch = branch_continue(problem)

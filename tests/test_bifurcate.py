@@ -56,6 +56,21 @@ def test_m_doubling_regates_the_doubled_cutoff(two_level, gamma2, monkeypatch):
     assert gated == [4, 8]
 
 
+def test_m_doubling_raises_explicit_n_quad(two_level, gamma2):
+    # an explicit n_quad = 4 M is raised with M on doubling, so the solve
+    # matches the one with n_quad left to its default
+    def solve(n_quad):
+        cfg = EvolutionConfig(M=4, n_quad=n_quad)
+        problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, cfg=cfg)
+        return problem, solve_at_alpha(problem, 1e-3)
+
+    problem, sol = solve(16)
+    _, ref = solve(None)
+    assert sol.M == ref.M == 8
+    assert problem.cfg.n_quad == 32
+    assert sol.z == ref.z and np.array_equal(sol.a, ref.a)
+
+
 def test_alpha_zero_trivial(problem):
     sol = solve_at_alpha(problem, 0.0)
     assert sol.z == 0.0
@@ -125,7 +140,7 @@ def test_default_branch_at_large_mean(gamma2):
     problem = BifurcationProblem(profile=prof, eos=gamma2, k=1, chi=1)
     branch = branch_continue(problem)
     assert branch.failure is None
-    assert len(branch.solutions) == len(problem.alphas)
+    assert len(branch.solutions) == len(branch.alphas_requested) == 4
     ratios = [sol.z / sol.alpha**2 for sol in branch.solutions]
     assert_allclose(ratios, ratios[-1], rtol=1e-3)
 

@@ -94,6 +94,8 @@ def test_resonance_report(profile_file, tmp_path):
         (["divisors", "--jmax", "-3"], 1, "DomainError"),
         (["mode", "--k", "1", "--nx", "0", "--nt", "32"], 1, "DomainError"),
         (["eigen", "--k-range", "5:2"], 2, "_UsageFailure"),
+        (["eigen", "--k-range", "1:1", "--chi", "acoustic"], 2, "_UsageFailure"),
+        (["eigen", "--k-range", "3:3", "--chi", "acoustic"], 2, "_UsageFailure"),
         (["perturb", "--k", "1", "--modes", "8", "--nt", "32", "--alpha-schedule", "abc"], 2,
          "_UsageFailure"),
     ],

@@ -593,13 +593,13 @@ def test_pairing_identity_with_fundamental(two_level, gamma2):
 def test_weighted_norm_single_mode():
     table = DivisorTable(T=4.0, chi=1, delta=np.array([0.5, 0.25, 2.0, 1.0]))
     sines = np.array([0.0, 3.0, 0.0, 0.0])  # single j = 2 mode
-    val = weighted_norm(sines, table, b=3, k=1)
+    val = weighted_norm(sines, table, k=1)
     assert_allclose(val, 3.0 * 2**3 / 0.25, rtol=1e-14)
 
 
 def test_weighted_norm_zero_field(two_level, eig1):
     table = divisors(two_level, eig1.T, 1, 8)
-    assert weighted_norm(np.zeros(8), table, b=3, k=1) == 0.0
+    assert weighted_norm(np.zeros(8), table, k=1) == 0.0
 
 
 def test_weighted_norm_dominates_hb(two_level, eig1, rng):
@@ -607,7 +607,7 @@ def test_weighted_norm_dominates_hb(two_level, eig1, rng):
     c_delta = np.max(np.abs(table.delta))
     for _ in range(20):
         sines = rng.normal(size=16)
-        wn = weighted_norm(sines, table, b=3, k=1)
+        wn = weighted_norm(sines, table, k=1)
         js = np.arange(1, 17)
         hb = np.sqrt(np.sum(sines**2 * js**6))
         assert hb <= max(1.0, c_delta) * wn * (1 + 1e-12)
@@ -616,13 +616,7 @@ def test_weighted_norm_dominates_hb(two_level, eig1, rng):
 def test_weighted_norm_resonance_error():
     table = DivisorTable(T=4.0, chi=1, delta=np.array([0.5, 0.0, 2.0]))
     with pytest.raises(ResonanceError):
-        weighted_norm(np.array([0.1, 0.1, 0.1]), table, b=3, k=1)
-
-
-def test_weighted_norm_needs_k():
-    table = DivisorTable(T=4.0, chi=1, delta=np.ones(3))
-    with pytest.raises(DomainError):
-        weighted_norm(np.ones(3), table)
+        weighted_norm(np.array([0.1, 0.1, 0.1]), table, k=1)
 
 
 def test_config_validation():

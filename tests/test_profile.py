@@ -56,6 +56,15 @@ def test_angles_and_jumps():
     assert_allclose(prof.edges, [0.0, 0.5, 1.0])
 
 
+def test_edges_and_jumps_are_built_once(two_level, smooth_jumpy):
+    # the angle chain reads jumps on every evaluation: one read-only array per profile
+    for prof in (two_level, smooth_jumpy):
+        for name in ("edges", "jumps"):
+            arr = getattr(prof, name)
+            assert getattr(prof, name) is arr
+            assert not arr.flags.writeable
+
+
 def test_pwc_pieces_keep_cumulative_edges_and_own_widths():
     # with twelve widths the pairwise np.sum (ell) and the running cumsum
     # (the edges) may differ in the last bit; each keeps its own rounding
