@@ -311,6 +311,12 @@ def cmd_tile(args):
         problem = _problem_from_args(args, prof)
         problem.validate()
         sol = bifurcate.solve_at_alpha(problem, args.alpha)
+        m = problem.cfg.M  # the solve may have doubled --modes
+        if args.nt < 2 * m + 2:
+            raise _UsageFailure(
+                f"--nt {args.nt} cannot carry the solved M = {m}: "
+                f"the tile needs --nt >= 2 M + 2 = {2 * m + 2}"
+            )
         tile = linwave.nonlinear_tile(
             prof, prof.eos, sol.y0_field(), problem.cfg, args.nx, args.nt, chi,
             meta={"kind": "pure-tone", "k": args.k, "alpha": args.alpha},

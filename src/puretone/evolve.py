@@ -42,9 +42,13 @@ a smooth piece the rotation takes the step-midpoint sigma and the remainder
 also carries the sigma variation, (v_p(a_0) at the stage's sigma minus at
 the midpoint's) (p - a_0).  Since the remainder is quadratic in the
 fluctuation, a constant piece takes few steps, sized from the remainder's
-share of the motion (EvolutionConfig).  Entropy jumps are the identity on
-(p, u) coefficients.  f(0) = 0 exactly, so quiet states are exact fixed
-points, bit for bit.
+share of the motion (EvolutionConfig).  With N the remainder and E the
+exact half-step turn, the RK4 stages k1 = N(u) and k3 = N(E u) read only the
+step's entry state, k2 only k1 and k4 only k3, so a step evaluates N twice,
+each time on a stacked stage pair with one synthesis and one analysis
+product: (u, E u), then (E(u + h/2 k1), E(E u + h k3)).  Entropy jumps are
+the identity on (p, u) coefficients.  f(0) = 0 exactly, so quiet states are
+exact fixed points, bit for bit.
 """
 
 from __future__ import annotations
@@ -91,11 +95,12 @@ def _dft_basis(m, n):
 
 
 def coeffs_to_grid(a, b, n):
-    """Values of sum a_j cos + b_j sin on the uniform grid t_i = i T / n."""
+    """Values of sum a_j cos + b_j sin on the uniform grid t_i = i T / n; b=None is zero."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     cos, sin = _dft_basis(a.shape[-1] - 1, n)
-    return a @ cos + b @ sin
+    if b is None:
+        return a @ cos
+    return a @ cos + np.asarray(b, dtype=float) @ sin
 
 
 # -- the field type ----------------------------------------------------------------
@@ -213,27 +218,15 @@ class EvolutionConfig:
 # -- the x-march ----------------------------------------------------------------------
 
 
-def _grad_bound(a, b, omega_modes):
-    """l1 upper bound for max_t |d y/d t|; finite only if every coefficient is."""
-    mags = np.abs(a) + np.abs(b)
-    return np.max(np.sum(omega_modes * mags, axis=-1))
-
-
-def _fluct_grid(a, n):
-    """Grid values of the cosine series of a without its mean a_0."""
-    fluct = a.copy()
-    fluct[..., 0] = 0.0
-    return coeffs_to_grid(fluct, np.zeros(fluct.shape), n)
-
-
 class _Frozen(NamedTuple):
-    """Equation-of-state constants at one entropy factor and the mean a0, one per row."""
+    """Equation-of-state constants at the mean a0, one per row (and per stage, if stacked)."""
 
     v0: np.ndarray
     vp0: np.ndarray
 
 
-#: ShockProximityError once the time-gradient bound passes this multiple of its entry value
+#: ShockProximityError once the time-gradient bound passes this multiple of its entry
+#: value, beyond what linear propagation can add (_StepGuard)
 _GUARD_FACTOR = 10.0
 
 
@@ -246,6 +239,8 @@ class _Marcher:
     the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx (the algebra
     of sl_core._pwc_piece_matrix, per batch row); RK4 carries only the
     remainder, which drives the sine coefficients and vanishes at quiet data.
+    The remainder is evaluated on two RK4 stages at once, stacked on one more
+    leading axis (see _step).
     """
 
     def __init__(self, profile, eos, T, cfg, a0):
@@ -261,9 +256,15 @@ class _Marcher:
         if self.eos is None or self.pbar is None:
             raise DomainError("nonlinear work needs an equation of state and pbar")
         self.a0 = np.asarray(a0, dtype=float)
+        # synthesis weights per field: the solution enters as its fluctuation
+        # about a0, a variation with its own mean
+        self.keep = np.ones((2,) + (1,) * (self.a0.ndim - 1) + (cfg.M + 1,))
+        self.keep[0, ..., 0] = 0.0
 
-    def frozen(self, sigma_val):
-        eos_, A = self.eos, self.eos.factor_from_sigma(self.pbar, sigma_val)
+    def frozen(self, sigma):
+        """EOS constants at sigma; an array of sigmas stacks them on a new leading axis."""
+        eos_, shape = self.eos, np.shape(sigma) + (1,) * self.a0.ndim
+        A = eos_.factor_from_sigma(self.pbar, np.reshape(sigma, shape))
         return _Frozen(eos_.volume_from_factor(self.a0, A), eos_.dvdp_from_factor(self.a0, A))
 
     def half_turn(self, rot, h):
@@ -273,26 +274,31 @@ class _Marcher:
         return np.cos(theta), sn / s, s * sn
 
     def remainder(self, a, at, rot):
-        """Sine-coefficient rates of the remainder, one row per field of `a`.
+        """Sine-coefficient rates of the remainder, shaped like `a`: (stages, fields, ..., M+1).
 
-        The solution's row is v0 f(x), a variation's v_p(a0) slope_increment(x) P;
-        where the stage's constants `at` are not the rotation's `rot` (a smooth
-        piece), each row also gets (at.vp0 - rot.vp0) times its own field.
+        `at` holds the stages' constants, stacked on the stage axis or one set
+        that every stage shares.  The solution's row is v0 f(x), a variation's
+        v_p(a0) slope_increment(x) P; where the stage's constants `at` are not
+        the rotation's `rot` (a smooth piece), each row also gets
+        (at.vp0 - rot.vp0) times its own field.  All stages and fields share
+        one synthesis and one analysis product.
         """
-        dp = _fluct_grid(a[0], self.n)
-        if np.min(self.a0 + dp) <= 0.0:
-            raise ShockProximityError("pressure lost positivity during evolution")
+        grid = coeffs_to_grid(a * self.keep[: a.shape[1]], None, self.n)
+        dp = grid[:, 0]
         x = dp / self.a0
+        if x.min() <= -1.0:  # the pressure a0 (1 + x) is no longer positive
+            raise ShockProximityError("pressure lost positivity during evolution")
+        dvp = None if at is rot else at.vp0 - rot.vp0
         w = at.v0 * self.eos.volume_remainder(x)
-        if at is not rot:
-            w = w + (at.vp0 - rot.vp0) * dp
-        if a.shape[0] == 1:
-            return (w @ self.to_rates)[None]
-        P = coeffs_to_grid(a[1], np.zeros_like(a[1]), self.n)
+        if dvp is not None:
+            w = w + dvp * dp
+        if a.shape[1] == 1:
+            return w[:, None] @ self.to_rates
+        P = grid[:, 1]
         dvp_P = at.vp0 * self.eos.slope_increment(x) * P
-        if at is not rot:
-            dvp_P = dvp_P + (at.vp0 - rot.vp0) * P
-        return np.stack((w @ self.to_rates, dvp_P @ self.to_rates))
+        if dvp is not None:
+            dvp_P = dvp_P + dvp * P
+        return np.stack((w, dvp_P), axis=1) @ self.to_rates
 
     def eta(self, a, b, rot):
         """Remainder size against the rotation rate, in [0, 1], of field 0.
@@ -305,7 +311,7 @@ class _Marcher:
         s = np.sqrt(-rot.vp0)
         envelope = np.hypot(a[:1], b[:1] / s)
         try:
-            rem = float(np.max(np.abs(self.remainder(envelope, rot, rot))))
+            rem = float(np.max(np.abs(self.remainder(envelope[None], rot, rot))))
         except ShockProximityError:
             return 1.0  # the envelope leaves positive pressure: fully nonlinear
         lin = float(np.max(self.omega_modes * s * s * envelope))
@@ -315,7 +321,8 @@ class _Marcher:
         """March (a, b) from 0 to ell, snapshotting field 0 exactly at x_nodes.
 
         A constant piece's step count follows field 0 alone (eta), so a
-        variation's march stays linear in its data.
+        variation's march stays linear in its data.  on_step(x, a, b, piece)
+        runs after every step.
         """
         nodes = [] if x_nodes is None else list(np.sort(np.asarray(x_nodes, dtype=float)))
         snaps = []
@@ -346,17 +353,18 @@ class _Marcher:
                 n_steps = max(1, int(np.ceil(seg / dx)))
                 h = seg / n_steps
                 if constant:
-                    stages = (const, const, const)
-                    rot = self.half_turn(const, h)
+                    mid, pairs = const, (const, const)
+                    turn = self.half_turn(const, h)
                 for _ in range(n_steps):
                     if not constant:
-                        xs = (x, x + 0.5 * h, x + h)
-                        stages = tuple(self.frozen(float(piece.sigma(xx))) for xx in xs)
-                        rot = self.half_turn(stages[1], h)
-                    a, b = self._step(self.remainder, a, b, h, rot, stages)
+                        at = self.frozen(piece.sigma(np.array([x, x + 0.5 * h, x + h])))
+                        mid = _Frozen(*(v[1] for v in at))
+                        pairs = (_Frozen(*(v[:2] for v in at)), _Frozen(*(v[1:] for v in at)))
+                        turn = self.half_turn(mid, h)
+                    a, b = self._step(self.remainder, a, b, h, turn, mid, pairs)
                     x += h
                     if on_step is not None:
-                        on_step(x, a, b)
+                        on_step(x, a, b, piece)
                 x = xt
                 take(x, a, b)
         # flush nodes that sit within rounding of ell (sum vs cumsum ulps)
@@ -364,50 +372,86 @@ class _Marcher:
         return (a, b), snaps
 
     @staticmethod
-    def _step(remainder, a, b, h, rot, stages):
+    def _step(remainder, a, b, h, turn, mid, pairs):
         """One Lawson RK4 step, E = exact half-step turn, N = remainder:
 
         k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
         k4 = N(E(E u + h k3)), u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.
         N reads only a and drives only b, so k3 = N(E u) and k2, k4 need only
-        the cosine half of their turns.  The turn uses the midpoint constants.
+        the cosine half of their turns.  Then k1 and k3 read only the entry
+        state, k2 only k1 and k4 only k3, so N runs on two stacked stage
+        pairs: (u, E u) at pairs[0], the constants at (x, x + h/2), then
+        (E(u + h/2 k1), E(E u + h k3)) at pairs[1], at (x + h/2, x + h).  The
+        turn uses the midpoint constants `mid`.
         """
-        at0, mid, at1 = stages
-        c, sn_over_s, s_sn = rot
-        k1 = remainder(a, at0, mid)
-        k2 = remainder(c * a - sn_over_s * (b + 0.5 * h * k1), mid, mid)
+        c, sn_over_s, s_sn = turn
         ta, tb = c * a - sn_over_s * b, s_sn * a + c * b
-        k3 = remainder(ta, mid, mid)
-        k4 = remainder(c * ta - sn_over_s * (tb + h * k3), at1, mid)
-        b = b + h / 6.0 * k1
-        a, b = c * a - sn_over_s * b, s_sn * a + c * b
-        b = b + h / 3.0 * (k2 + k3)
+        cos_halves = np.array((a, ta))
+        k13 = remainder(cos_halves, pairs[0], mid)
+        kicks = k13 * np.reshape((0.5 * h, h), (2,) + (1,) * a.ndim)  # h/2 k1, h k3
+        k2, k4 = remainder(c * cos_halves - sn_over_s * (np.array((b, tb)) + kicks), pairs[1], mid)
+        # E(u + h/6 k1) = E u + h/6 E(0, k1), and E(0, k) = (-sn/s k, c k)
+        kick = h / 6.0 * k13[0]
+        a, b = ta - sn_over_s * kick, tb + c * kick + h / 3.0 * (k2 + k13[1])
         a, b = c * a - sn_over_s * b, s_sn * a + c * b
         return a, b + h / 6.0 * k4
 
 
-def _step_guard(a, b, omega_modes):
-    """The per-step hook of a march from (a, b), every field at once.
+def _guard_sigma(piece):
+    """The sigma of a piece's guard norm and the most the linear march grows that norm across it.
 
-    Non-finite entry data raise NumericalError here; after a step, a
-    time-gradient bound that is not <= _GUARD_FACTOR times its entry value
-    raises NumericalError if it is not finite, else ShockProximityError.
+    On a constant piece the exact turn keeps hypot(a_j, b_j / sigma) of every
+    mode, so the gain is 1.  On a smooth piece the linear law moves
+    a^2 + b^2 / sigma(x)^2 by at most exp(2 TV(log sigma)), and measuring at
+    the piece's smallest sigma costs one more max/min ratio; PCHIP adds no
+    variation beyond its samples'.
     """
-    g0 = _grad_bound(a, b, omega_modes)
-    if not np.isfinite(g0):
-        raise NumericalError("non-finite entry coefficients")
-    threshold = max(_GUARD_FACTOR * g0, 1e-8)
+    if isinstance(piece, ConstantPiece):
+        return piece.level, 1.0
+    log_s = np.log(piece.sigma_samples)
+    gain = np.exp(np.ptp(log_s) + np.sum(np.abs(np.diff(log_s))))
+    return float(np.exp(np.min(log_s))), float(gain)
 
-    def on_step(x, a, b):
-        g = _grad_bound(a, b, omega_modes)
-        if not g <= threshold:
+
+class _StepGuard:
+    """The per-step check of a march from (a, b), every field at once.
+
+    It bounds max_t |dy/dt| in the energy norm of the current piece,
+    max over rows of sum_j j Omega hypot(a_j, b_j / sigma), which the exact
+    linear turn of a constant piece keeps mode by mode.  The threshold is
+    _GUARD_FACTOR times the entry value, times the most the linear march
+    can grow the norm up to the current piece: max(1, sigma_before /
+    sigma_after) at each jump ((a, b) are continuous there) and _guard_sigma's
+    gain across each piece.  Linear growth through a sigma contrast thus never
+    trips it; past the threshold, steepening raises ShockProximityError and a
+    bound that is not finite NumericalError (also at entry).
+    """
+
+    def __init__(self, a, b, omega_modes, piece):
+        self.omega_modes = omega_modes
+        self.piece = piece
+        self.sigma, gain = _guard_sigma(piece)
+        g0 = self.bound(a, b)
+        if not np.isfinite(g0):
+            raise NumericalError("non-finite entry coefficients")
+        self.threshold = max(_GUARD_FACTOR * g0, 1e-8) * gain
+
+    def bound(self, a, b):
+        """Energy-norm bound of max_t |dy/dt|; finite only if every coefficient is."""
+        return (self.omega_modes * np.hypot(a, b / self.sigma)).sum(axis=-1).max()
+
+    def __call__(self, x, a, b, piece):
+        if piece is not self.piece:
+            sigma, gain = _guard_sigma(piece)
+            self.threshold *= max(1.0, self.sigma / sigma) * gain
+            self.piece, self.sigma = piece, sigma
+        g = self.bound(a, b)
+        if not g <= self.threshold:
             if not np.isfinite(g):
                 raise NumericalError(f"non-finite coefficients at x={x:.6g}")
             raise ShockProximityError(
-                f"time-gradient bound exceeded {_GUARD_FACTOR} x initial at x={x:.6g}"
+                f"time-gradient bound exceeded {_GUARD_FACTOR} x its linear growth at x={x:.6g}"
             )
-
-    return on_step
 
 
 def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
@@ -415,12 +459,13 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
 
     The rows of a batch share one step count, set by the largest remainder.
     Non-finite coefficients raise NumericalError; a time-gradient bound past
-    _GUARD_FACTOR times its entry value raises ShockProximityError.
+    _GUARD_FACTOR times what linear propagation of the entry data can reach
+    raises ShockProximityError (_StepGuard).
     """
     a = np.array(a, dtype=float)[None]
     b = np.array(b, dtype=float)[None]
     marcher = _Marcher(profile, eos, T, cfg, a[0, ..., :1])
-    on_step = _step_guard(a, b, marcher.omega_modes)
+    on_step = _StepGuard(a, b, marcher.omega_modes, profile.pieces[0])
     (a, b), snaps = marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
     return (a[0], b[0]), snaps
 
@@ -453,7 +498,8 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
         raise DomainError("field cutoffs must match cfg.M")
     marcher = _Marcher(profile, eos, y0.T, cfg, y0.cos[:1])
     a, b = np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin))
-    (a, b), _ = marcher.walk(a, b, on_step=_step_guard(a, b, marcher.omega_modes))
+    on_step = _StepGuard(a, b, marcher.omega_modes, profile.pieces[0])
+    (a, b), _ = marcher.walk(a, b, on_step=on_step)
     return FourierField(y0.T, a[1], b[1])
 
 

@@ -13,6 +13,8 @@ quiet second derivative has two references: fixed-step RK4 of the joint
 (Psi, a, b) Duhamel system, and the pseudospectral march of the second
 variation through the library's Lawson walker, which shares neither the SL
 algebra nor the quadrature of the library's closed-form path.  The
+four-evaluation Lawson step, one remainder call per RK4 stage, is the
+reference for the library's stage-paired step.  The
 boundary residual of the bifurcation system at one assembled point, one
 unbatched evolution, probes S E^ell directly.  The field operators (parity
 projections, time shift and the boundary operator S = R_- T^{-chi T/4})
@@ -314,23 +316,52 @@ class _SecondVariationMarcher(_Marcher):
 
     At the quiet base P1 = 1 (the evolved 0-mode), so Z is forced by v_pp Y
     on the collocation grid; both fields carry the sigma variation within a
-    step, and both size the step count.
+    step, and both size the step count.  Like the library's, the remainder
+    takes a stack of stages on its leading axis.
     """
 
     def remainder(self, a, at, rot):
-        P = coeffs_to_grid(a[0], np.zeros_like(a[0]), self.n)
-        Q = coeffs_to_grid(a[1], np.zeros_like(a[1]), self.n)
+        grid = coeffs_to_grid(a, None, self.n)
+        P, Q = grid[:, 0], grid[:, 1]
         dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
         g = 1.0 / self.eos.gamma
         vpp = g * (g + 1.0) * at.v0 / self.a0**2
-        return np.stack(((dvp * P) @ self.to_rates, (dvp * Q + vpp * P) @ self.to_rates))
+        return np.stack((dvp * P, dvp * Q + vpp * P), axis=1) @ self.to_rates
 
     def eta(self, a, b, rot):
         s = np.sqrt(-rot.vp0)
         envelope = np.hypot(a, b / s)
-        rem = float(np.max(np.abs(self.remainder(envelope, rot, rot))))
+        rem = float(np.max(np.abs(self.remainder(envelope[None], rot, rot))))
         lin = float(np.max(self.omega_modes * s * s * envelope))
         return rem / (lin + rem) if rem > 0.0 else 0.0
+
+
+def reference_lawson_step(remainder, a, b, h, turn, stages):
+    """One Lawson RK4 step that evaluates the remainder once per stage.
+
+    The four-evaluation form of `_Marcher._step`: E = exact half-step turn,
+    N = remainder on a single stage (a leading stage axis of length one),
+    k1 = N(u) at stages[0], k2 = N(E(u + h/2 k1)) and k3 = N(E u) at
+    stages[1], the midpoint, k4 = N(E(E u + h k3)) at stages[2], and
+    u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.  stages holds the
+    constants at x, x + h/2 and x + h; the midpoint set is also the turn's.
+    """
+    at0, mid, at1 = stages
+    c, sn_over_s, s_sn = turn
+
+    def rates(a_stage, at):
+        return remainder(a_stage[None], at, mid)[0]
+
+    k1 = rates(a, at0)
+    k2 = rates(c * a - sn_over_s * (b + 0.5 * h * k1), mid)
+    ta, tb = c * a - sn_over_s * b, s_sn * a + c * b
+    k3 = rates(ta, mid)
+    k4 = rates(c * ta - sn_over_s * (tb + h * k3), at1)
+    b = b + h / 6.0 * k1
+    a, b = c * a - sn_over_s * b, s_sn * a + c * b
+    b = b + h / 3.0 * (k2 + k3)
+    a, b = c * a - sn_over_s * b, s_sn * a + c * b
+    return a, b + h / 6.0 * k4
 
 
 def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):

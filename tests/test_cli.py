@@ -216,6 +216,43 @@ def test_nonlinear_tile_command(profile_file, tmp_path):
     assert np.max(np.abs(data["p"] - 1.0)) < 1e-3
 
 
+def test_tile_after_m_doubling_names_the_nt_it_needs(profile_file, tmp_path, capsys):
+    # the solve doubles M from 4 to 8, which a 16-point time grid cannot carry:
+    # a usage failure after the solve, before the snapshot march writes anything
+    rc = main(["tile", "--profile", profile_file, "--k", "1", "--alpha", "1e-3", "--modes", "4",
+               "--nt", "16", "--nx", "16", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "_UsageFailure"
+    assert "M = 8" in err["message"] and "--nt >= 2 M + 2 = 18" in err["message"]
+    assert not list(tmp_path.glob("tile*"))
+
+
+def test_nonlinear_tile_independent_of_hash_seed(profile_file, tmp_path):
+    # tile --alpha from two fresh interpreters with different string-hash seeds
+    # writes the same bytes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-m", "puretone.cli", "tile", "--profile", profile_file, "--k", "1",
+             "--alpha", "2e-4", "--modes", "8", "--nx", "8", "--nt", "32", "--binary",
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outs.append(out)
+    for name in ("tile.bin", "tile.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_mode_command(profile_file, tmp_path):
     out = tmp_path / "out"
     rc = main(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import (
@@ -7,14 +9,15 @@ from _oracles import (
     fft_grid_to_coeffs,
     project_even,
     project_odd,
+    reference_lawson_step,
     second_derivative_quiet_spectral,
     shift,
 )
 from puretone.eos import GammaLawEos
 from puretone.errors import DomainError, NumericalError, ResonanceError, ShockProximityError
-from puretone.profile import PiecewiseConstantProfile, reversed_profile
+from puretone.profile import PiecewiseConstantProfile, from_jump_angles, reversed_profile
 from puretone.sl_core import fundamental_matrix
-from puretone.spectrum import DivisorTable, divisors, eigen_solve
+from puretone.spectrum import DEFAULT_MC_BOX, DivisorTable, divisors, eigen_solve
 from puretone import evolve
 from puretone.evolve import (
     EvolutionConfig,
@@ -249,6 +252,22 @@ def test_gradient_guard_triggers_near_shock(gamma2):
         nonlinear_evolve(prof, gamma2, y0, cfg)
 
 
+def test_gradient_guard_forgives_linear_growth(gamma2):
+    # sigma 1, 4, 16, 16, 16: a linear wave gains more than 10x in its l1
+    # time-gradient bound through the contrast alone, which is no steepening;
+    # both the quiet linearization and a small nonlinear tone pass the guard
+    prof = from_jump_angles([0.25, 0.25, 1.0, 1.0], [1.0] * 5, pbar=1.0, eos=gamma2)
+    T, m = eigen_solve(prof, 1).T, 8
+    cfg = EvolutionConfig(M=m)
+    quiet = FourierField.constant(T, 1.0, m)
+    Y = linearized_evolve(prof, gamma2, quiet, FourierField.cosine(T, 1, 1.0, m=m), cfg)
+    psi = fundamental_matrix(prof, 2.0 * np.pi / T)
+    assert abs(Y.cos[1] - psi[0, 0]) < 1e-11 and abs(Y.sin[1] - psi[1, 0]) < 1e-11
+    assert abs(Y.cos[1]) + abs(Y.sin[1]) > 10.0
+    out = nonlinear_evolve(prof, gamma2, quiet + 1e-3 * FourierField.cosine(T, 1, 1.0, m=m), cfg)
+    assert abs(out.cos[1]) + abs(out.sin[1]) > 1e-2
+
+
 def test_non_finite_entry_data_refused(two_level, gamma2, eig1):
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     cos = y0.cos.copy()
@@ -259,8 +278,9 @@ def test_non_finite_entry_data_refused(two_level, gamma2, eig1):
 
 
 def test_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
-    # a NaN remainder from the third call on (inside the first step) passes the
-    # positivity check, since NaN <= 0 is false; the step guard must catch it
+    # a NaN remainder from the third call on (the second stage pair of the first
+    # step) passes the positivity check, since NaN <= 0 is false; the step
+    # guard must catch it
     calls = []
     volume_remainder = GammaLawEos.volume_remainder
 
@@ -273,7 +293,48 @@ def test_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     with pytest.raises(NumericalError):
         nonlinear_evolve(two_level, gamma2, y0, EvolutionConfig(M=8))
-    assert len(calls) == 5  # the eta evaluation and the four stages of one step
+    assert len(calls) == 3  # the eta evaluation and the two stage pairs of one step
+
+
+_J_BOX, _THETA_BOX = DEFAULT_MC_BOX
+
+
+@st.composite
+def _pwc_draws(draw):
+    """2-5 levels from (J, Theta) in the genericity box, pbar = 1."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    jumps = draw(st.lists(st.floats(*_J_BOX), min_size=n - 1, max_size=n - 1))
+    thetas = draw(st.lists(st.floats(*_THETA_BOX), min_size=n, max_size=n))
+    return from_jump_angles(jumps, thetas, pbar=1.0, eos=GammaLawEos(2.0))
+
+
+@given(_pwc_draws())
+@settings(max_examples=25, deadline=None)
+def test_random_pwc_march_invariants(prof):
+    # at the k = 1 period: the quiet state and the tangent of the quiet family
+    # (a variation of the mean) are bit-exact fixed points, the quiet
+    # linearization turns mode k by Psi(ell; k Omega), and reflection undoes
+    # the march through the reversed profile
+    m = 8
+    T = eigen_solve(prof, 1).T
+    cfg = EvolutionConfig(M=m)
+    quiet = FourierField.constant(T, 1.0, m)
+    out = nonlinear_evolve(prof, prof.eos, quiet, cfg)
+    assert np.array_equal(out.cos, quiet.cos) and np.array_equal(out.sin, quiet.sin)
+    tangent = linearized_evolve(prof, prof.eos, quiet, FourierField.constant(T, 1.0, m), cfg)
+    assert np.array_equal(tangent.cos, quiet.cos) and np.array_equal(tangent.sin, quiet.sin)
+    psi = fundamental_matrix(prof, np.arange(1, m + 1) * (2.0 * np.pi / T))
+    for k in (1, 2, m):
+        Y = linearized_evolve(prof, prof.eos, quiet, FourierField.cosine(T, k, 1.0, m=m), cfg)
+        scale = max(1.0, np.max(np.abs(psi[k - 1])))
+        assert abs(Y.cos[k] - psi[k - 1, 0, 0]) <= 1e-12 * scale
+        assert abs(Y.sin[k] - psi[k - 1, 1, 0]) <= 1e-12 * scale
+    y0 = quiet + 1e-3 * FourierField.cosine(T, 1, 1.0, m=m)
+    mid = nonlinear_evolve(prof, prof.eos, y0, cfg)
+    refl = FourierField(T, mid.cos, -mid.sin)
+    back = nonlinear_evolve(reversed_profile(prof), prof.eos, refl, cfg)
+    assert np.max(np.abs(back.cos - y0.cos)) < 1e-10
+    assert np.max(np.abs(back.sin)) < 1e-10
 
 
 def test_cutoff_mismatch_rejected(two_level, gamma2, eig1, cfg16):
@@ -353,8 +414,9 @@ def test_lawson_step_is_fourth_order(two_level, gamma2, eig1, dense_oracle):
 
 
 def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
-    # each RHS evaluation synthesizes the grid once through the module-level
-    # coeffs_to_grid, so counting its calls counts RHS evaluations
+    # each RHS evaluation, one stacked pair of RK4 stages, synthesizes the grid
+    # once through the module-level coeffs_to_grid, so counting its calls
+    # counts RHS evaluations: two per step
     calls = []
     synth = evolve.coeffs_to_grid
 
@@ -374,9 +436,40 @@ def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
     monkeypatch.setattr(evolve, "coeffs_to_grid", counting_synth)
     monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
     evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, cfg16)
-    assert len(per_step) > 2 and set(per_step) == {4}
+    assert len(per_step) > 2 and set(per_step) == {2}
     # outside the steps: one envelope evaluation per constant piece sizes its steps
-    assert len(calls) == 4 * len(per_step) + two_level.n_levels
+    assert len(calls) == 2 * len(per_step) + two_level.n_levels
+
+
+@pytest.mark.parametrize("fields", (1, 2))
+@pytest.mark.parametrize("smooth", (False, True), ids=("constant", "smooth"))
+def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smooth):
+    # the stage-paired step against the four-evaluation Lawson step on random
+    # states of a 3-row batch; smooth stages take three distinct sigmas, so the
+    # remainder also carries the sigma variation at x and x + h
+    rng = np.random.default_rng(10 * fields + smooth)
+    m, rows, h = 16, 3, 0.03
+    a0 = 1.0 + 0.1 * rng.random((rows, 1))
+    marcher = evolve._Marcher(two_level, gamma2, eig1.T, EvolutionConfig(M=m), a0)
+    a = 1e-2 * rng.normal(size=(fields, rows, m + 1))
+    b = 1e-2 * rng.normal(size=(fields, rows, m + 1))
+    a[0, :, :1] = a0
+    b[..., 0] = 0.0
+    if smooth:
+        at = marcher.frozen(np.array([1.2, 1.5, 1.9]))
+        stages = tuple(evolve._Frozen(*(v[i] for v in at)) for i in range(3))
+        pairs = (evolve._Frozen(*(v[:2] for v in at)), evolve._Frozen(*(v[1:] for v in at)))
+    else:
+        const = marcher.frozen(1.5)
+        stages, pairs = (const,) * 3, (const, const)
+    turn = marcher.half_turn(stages[1], h)
+    got = evolve._Marcher._step(marcher.remainder, a, b, h, turn, stages[1], pairs)
+    ref = reference_lawson_step(marcher.remainder, a, b, h, turn, stages)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape == a.shape
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+    # the step moved the state by more than roundoff
+    assert np.max(np.abs(got[1] - b)) > 1e-6
 
 
 def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
@@ -400,7 +493,7 @@ def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
     monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
     evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, EvolutionConfig(M=16, dx=0.05))
     assert len(steps) == 20
-    assert len(calls) == 4 * len(steps)
+    assert len(calls) == 2 * len(steps)
 
 
 # -- linearized evolution -------------------------------------------------------------
@@ -452,8 +545,9 @@ def test_linearized_non_finite_entry_refused(two_level, gamma2, eig1):
 
 
 def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
-    # a NaN remainder from the third call on (inside the first step) must be
-    # caught by the step guard, not surface later as a FourierField domain error
+    # a NaN remainder from the third call on (the second stage pair of the first
+    # step) must be caught by the step guard, not surface later as a
+    # FourierField domain error
     calls = []
     volume_remainder = GammaLawEos.volume_remainder
 
@@ -467,7 +561,7 @@ def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, mo
     Y0 = FourierField.cosine(eig1.T, 2, 1.0, m=8)
     with pytest.raises(NumericalError, match="non-finite coefficients at x="):
         linearized_evolve(two_level, gamma2, base, Y0, EvolutionConfig(M=8))
-    assert len(calls) == 5  # the eta evaluation and the four stages of one step
+    assert len(calls) == 3  # the eta evaluation and the two stage pairs of one step
 
 
 def test_smooth_profile_evolution_paths(smooth_jumpy, gamma2):
