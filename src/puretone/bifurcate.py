@@ -69,6 +69,15 @@ _TAIL_TOL, _MAX_M_DOUBLINGS = 1e-3, 2
 
 @dataclass
 class BifurcationProblem:
+    """One pure-tone problem: the k-mode of `profile` with boundary condition chi.
+
+    The problem resolves the x-march's accuracy mode: a cfg that leaves
+    `k_accuracy` unset gets max(4, k + 2), since the data are the linear
+    k-mode plus O(alpha^2) corrections and the march's phase accuracy is set
+    by that mode, not by the cutoff M.  An omitted cfg is EvolutionConfig(M=32)
+    before that; an explicit k_accuracy or dx is kept as given.
+    """
+
     profile: object
     eos: object
     k: int
@@ -79,8 +88,9 @@ class BifurcationProblem:
 
     def __post_init__(self):
         if self.cfg is None:
-            # phase accuracy is driven by the perturbed k-mode, not the cutoff
-            self.cfg = EvolutionConfig(M=32, k_accuracy=max(4, self.k + 2))
+            self.cfg = EvolutionConfig(M=32)
+        if self.cfg.k_accuracy is None:
+            self.cfg = replace(self.cfg, k_accuracy=max(4, self.k + 2))
 
     # -- cached spectral data ---------------------------------------------
 

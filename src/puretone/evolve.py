@@ -175,7 +175,9 @@ class EvolutionConfig:
     eta**(-1/4).  eta in [0, 1] is the size of the stepped remainder against
     the exact rotation; a smooth piece takes eta = 1 and sigma_max, a
     constant piece its own sigma and the eta of its entry state's envelope
-    (eta = 0, one step, when the remainder vanishes).
+    (eta = 0, one step, when the remainder vanishes).  A BifurcationProblem
+    fills an unset k_accuracy with max(4, k + 2) from its perturbed mode k;
+    a bare march, which knows no k, takes min(M, 16).
     """
 
     M: int

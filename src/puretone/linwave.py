@@ -183,32 +183,27 @@ def extend_tile(tile: TileField) -> TileField:
             f"boundary residual ({r0:.3e}, {rell:.3e}) exceeds {_EXTEND_TOL:.1e}"
         )
     nx = tile.nx
-    s = (nt // 2) * chi
     p, u = tile.p, tile.u
+    # the time shift t -> t + chi T/2 is the column permutation of np.roll(., -nt chi/2)
+    shift = np.roll(np.arange(nt), -(nt // 2) * chi)
 
-    def shifted(row):
-        return np.roll(row, -s)
-
-    seam_p = float(np.max(np.abs(p[nx] - shifted(p[nx]))))
-    seam_u = float(np.max(np.abs(u[nx] + shifted(u[nx]))))
+    seam_p = float(np.max(np.abs(p[nx] - p[nx, shift])))
+    seam_u = float(np.max(np.abs(u[nx] + u[nx, shift])))
     u0_max = float(np.max(np.abs(u[0])))
 
-    n_regions = 4 if chi == 1 else 2
-    n_ext = n_regions * nx
-    p_ext = np.empty((n_ext + 1, nt))
-    u_ext = np.empty((n_ext + 1, nt))
-    p_ext[: nx + 1] = p
-    u_ext[: nx + 1] = u
-    for i in range(nx + 1, 2 * nx + 1):
-        p_ext[i] = shifted(p[2 * nx - i])
-        u_ext[i] = -shifted(u[2 * nx - i])
+    # the regions of the period: (tile rows, time-shifted, u reflected)
+    back = np.arange(nx - 1, -1, -1)
+    regions = [(np.arange(nx + 1), False, False), (back, True, True)]
     if chi == 1:
-        for i in range(2 * nx + 1, 3 * nx + 1):
-            p_ext[i] = shifted(p[i - 2 * nx])
-            u_ext[i] = shifted(u[i - 2 * nx])
-        for i in range(3 * nx + 1, 4 * nx + 1):
-            p_ext[i] = p[4 * nx - i]
-            u_ext[i] = -u[4 * nx - i]
+        regions += [(np.arange(1, nx + 1), True, False), (back, False, True)]
+    n_regions = len(regions)
+    rows = np.concatenate([r for r, _, _ in regions])
+    shifted = np.concatenate([np.full(r.size, sh) for r, sh, _ in regions])
+    reflected = np.concatenate([np.full(r.size, fl) for r, _, fl in regions])
+    p_ext, u_ext = p[rows], u[rows]
+    p_ext[shifted] = p_ext[shifted][:, shift]
+    u_ext[shifted] = u_ext[shifted][:, shift]
+    u_ext[reflected] = -u_ext[reflected]
 
     ell = tile.x_period
     x_ext = np.concatenate([tile.x[:-1] + r * ell for r in range(n_regions)] + [[n_regions * ell]])

@@ -22,7 +22,8 @@ act on FourierField coefficients by their definitions, as the reference S
 of S o L = diag(delta_j).  The SL residual checks sampled solutions with
 fourth-order differences.  The full-array safeguarded Newton evaluates
 the angle chain on every point in every pass, as the reference for the
-library's active-set, blocked root solve.
+library's active-set, blocked root solve.  The per-row np.roll extension is
+the reference for the tile extension's gathers.
 """
 
 import numpy as np
@@ -439,6 +440,31 @@ def boundary_operator(y, chi):
     out_sin = c * y.sin - s * y.cos
     out_sin[0] = 0.0
     return FourierField(y.T, np.zeros_like(out_sin), out_sin)
+
+
+def rolled_extension(p, u, chi):
+    """The reflection extension of a tile's (p, u) rows, one np.roll per row.
+
+    Row i of the period copies a tile row, time-shifted by chi nt/2 on the two
+    middle regions and with u negated on the reflected ones, as in the
+    region table of the linwave module docstring.
+    """
+    nx, nt = p.shape[0] - 1, p.shape[1]
+    s = (nt // 2) * chi
+    n_ext = (4 if chi == 1 else 2) * nx
+    p_ext, u_ext = np.empty((n_ext + 1, nt)), np.empty((n_ext + 1, nt))
+    p_ext[: nx + 1], u_ext[: nx + 1] = p, u
+    for i in range(nx + 1, 2 * nx + 1):
+        p_ext[i] = np.roll(p[2 * nx - i], -s)
+        u_ext[i] = -np.roll(u[2 * nx - i], -s)
+    if chi == 1:
+        for i in range(2 * nx + 1, 3 * nx + 1):
+            p_ext[i] = np.roll(p[i - 2 * nx], -s)
+            u_ext[i] = np.roll(u[i - 2 * nx], -s)
+        for i in range(3 * nx + 1, 4 * nx + 1):
+            p_ext[i] = p[4 * nx - i]
+            u_ext[i] = -u[4 * nx - i]
+    return p_ext, u_ext
 
 
 def sl_residual(profile, omega, x, vals):

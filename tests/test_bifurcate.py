@@ -71,6 +71,36 @@ def test_m_doubling_raises_explicit_n_quad(two_level, gamma2):
     assert sol.z == ref.z and np.array_equal(sol.a, ref.a)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_omitted_cfg_is_the_branch_default(two_level, gamma2, k):
+    # an omitted cfg resolves to the one branch_continue has always run at
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=k)
+    assert problem.cfg == EvolutionConfig(M=32, k_accuracy=max(4, k + 2))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_unset_k_accuracy_follows_the_mode(two_level, gamma2, k):
+    cfg = EvolutionConfig(M=16, n_quad=64, x_error_target=1e-10)
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=k, cfg=cfg)
+    assert problem.cfg == EvolutionConfig(
+        M=16, n_quad=64, x_error_target=1e-10, k_accuracy=max(4, k + 2)
+    )
+
+
+@pytest.mark.parametrize("k_accuracy", [1, 16])
+def test_explicit_k_accuracy_is_kept(two_level, gamma2, k_accuracy):
+    cfg = EvolutionConfig(M=16, k_accuracy=k_accuracy)
+    assert BifurcationProblem(profile=two_level, eos=gamma2, k=1, cfg=cfg).cfg == cfg
+
+
+def test_explicit_dx_is_kept(two_level, gamma2):
+    problem = BifurcationProblem(
+        profile=two_level, eos=gamma2, k=1, cfg=EvolutionConfig(M=16, dx=1e-3)
+    )
+    assert problem.cfg.dx == 1e-3
+    assert problem.cfg.resolved_dx(two_level, problem.eigen().T, sigma=2.0, eta=0.5) == 1e-3
+
+
 def test_alpha_zero_trivial(problem):
     sol = solve_at_alpha(problem, 0.0)
     assert sol.z == 0.0

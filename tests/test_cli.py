@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from puretone.cli import main
+from puretone import bifurcate, linwave
+from puretone.cli import _problem_from_args, build_parser, main
 from puretone.eos import GammaLawEos
+from puretone.evolve import EvolutionConfig
 from puretone.profile import (
     PiecewiseConstantProfile,
     constant_profile,
@@ -226,6 +228,47 @@ def test_tile_after_m_doubling_names_the_nt_it_needs(profile_file, tmp_path, cap
     assert err["error"] == "_UsageFailure"
     assert "M = 8" in err["message"] and "--nt >= 2 M + 2 = 18" in err["message"]
     assert not list(tmp_path.glob("tile*"))
+
+
+@pytest.mark.parametrize("command", ["perturb", "tile"])
+@pytest.mark.parametrize("k, k_accuracy", [(1, 4), (3, 5)])
+def test_cli_problem_marches_at_the_k_aware_accuracy(two_level, command, k, k_accuracy):
+    args = build_parser().parse_args(
+        [command, "--profile", "two.json", "--k", str(k), "--alpha", "1e-3",
+         "--modes", "16", "--nt", "64"]
+    )
+    cfg = _problem_from_args(args, two_level).cfg
+    assert cfg == EvolutionConfig(M=16, n_quad=64, k_accuracy=k_accuracy)
+
+
+def test_tile_solve_accuracy_against_fine_step(two_level):
+    # tile --alpha at the benchmark's cli_tile settings (k = 1, alpha 1e-3,
+    # --modes 16, --nt 64, --nx 128): the default-accuracy solve and snapshot
+    # march against the same steps at dx = ell / 4000.  Finer references are
+    # no better: they carry the roundoff of more steps (z moves 1.6e-8
+    # relative from ell/4000 to ell/8000, 1.8e-7 to ell/20000).
+    argv = ["tile", "--profile", "two.json", "--k", "1", "--alpha", "1e-3",
+            "--modes", "16", "--nt", "64", "--nx", "128"]
+    args = build_parser().parse_args(argv)
+    fine = EvolutionConfig(M=16, n_quad=64, dx=two_level.ell / 4000)
+
+    def solve_and_tile(problem):
+        sol = bifurcate.solve_at_alpha(problem, args.alpha)
+        tile = linwave.nonlinear_tile(
+            two_level, two_level.eos, sol.y0_field(), problem.cfg, args.nx, args.nt, 1
+        )
+        return sol, tile
+
+    sol, tile = solve_and_tile(_problem_from_args(args, two_level))
+    ref, ref_tile = solve_and_tile(
+        bifurcate.BifurcationProblem(two_level, two_level.eos, k=1, cfg=fine)
+    )
+    tile_err = max(np.max(np.abs(tile.p - ref_tile.p)), np.max(np.abs(tile.u - ref_tile.u)))
+    z_err = abs(sol.z - ref.z) / abs(ref.z)
+    a_err = np.max(np.abs(sol.a - ref.a)) / np.max(np.abs(ref.a))
+    assert tile_err < 1e-14  # measured 3.1e-15 (8.9e-16 at k_accuracy 16)
+    assert z_err < 2e-8  # measured 6.5e-9 (2.4e-9 at k_accuracy 16)
+    assert a_err < 2e-9  # measured 6.7e-10 (6.5e-13 at k_accuracy 16)
 
 
 def test_nonlinear_tile_independent_of_hash_seed(profile_file, tmp_path):

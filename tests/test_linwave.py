@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import sl_residual
+from _oracles import rolled_extension, sl_residual
+from puretone import linwave
 from puretone.errors import BoundaryResidualError, DomainError
 from puretone.profile import constant_profile
 from puretone.sl_core import fundamental_matrix
@@ -166,6 +167,22 @@ def test_acoustic_mode_tile(two_level):
     assert ext.x[-1] == 2.0
     assert np.all(tile.u[0] == 0.0)
     assert np.max(np.abs(tile.u[-1])) < 1e-8
+
+
+@pytest.mark.parametrize("chi", [0, 1])
+def test_extension_matches_per_row_rolls(monkeypatch, chi):
+    # the row gather and column permutation copy the bits of the per-row
+    # np.roll loops; random rows leave no symmetry to hide a wrong index
+    monkeypatch.setattr(linwave, "_EXTEND_TOL", np.inf)
+    rng = np.random.default_rng(7)
+    nx, nt = 5, 12
+    p, u = rng.standard_normal((2, nx + 1, nt))
+    u[0, 3] = -0.0
+    tile = TileField(np.linspace(0.0, 1.0, nx + 1), np.arange(nt) / nt, p, u, chi=chi, T=1.0)
+    ext = extend_tile(tile)
+    p_ref, u_ref = rolled_extension(p, u, chi)
+    assert ext.p.tobytes() == p_ref.tobytes()
+    assert ext.u.tobytes() == u_ref.tobytes()
 
 
 def test_extension_refuses_bad_tile(mode1):
