@@ -30,8 +30,9 @@ the law is the SL rotation of each mode: with s^2 = -v_p(a_0, A),
     (a_j, b_j)(x + h) = [[cos th, -sin th / s], [s sin th, cos th]] (a_j, b_j)(x),
     th = j Omega s h,
 
-which each step applies exactly; RK4 carries only the remainder in the b_j
-equation,
+which each step applies exactly by sl_core.rotation, the SL transfer of a
+constant piece taken at the slowness s; RK4 carries only the remainder in
+the b_j equation,
 
     v(p) - v(a_0) - v_p(a_0) (p - a_0) = v(a_0) f((p - a_0) / a_0),
     f(x) = (1+x)^(-1/gamma) - 1 + x/gamma,
@@ -238,8 +239,8 @@ class _Marcher:
     The state is one (a, b) pair of cos/sin coefficient arrays over the mean
     a0 whose leading axis holds the marched fields: 0 is the solution, 1 (if
     present) its first variation.  Inside a step every mode turns exactly as
-    the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx (the algebra
-    of sl_core._pwc_piece_matrix, per batch row); RK4 carries only the
+    the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx (one
+    sl_core.rotation call per half step, per batch row); RK4 carries only the
     remainder, which drives the sine coefficients and vanishes at quiet data.
     The remainder is evaluated on two RK4 stages at once, stacked on one more
     leading axis (see _step).
@@ -268,12 +269,6 @@ class _Marcher:
         eos_, shape = self.eos, np.shape(sigma) + (1,) * self.a0.ndim
         A = eos_.factor_from_sigma(self.pbar, np.reshape(sigma, shape))
         return _Frozen(eos_.volume_from_factor(self.a0, A), eos_.dvdp_from_factor(self.a0, A))
-
-    def half_turn(self, rot, h):
-        s = np.sqrt(-rot.vp0)
-        theta = self.omega_modes * s * (0.5 * h)
-        sn = np.sin(theta)
-        return np.cos(theta), sn / s, s * sn
 
     def remainder(self, a, at, rot):
         """Sine-coefficient rates of the remainder, shaped like `a`: (stages, fields, ..., M+1).
@@ -348,7 +343,8 @@ class _Marcher:
                 dx = self.cfg.resolved_dx(self.profile, self.T)
             x = piece.x0
             for xt in targets:
-                seg = xt - x
+                # a constant piece spans its width, as in its SL transfer (x1 - x0 may not)
+                seg = piece.width - (x - piece.x0) if constant and xt == piece.x1 else xt - x
                 if seg <= 0.0:
                     take(xt, a, b)
                     continue
@@ -356,13 +352,13 @@ class _Marcher:
                 h = seg / n_steps
                 if constant:
                     mid, pairs = const, (const, const)
-                    turn = self.half_turn(const, h)
+                    turn = sl_core.rotation(np.sqrt(-const.vp0), self.omega_modes, 0.5 * h)
                 for _ in range(n_steps):
                     if not constant:
                         at = self.frozen(piece.sigma(np.array([x, x + 0.5 * h, x + h])))
                         mid = _Frozen(*(v[1] for v in at))
                         pairs = (_Frozen(*(v[:2] for v in at)), _Frozen(*(v[1:] for v in at)))
-                        turn = self.half_turn(mid, h)
+                        turn = sl_core.rotation(np.sqrt(-mid.vp0), self.omega_modes, 0.5 * h)
                     a, b = self._step(self.remainder, a, b, h, turn, mid, pairs)
                     x += h
                     if on_step is not None:
@@ -402,17 +398,14 @@ class _Marcher:
 def _guard_sigma(piece):
     """The sigma of a piece's guard norm and the most the linear march grows that norm across it.
 
-    On a constant piece the exact turn keeps hypot(a_j, b_j / sigma) of every
-    mode, so the gain is 1.  On a smooth piece the linear law moves
-    a^2 + b^2 / sigma(x)^2 by at most exp(2 TV(log sigma)), and measuring at
-    the piece's smallest sigma costs one more max/min ratio; PCHIP adds no
-    variation beyond its samples'.
+    The linear law moves a^2 + b^2 / sigma(x)^2 by at most exp(2 TV(log sigma)),
+    and measuring at the piece's smallest sigma costs one more max/min ratio;
+    PCHIP adds no variation beyond its samples'.  A constant piece, whose exact
+    turn keeps hypot(a_j, b_j / sigma) of every mode, gets exactly (level, 1).
     """
-    if isinstance(piece, ConstantPiece):
-        return piece.level, 1.0
     log_s = np.log(piece.sigma_samples)
     gain = np.exp(np.ptp(log_s) + np.sum(np.abs(np.diff(log_s))))
-    return float(np.exp(np.min(log_s))), float(gain)
+    return float(np.min(piece.sigma_samples)), float(gain)
 
 
 class _StepGuard:

@@ -75,6 +75,8 @@ class TileField:
     def __post_init__(self):
         if self.p.shape != (self.x.size, self.t.size) or self.u.shape != self.p.shape:
             raise DomainError("field arrays must be (len(x), len(t))")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise DomainError(f"period T must be finite and positive (got {self.T!r})")
 
     @property
     def nx(self) -> int:
@@ -251,14 +253,17 @@ def tile_to_binary(tile: TileField, path):
 
 
 def tile_from_binary(path) -> TileField:
+    """Read a tile_to_binary file; a wrong magic, a cut header, negative counts
+    or a size that the counts do not give raise DomainError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _TILE_MAGIC:
-            raise DomainError(f"not a tile file (magic {magic!r})")
-        n_rows, nt, chi = struct.unpack("<qqq", fh.read(24))
-        T, _xp = struct.unpack("<dd", fh.read(16))
-        x = np.frombuffer(fh.read(8 * n_rows), dtype="<f8")
-        t = np.frombuffer(fh.read(8 * nt), dtype="<f8")
-        p = np.frombuffer(fh.read(8 * n_rows * nt), dtype="<f8").reshape(n_rows, nt)
-        u = np.frombuffer(fh.read(8 * n_rows * nt), dtype="<f8").reshape(n_rows, nt)
-    return TileField(x.copy(), t.copy(), p.copy(), u.copy(), chi=int(chi), T=float(T))
+        data = fh.read()
+    if data[:8] != _TILE_MAGIC:
+        raise DomainError(f"not a tile file (magic {data[:8]!r})")
+    if len(data) < 48:
+        raise DomainError(f"tile file of {len(data)} bytes ends inside its header")
+    n_rows, nt, chi, T, _xp = struct.unpack_from("<qqqdd", data, 8)
+    if n_rows < 0 or nt < 0 or len(data) != 48 + 8 * (n_rows + nt + 2 * n_rows * nt):
+        raise DomainError(f"tile file of {len(data)} bytes does not hold counts ({n_rows}, {nt})")
+    values = np.frombuffer(data, "<f8", offset=48).copy()
+    x, t, p, u = np.split(values, np.cumsum((n_rows, nt, n_rows * nt)))
+    return TileField(x, t, p.reshape(n_rows, nt), u.reshape(n_rows, nt), chi=int(chi), T=float(T))

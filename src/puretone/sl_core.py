@@ -21,7 +21,8 @@ theta(ell, omega) = k*pi/2 with theta(0) = 0.
 Every routine walks `profile.pieces` once and chooses its method per piece.
 Across a profile.ConstantPiece theta turns by exactly omega*sigma_i*L_i, and
 the transfer matrix is the rotation R(omega*sigma_i*L_i) conjugated by the
-aspect matrix M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)).
+aspect matrix M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)), from
+`rotation`, the one constant-slowness turn (evolve's march takes it too).
 A smooth piece is stepped by the fourth-order Magnus method with two Gauss
 points (Iserles 2002, BIT 42:561), vectorized over omega: every step is the
 exponential of a traceless 2x2 matrix in closed form, so det = 1 holds step
@@ -352,19 +353,27 @@ def angle_and_slope_at_ell(profile, omega):
 # -- fundamental (transfer) matrices --------------------------------------------
 
 
-def _pwc_piece_matrix(sigma, omega, dx):
-    """M(sigma) R(omega sigma dx) M(1/sigma), the exact constant-sigma transfer;
-    vectorized over omega, shape omega.shape + (2, 2)."""
+def rotation(sigma, omega, dx):
+    """(cos th, sin th / sigma, sigma sin th), th = omega (sigma dx): the exact
+    constant-sigma turn, which the constant piece transfer and the x-march share."""
     ang = np.asarray(omega, dtype=float) * (sigma * dx)
     c, s = np.cos(ang), np.sin(ang)
-    return _traceless(c, 0.0, -s / sigma, sigma * s)
+    return c, s / sigma, sigma * s
 
 
-def _piece_matrix(piece, omega):
-    """Transfer matrix of one piece, exact if constant, else the ordered product
-    of its Magnus steps; vectorized over omega, shape omega.shape + (2, 2)."""
+def _piece_matrix(piece, omega, x=None):
+    """Transfer matrix of one piece from x0 to x1, vectorized over omega, or with
+    points x and a scalar omega from x0 to each point (shape x.shape + (2, 2)):
+    the exact rotation if constant, else the ordered (prefix) product of the
+    Magnus steps, the points joined to the knots so that each ends a step."""
     if isinstance(piece, ConstantPiece):
-        return _pwc_piece_matrix(piece.level, omega, piece.width)
+        dx = piece.width if x is None else x - piece.x0
+        c, sn_over_s, s_sn = rotation(piece.level, omega, dx)
+        return _traceless(c, 0.0, -sn_over_s, s_sn)
+    if x is not None:
+        knots = np.union1d(piece.x, x)
+        ends, psis = magnus_states(piece, omega, knots)
+        return psis[:: (ends.size - 1) // (knots.size - 1)][np.searchsorted(knots, x)]
     om = np.asarray(omega, dtype=float).reshape(-1)
     out = np.empty(om.shape + (2, 2))
     for idx, _, grid in _step_groups(piece, piece.x, om):
@@ -402,21 +411,13 @@ def sample_sl_solution(profile, omega, x_grid) -> np.ndarray:
         raise DomainError(f"sample points must lie in [0, {profile.ell!r}]")
     out = np.empty((2, x_grid.size))
     v = np.array([1.0, 0.0])
-    om = np.array([float(omega)])
     for i, piece in enumerate(profile.pieces):
         x0, x1 = edges[i], edges[i + 1]
         sel = (x_grid >= x0 - 1e-14) & ((x_grid <= top) if i == edges.size - 2 else (x_grid < x1))
-        targets = np.clip(x_grid[sel], x0, x1)
-        if isinstance(piece, ConstantPiece):
-            out[:, sel] = (_pwc_piece_matrix(piece.level, om[0], targets - x0) @ v).T
-            v = _pwc_piece_matrix(piece.level, om[0], x1 - x0) @ v
-            continue
-        # the targets join the sample knots, so every target ends a step
-        knots = np.union1d(piece.x, targets)
-        x, psis = magnus_states(piece, om[0], knots)
-        at_knot = (psis @ v)[:: (x.size - 1) // (knots.size - 1)]
-        out[:, sel] = at_knot[np.searchsorted(knots, targets)].T
-        v = at_knot[-1]
+        # the last row is the transfer across the whole piece
+        psis = _piece_matrix(piece, omega, np.append(np.clip(x_grid[sel], x0, x1), x1))
+        out[:, sel] = (psis[:-1] @ v).T
+        v = psis[-1] @ v
     return out
 
 

@@ -235,8 +235,8 @@ def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
     The quarter-turn factors cos/sin(j chi pi/2) are taken from an exact
     integer table so that axis hits are not polluted by pi roundoff.
     """
-    if not T > 0.0:
-        raise DomainError("period T must be positive")
+    if not (np.isfinite(T) and T > 0.0):
+        raise DomainError(f"period T must be finite and positive (got {T!r})")
     if chi not in (0, 1):
         raise DomainError("chi must be 0 or 1")
     if j_max < 1:

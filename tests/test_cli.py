@@ -100,6 +100,8 @@ def test_resonance_report(profile_file, tmp_path):
         (["eigen", "--k-range", "3:3", "--chi", "acoustic"], 2, "_UsageFailure"),
         (["perturb", "--k", "1", "--modes", "8", "--nt", "32", "--alpha-schedule", "abc"], 2,
          "_UsageFailure"),
+        (["tile", "--quiet", "--period", "-1", "--nx", "4", "--nt", "8"], 1, "DomainError"),
+        (["divisors", "--period", "inf"], 1, "DomainError"),
     ],
 )
 def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, error):

@@ -18,7 +18,7 @@ from puretone.errors import DomainError, NumericalError, ResonanceError, ShockPr
 from puretone.profile import PiecewiseConstantProfile, from_jump_angles, reversed_profile
 from puretone.sl_core import fundamental_matrix
 from puretone.spectrum import DEFAULT_MC_BOX, DivisorTable, divisors, eigen_solve
-from puretone import evolve
+from puretone import evolve, sl_core
 from puretone.evolve import (
     EvolutionConfig,
     FourierField,
@@ -301,35 +301,46 @@ _J_BOX, _THETA_BOX = DEFAULT_MC_BOX
 
 @st.composite
 def _pwc_draws(draw):
-    """2-5 levels from (J, Theta) in the genericity box, pbar = 1."""
+    """(profile, k, chi): 2-5 levels from (J, Theta) in the genericity box, a gamma
+    law with gamma in {1.4, 5/3, 2, 3}, pbar in [0.5, 2], and a mode k <= 3 of
+    either boundary condition (k even when chi = 0)."""
     n = draw(st.integers(min_value=2, max_value=5))
     jumps = draw(st.lists(st.floats(*_J_BOX), min_size=n - 1, max_size=n - 1))
     thetas = draw(st.lists(st.floats(*_THETA_BOX), min_size=n, max_size=n))
-    return from_jump_angles(jumps, thetas, pbar=1.0, eos=GammaLawEos(2.0))
+    gamma = draw(st.sampled_from((1.4, 5.0 / 3.0, 2.0, 3.0)))
+    pbar = draw(st.floats(0.5, 2.0))
+    chi = draw(st.sampled_from((0, 1)))
+    k = draw(st.integers(1, 3)) if chi == 1 else 2
+    return from_jump_angles(jumps, thetas, pbar=pbar, eos=GammaLawEos(gamma)), k, chi
 
 
 @given(_pwc_draws())
 @settings(max_examples=25, deadline=None)
-def test_random_pwc_march_invariants(prof):
-    # at the k = 1 period: the quiet state and the tangent of the quiet family
-    # (a variation of the mean) are bit-exact fixed points, the quiet
-    # linearization turns mode k by Psi(ell; k Omega), and reflection undoes
-    # the march through the reversed profile
+def test_random_pwc_march_invariants(draw):
+    # at the period of mode k: the quiet state and the tangent of the quiet
+    # family (a variation of the mean) are bit-exact fixed points, the quiet
+    # linearization turns every mode j by Psi(ell; j Omega), so that S o L is
+    # diag(delta_j) with its signs (the march turns at the sound slowness, the
+    # SL transfer at sigma), and reflection undoes the march through the
+    # reversed profile
+    prof, k, chi = draw
     m = 8
-    T = eigen_solve(prof, 1).T
+    T = eigen_solve(prof, k, chi).T
     cfg = EvolutionConfig(M=m)
-    quiet = FourierField.constant(T, 1.0, m)
+    quiet = FourierField.constant(T, prof.pbar, m)
     out = nonlinear_evolve(prof, prof.eos, quiet, cfg)
     assert np.array_equal(out.cos, quiet.cos) and np.array_equal(out.sin, quiet.sin)
     tangent = linearized_evolve(prof, prof.eos, quiet, FourierField.constant(T, 1.0, m), cfg)
-    assert np.array_equal(tangent.cos, quiet.cos) and np.array_equal(tangent.sin, quiet.sin)
+    assert np.array_equal(tangent.cos, np.eye(m + 1)[0]) and np.array_equal(tangent.sin, quiet.sin)
     psi = fundamental_matrix(prof, np.arange(1, m + 1) * (2.0 * np.pi / T))
-    for k in (1, 2, m):
-        Y = linearized_evolve(prof, prof.eos, quiet, FourierField.cosine(T, k, 1.0, m=m), cfg)
-        scale = max(1.0, np.max(np.abs(psi[k - 1])))
-        assert abs(Y.cos[k] - psi[k - 1, 0, 0]) <= 1e-12 * scale
-        assert abs(Y.sin[k] - psi[k - 1, 1, 0]) <= 1e-12 * scale
-    y0 = quiet + 1e-3 * FourierField.cosine(T, 1, 1.0, m=m)
+    table = divisors(prof, T, chi, m)
+    for j in range(1, m + 1):
+        Y = linearized_evolve(prof, prof.eos, quiet, FourierField.cosine(T, j, 1.0, m=m), cfg)
+        scale = max(1.0, np.max(np.abs(psi[j - 1])))
+        assert abs(Y.cos[j] - psi[j - 1, 0, 0]) <= 1e-12 * scale
+        assert abs(Y.sin[j] - psi[j - 1, 1, 0]) <= 1e-12 * scale
+        assert abs(boundary_operator(Y, chi).sin[j] - table.delta[j - 1]) <= 1e-12 * scale
+    y0 = quiet + 1e-3 * prof.pbar * FourierField.cosine(T, 1, 1.0, m=m)
     mid = nonlinear_evolve(prof, prof.eos, y0, cfg)
     refl = FourierField(T, mid.cos, -mid.sin)
     back = nonlinear_evolve(reversed_profile(prof), prof.eos, refl, cfg)
@@ -462,7 +473,7 @@ def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smo
     else:
         const = marcher.frozen(1.5)
         stages, pairs = (const,) * 3, (const, const)
-    turn = marcher.half_turn(stages[1], h)
+    turn = sl_core.rotation(np.sqrt(-stages[1].vp0), marcher.omega_modes, 0.5 * h)
     got = evolve._Marcher._step(marcher.remainder, a, b, h, turn, stages[1], pairs)
     ref = reference_lawson_step(marcher.remainder, a, b, h, turn, stages)
     for g, r in zip(got, ref):

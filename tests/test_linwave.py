@@ -298,8 +298,30 @@ def test_tile_csv_bytes_match_per_value_formatter(tmp_path):
     assert (tmp_path / "tile.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_binary_magic_check(tmp_path):
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda good: b"NOTATILE" + b"\0" * 64,  # wrong magic
+        lambda good: good[:20],  # cut inside the header
+        lambda good: good[:-12],  # cut inside the payload
+        lambda good: good[:8] + (-1).to_bytes(8, "little", signed=True) + good[16:],  # negative count
+    ],
+    ids=("magic", "cut-header", "cut-payload", "negative-count"),
+)
+def test_binary_magic_check(tmp_path, spoil):
+    # a file that is not a whole tile fails typed, never with struct.error or ValueError
+    tile = TileField(np.linspace(0.0, 1.0, 3), np.arange(4) * 0.5, np.ones((3, 4)),
+                     np.zeros((3, 4)), chi=1, T=2.0)
+    tile_to_binary(tile, tmp_path / "good.bin")
+    assert np.array_equal(tile_from_binary(tmp_path / "good.bin").p, tile.p)
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTATILE" + b"\0" * 64)
+    path.write_bytes(spoil((tmp_path / "good.bin").read_bytes()))
     with pytest.raises(DomainError):
         tile_from_binary(path)
+
+
+@pytest.mark.parametrize("T", (-1.0, 0.0, np.nan, np.inf))
+def test_tile_period_must_be_finite_and_positive(T):
+    with pytest.raises(DomainError):
+        TileField(np.linspace(0.0, 1.0, 3), np.arange(4) * 0.5, np.ones((3, 4)),
+                  np.zeros((3, 4)), chi=1, T=T)
