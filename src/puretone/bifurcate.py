@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ResonanceError, SolverError
+from .errors import PureToneError, ResonanceError, SolverError
 from . import spectrum as _spectrum
 from . import sl_core
 from .evolve import (
@@ -99,24 +99,22 @@ class BifurcationProblem:
             self._cache["eig"] = _spectrum.eigen_solve(self.profile, self.k, self.chi)
         return self._cache["eig"]
 
-    def divisor_table(self, m):
-        key = ("table", m)
-        if key not in self._cache:
-            self._cache[key] = _spectrum.divisors(self.profile, self.eigen().T, self.chi, m)
-        return self._cache[key]
-
     def validate(self):
-        """Resonance gate at j_max = cfg.M: refuse anything but a nonresonant verdict."""
-        key = ("validated", self.cfg.M)
-        if self._cache.get(key):
-            return
-        report = _spectrum.resonance_scan(self.profile, self.k, self.chi, j_max=self.cfg.M)
-        if report.verdict != "nonresonant":
-            raise ResonanceError(
-                f"k={self.k} mode is {report.verdict} "
-                f"(min divisor {report.min_divisor:.3e} at j={report.argmin_j})"
-            )
-        self._cache[key] = True
+        """Resonance gate at j_max = cfg.M: refuse anything but a nonresonant verdict.
+
+        Returns the gate's ResonanceReport, cached per M; its divisor table is
+        the one the chord solve and the weighted norm read.
+        """
+        key = ("gate", self.cfg.M)
+        if key not in self._cache:
+            report = _spectrum.resonance_scan(self.profile, self.k, self.chi, j_max=self.cfg.M)
+            if report.verdict != "nonresonant":
+                raise ResonanceError(
+                    f"k={self.k} mode is {report.verdict} "
+                    f"(min divisor {report.min_divisor:.3e} at j={report.argmin_j})"
+                )
+            self._cache[key] = report
+        return self._cache[key]
 
     def second_derivative(self):
         """Quiet second derivative; its pairing gives d r_k / d z = alpha * pairing."""
@@ -171,8 +169,7 @@ def _mode_indices(m, k):
 
 def _sine_components(a_out, b_out, chi):
     """Sine coefficients of S applied to the evolved field, j = 1..M."""
-    c, s = sl_core.quarter_cos_sin(np.arange(a_out.shape[-1]) * chi)
-    return (c * b_out - s * a_out)[..., 1:]
+    return sl_core.boundary_sine(np.arange(a_out.shape[-1]) * chi, a_out, b_out)[..., 1:]
 
 
 class _NewtonWorkspace:
@@ -184,7 +181,7 @@ class _NewtonWorkspace:
         self.m = m
         self.idx = _mode_indices(m, problem.k)
         self.eig = problem.eigen()
-        self.table = problem.divisor_table(m)
+        self.table = problem.validate().divisor_table
         self.n_evolve = 0
 
     def unpack(self, u):
@@ -350,7 +347,8 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
 
 
 def branch_continue(problem: BifurcationProblem, alphas=(1e-4, 2e-4, 5e-4, 1e-3)) -> BranchResult:
-    """Walk the amplitude schedule with warm starts; stop at first failure."""
+    """Walk the amplitude schedule with warm starts; the first typed failure
+    (PureToneError) is recorded and ends the branch, any other error propagates."""
     problem.validate()
     schedule = tuple(alphas)
     if any(a2 <= a1 for a1, a2 in zip(schedule, schedule[1:])):
@@ -361,7 +359,7 @@ def branch_continue(problem: BifurcationProblem, alphas=(1e-4, 2e-4, 5e-4, 1e-3)
     for alpha in schedule:
         try:
             sol = solve_at_alpha(problem, alpha, warm=warm)
-        except Exception as exc:  # noqa: BLE001 - record cause, stop the branch
+        except PureToneError as exc:  # a typed numerical failure ends the branch
             failure = {
                 "alpha": float(alpha),
                 "error": type(exc).__name__,

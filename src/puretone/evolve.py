@@ -317,13 +317,17 @@ class _Marcher:
     def walk(self, a, b, x_nodes=None, on_step=None):
         """March (a, b) from 0 to ell, snapshotting field 0 exactly at x_nodes.
 
-        A constant piece's step count follows field 0 alone (eta), so a
-        variation's march stays linear in its data.  on_step(x, a, b, piece)
-        runs after every step.
+        A node outside [0, ell] by more than the march's rounding allowance
+        raises DomainError.  A constant piece's step count follows field 0
+        alone (eta), so a variation's march stays linear in its data.
+        on_step(x, a, b, piece) runs after every step.
         """
         nodes = [] if x_nodes is None else list(np.sort(np.asarray(x_nodes, dtype=float)))
         snaps = []
         eps = 1e-12 * max(self.profile.ell, 1.0)
+        # the walk ends at the last edge, which a pwc ell (a sum) may miss by ulps
+        if nodes and not (nodes[0] >= -eps and nodes[-1] <= self.profile.pieces[-1].x1 + eps):
+            raise DomainError(f"x_nodes must lie in [0, {self.profile.ell!r}]")
 
         def take(x, a, b):
             while nodes and nodes[0] <= x + eps:
@@ -365,8 +369,6 @@ class _Marcher:
                         on_step(x, a, b, piece)
                 x = xt
                 take(x, a, b)
-        # flush nodes that sit within rounding of ell (sum vs cumsum ulps)
-        take(self.profile.ell + 2.0 * eps, a, b)
         return (a, b), snaps
 
     @staticmethod
@@ -550,7 +552,6 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
     psi_mat, a_ell, b_ell = state
     phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
     psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
-    c, s = sl_core.quarter_cos_sin(k * chi)
     return QuietSecondDerivative(
         k=k,
         chi=chi,
@@ -558,7 +559,7 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
         T=eig.T,
         phi_hat=float(phi_hat),
         psi_hat=float(psi_hat),
-        pairing=float(c * psi_hat - s * phi_hat),
+        pairing=float(sl_core.boundary_sine(k * chi, phi_hat, psi_hat)),
         a_ell=float(a_ell),
         b_ell=float(b_ell),
         fundamental=psi_mat,

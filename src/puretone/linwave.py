@@ -77,6 +77,9 @@ class TileField:
             raise DomainError("field arrays must be (len(x), len(t))")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise DomainError(f"period T must be finite and positive (got {self.T!r})")
+        # the extension's time shifts are rolls by nt/2 and nt/4 columns
+        if self.t.size % 2 or (self.chi == 1 and self.t.size % 4):
+            raise DomainError("nt must be even, and divisible by 4 when chi = 1")
 
     @property
     def nx(self) -> int:
@@ -91,11 +94,6 @@ class TileField:
         return float(self.x[-1])
 
 
-def _check_nt(nt, chi):
-    if nt % 2 or (chi == 1 and nt % 4):
-        raise DomainError("nt must be even, and divisible by 4 when chi = 1")
-
-
 def _x_grid(profile, nx):
     """The nx + 1 uniform rows x_i = i ell / nx; nx >= 1."""
     if nx < 1:
@@ -103,43 +101,39 @@ def _x_grid(profile, nx):
     return np.linspace(0.0, profile.ell, nx + 1)
 
 
+def _tile(x, a, b, T, nt, chi, meta):
+    """The tile whose row i is p = sum_j a[i, j] cos(j 2 pi t/T), u = sum_j b[i, j] sin(...).
+
+    One synthesis of all rows on t_i = i T / nt, from the march's exact DFT
+    tables, which need nt >= 2 M + 2 for coefficients up to mode M.
+    """
+    p = coeffs_to_grid(a, None, nt)
+    u = coeffs_to_grid(np.zeros_like(b), b, nt)
+    return TileField(x, np.arange(nt) * (T / nt), p, u, chi=chi, T=T, meta=dict(meta or {}))
+
+
 def mode_field(mode: LinearMode, nt: int, meta=None) -> TileField:
     """Separated-variables mode P = cos(omega t) phi(x), U = sin(omega t) psi(x)."""
-    _check_nt(nt, mode.chi)
-    T = mode.T
-    t = np.arange(nt) * (T / nt)
-    # omega * t_j = 2 pi k j / nt: grid-exact phases
-    phase = 2.0 * np.pi * mode.k * np.arange(nt) / nt
-    p = np.outer(mode.phi, np.cos(phase))
-    u = np.outer(mode.psi, np.sin(phase))
-    return TileField(mode.x, t, p, u, chi=mode.chi, T=T, meta=dict(meta or {}))
+    a = np.zeros((mode.x.size, mode.k + 1))
+    b = np.zeros_like(a)
+    a[:, mode.k], b[:, mode.k] = mode.phi, mode.psi
+    return _tile(mode.x, a, b, mode.T, nt, mode.chi, meta)
 
 
 def quiet_tile(profile, pbar, T, nx, nt, chi, meta=None) -> TileField:
-    _check_nt(nt, chi)
     x = _x_grid(profile, nx)
-    t = np.arange(nt) * (T / nt)
-    p = np.full((nx + 1, nt), float(pbar))
-    u = np.zeros_like(p)
-    return TileField(x, t, p, u, chi=chi, T=T, meta=dict(meta or {}))
+    a = np.full((x.size, 1), float(pbar))
+    return _tile(x, a, np.zeros_like(a), T, nt, chi, meta)
 
 
 def nonlinear_tile(profile, eos, y0: FourierField, cfg: EvolutionConfig, nx, nt, chi,
                    meta=None) -> TileField:
     """Tile of the nonlinear solution with data y0 (p rows even, u rows odd)."""
-    _check_nt(nt, chi)
     x = _x_grid(profile, nx)
     _, snaps = nonlinear_evolve(profile, eos, y0, cfg, x_nodes=x)
-    if len(snaps) != nx + 1:
-        raise DomainError(f"trajectory returned {len(snaps)} of {nx + 1} requested rows")
-    p = np.empty((nx + 1, nt))
-    u = np.empty((nx + 1, nt))
-    zeros = np.zeros(cfg.M + 1)
-    for i, f in enumerate(snaps):
-        p[i] = coeffs_to_grid(f.cos, zeros, nt)
-        u[i] = coeffs_to_grid(zeros, f.sin, nt)
-    t = np.arange(nt) * (y0.T / nt)
-    return TileField(x, t, p, u, chi=chi, T=y0.T, meta=dict(meta or {}))
+    a = np.array([f.cos for f in snaps])
+    b = np.array([f.sin for f in snaps])
+    return _tile(x, a, b, y0.T, nt, chi, meta)
 
 
 # -- boundary residuals -----------------------------------------------------------
@@ -154,7 +148,6 @@ def _odd_part_grid(row):
 def tile_boundary_residual(tile: TileField):
     """(max |u(0,.)|, max |R_- T^{-chi T/4} y(ell,.)|) read off the tile's grid rows."""
     nt = tile.nt
-    _check_nt(nt, tile.chi)
     r0 = float(np.max(np.abs(_odd_part_grid(tile.p[0] + tile.u[0]))))
     row = tile.p[-1] + tile.u[-1]
     if tile.chi == 1:
@@ -178,7 +171,6 @@ def extend_tile(tile: TileField) -> TileField:
     exact by construction.
     """
     chi, nt = tile.chi, tile.nt
-    _check_nt(nt, chi)
     r0, rell = tile_boundary_residual(tile)
     if max(r0, rell) > _EXTEND_TOL:
         raise BoundaryResidualError(

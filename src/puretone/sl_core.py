@@ -48,20 +48,21 @@ PSI_DET_TOL = 1e-12
 PRUFER_TOL = 1e-11
 
 
-# -- exact quarter turns -------------------------------------------------------
+# -- the boundary operator S ----------------------------------------------------
 
 
 #: exact (cos, sin) of n pi/2, indexed by n mod 4
 _QUARTER = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
-def quarter_cos_sin(n):
-    """Exact (cos, sin) of n*pi/2 for an integer or an integer array n.
+def boundary_sine(n, cos_part, sin_part):
+    """The boundary operator S: cos(n pi/2) sin_part - sin(n pi/2) cos_part, n = j chi.
 
-    Table lookup, so axis hits are exactly 0 and +-1, free of pi roundoff.
+    S = R_- T^{-chi T/4} maps mode j's (cosine, sine) parts to one sine
+    coefficient; the exact quarter table keeps axis hits free of pi roundoff.
     """
     cs = _QUARTER[np.asarray(n) % 4]
-    return cs[..., 0], cs[..., 1]
+    return cs[..., 0] * sin_part - cs[..., 1] * cos_part
 
 
 # -- jump maps -----------------------------------------------------------------

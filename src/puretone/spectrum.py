@@ -230,10 +230,8 @@ def divisor_bound(profile) -> float:
 
 
 def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
-    """delta_j(T) for j = 1..j_max via the fundamental matrix.
-
-    The quarter-turn factors cos/sin(j chi pi/2) are taken from an exact
-    integer table so that axis hits are not polluted by pi roundoff.
+    """delta_j(T) for j = 1..j_max: the boundary operator S of the fundamental
+    matrix's first column, S o L = diag(delta_j) (sl_core.boundary_sine).
     """
     if not (np.isfinite(T) and T > 0.0):
         raise DomainError(f"period T must be finite and positive (got {T!r})")
@@ -243,8 +241,7 @@ def divisors(profile, T: float, chi: int, j_max: int) -> DivisorTable:
         raise DomainError(f"j_max must be at least 1 (got {j_max})")
     j = np.arange(1, j_max + 1)
     psi_mat = sl_core.fundamental_matrix(profile, j * 2.0 * np.pi / T)
-    c, s = sl_core.quarter_cos_sin(j * chi)
-    delta = c * psi_mat[:, 1, 0] - s * psi_mat[:, 0, 0]
+    delta = sl_core.boundary_sine(j * chi, psi_mat[:, 0, 0], psi_mat[:, 1, 0])
     return DivisorTable(T=T, chi=chi, delta=delta)
 
 

@@ -19,7 +19,8 @@ boundary residual of the bifurcation system at one assembled point, one
 unbatched evolution, probes S E^ell directly.  The field operators (parity
 projections, time shift and the boundary operator S = R_- T^{-chi T/4})
 act on FourierField coefficients by their definitions, as the reference S
-of S o L = diag(delta_j).  The SL residual checks sampled solutions with
+of S o L = diag(delta_j); its quarter turns are rounded libm values, not
+the library's table.  The SL residual checks sampled solutions with
 fourth-order differences.  The full-array safeguarded Newton evaluates
 the angle chain on every point in every pass, as the reference for the
 library's active-set, blocked root solve.  The per-row np.roll extension is
@@ -45,8 +46,14 @@ from puretone.sl_core import (
     _prefix_products,
     _step_groups,
     jump_angle,
-    quarter_cos_sin,
 )
+
+
+def rounded_quarter(n):
+    """(cos, sin) of n pi/2: libm values rounded to the exact 0 and +-1, apart from
+    the library's quarter table."""
+    ang = np.asarray(n) * (0.5 * np.pi)
+    return np.rint(np.cos(ang)), np.rint(np.sin(ang))
 
 
 def rk4_step_matrix(omega, sigma, h):
@@ -297,7 +304,7 @@ def dense_second_derivative(profile, eos, k, chi, phase_per_step):
     a_ell, b_ell = y[4], y[5]
     phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
     psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
-    c, s = quarter_cos_sin(k * chi)
+    c, s = rounded_quarter(k * chi)
     return QuietSecondDerivative(
         k=k,
         chi=chi,
@@ -383,7 +390,7 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
     a[0, k] = 1.0
     (a, b), _ = marcher.walk(a, np.zeros_like(a))
     phi_hat, psi_hat = float(a[1, k]), float(b[1, k])
-    c, s = quarter_cos_sin(k * chi)
+    c, s = rounded_quarter(k * chi)
     return QuietSecondDerivative(
         k=k,
         chi=chi,
@@ -434,9 +441,9 @@ def boundary_operator(y, chi):
 
     On the cosine j-mode this produces -sin(j chi pi/2) times the sine mode,
     which composed with quiet linearized evolution is exactly the divisor
-    delta_j.  Quarter turns use the exact integer table.
+    delta_j.  Quarter turns are rounded from libm cos/sin.
     """
-    c, s = quarter_cos_sin(np.arange(y.n_modes + 1) * chi)
+    c, s = rounded_quarter(np.arange(y.n_modes + 1) * chi)
     out_sin = c * y.sin - s * y.cos
     out_sin[0] = 0.0
     return FourierField(y.T, np.zeros_like(out_sin), out_sin)

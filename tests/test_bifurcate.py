@@ -226,6 +226,24 @@ def test_branch_continuation(quick_problem):
         assert np.array_equal(s1.a, s2.a)
 
 
+def test_branch_records_typed_failure(quick_problem):
+    branch = branch_continue(quick_problem, alphas=(1e-4, 0.9))
+    assert len(branch.solutions) == 1
+    assert branch.failure["alpha"] == 0.9
+    assert branch.failure["error"] == "ShockProximityError"
+
+
+def test_branch_propagates_untyped_errors(quick_problem, monkeypatch):
+    from puretone import bifurcate
+
+    def broken(problem, alpha, warm=None):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(bifurcate, "solve_at_alpha", broken)
+    with pytest.raises(TypeError):
+        branch_continue(quick_problem, alphas=(1e-4,))
+
+
 def test_branch_schedule_validation(quick_problem):
     with pytest.raises(SolverError):
         branch_continue(quick_problem, alphas=(1e-3, 1e-4))

@@ -88,6 +88,16 @@ def test_resonance_report(profile_file, tmp_path):
     assert doc["min_divisor"] > 1e-6
 
 
+def test_resonance_borderline_verdict(profile_file, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["resonance", "--profile", profile_file, "--k", "1", "--tol", "1",
+               "--out-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "resonance.json").read_text())
+    assert doc["verdict"] == "borderline"
+    assert doc["tol"] == 1.0
+
+
 @pytest.mark.parametrize(
     "argv, code, error",
     [
@@ -102,6 +112,7 @@ def test_resonance_report(profile_file, tmp_path):
          "_UsageFailure"),
         (["tile", "--quiet", "--period", "-1", "--nx", "4", "--nt", "8"], 1, "DomainError"),
         (["divisors", "--period", "inf"], 1, "DomainError"),
+        (["mode", "--k", "5", "--nt", "8"], 1, "DomainError"),  # nt < 2 k + 2
     ],
 )
 def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, error):
@@ -169,6 +180,18 @@ def test_perturb_branch(profile_file, tmp_path):
     assert len(doc["solutions"]) == 2
     assert doc["failure"] is None
     assert all(s["residual_weighted"] < 1e-10 for s in doc["solutions"])
+
+
+def test_perturb_failed_branch_exit_1(profile_file, tmp_path):
+    # the only alpha loses positive pressure: no solution, the failure recorded
+    out = tmp_path / "out"
+    rc = main(["perturb", "--profile", profile_file, "--k", "1", "--modes", "8", "--nt", "32",
+               "--alpha-schedule", "0.9", "--out-dir", str(out)])
+    assert rc == 1
+    doc = json.loads((out / "branch.json").read_text())
+    assert doc["solutions"] == []
+    assert doc["failure"]["alpha"] == 0.9
+    assert doc["failure"]["error"] == "ShockProximityError"
 
 
 def test_perturb_diagnostics_byte_identical(profile_file, tmp_path):
@@ -308,6 +331,16 @@ def test_mode_command(profile_file, tmp_path):
     prof_data = np.genfromtxt(out / "mode_profile.csv", delimiter=",", names=True)
     assert prof_data["phi"][0] == 1.0
     assert abs(prof_data["phi"][-1]) < 1e-8  # k odd: phi(ell) = 0
+
+
+def test_linear_tile_matches_extended_mode_tile(profile_file, tmp_path):
+    # `tile` without --alpha or --quiet is the linear mode tile of `mode --extend`
+    common = ["--profile", profile_file, "--k", "1", "--nx", "32", "--nt", "16"]
+    assert main(["tile", *common, "--out-dir", str(tmp_path / "tile")]) == 0
+    assert main(["mode", *common, "--extend", "--out-dir", str(tmp_path / "mode")]) == 0
+    tile_csv = (tmp_path / "tile" / "tile.csv").read_bytes()
+    assert tile_csv == (tmp_path / "mode" / "mode_tile.csv").read_bytes()
+    assert tile_csv.count(b"\n") == 1 + (4 * 32 + 1) * 16
 
 
 def test_genericity_command(tmp_path):

@@ -189,6 +189,14 @@ def test_mean_conserved_along_trajectory(two_level, gamma2, eig1, cfg16):
     assert np.all(np.array(means) == means[0])
 
 
+@pytest.mark.parametrize("nodes", ([0.25, 0.5, 1.5], [-0.2, 0.25, 0.5]), ids=("past-ell", "below-0"))
+def test_snapshot_nodes_outside_profile_refused(two_level, gamma2, eig1, nodes):
+    # a node past ell was dropped and one below 0 was taken at x = 0
+    y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-3 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
+    with pytest.raises(DomainError):
+        nonlinear_evolve(two_level, gamma2, y0, EvolutionConfig(M=8), x_nodes=nodes)
+
+
 def test_reflect_evolve_round_trip(two_level, gamma2, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16) + 1e-3 * FourierField.cosine(
         eig1.T, 1, 1.0, m=16

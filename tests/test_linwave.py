@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -208,8 +210,10 @@ def test_boundary_residual_exact_mode(two_level, mode1):
     tile = mode_field(mode1, nt=64)
     assert np.all(tile.u[0] == 0.0)  # u(0, .) vanishes identically
     r0, rell = tile_boundary_residual(tile)
-    assert r0 < 1e-14  # p-row symmetrization leaves only cos() roundoff
+    assert r0 == 0.0  # the synthesis tables are exactly even in t
     assert rell < 1e-8
+    acoustic = eigenfunction_profiles(two_level, eigen_solve(two_level, 2, chi=0), nx=64)
+    assert tile_boundary_residual(mode_field(acoustic, nt=64))[0] == 0.0
 
 
 def test_boundary_residual_detuned_period(two_level):
@@ -305,8 +309,10 @@ def test_tile_csv_bytes_match_per_value_formatter(tmp_path):
         lambda good: good[:20],  # cut inside the header
         lambda good: good[:-12],  # cut inside the payload
         lambda good: good[:8] + (-1).to_bytes(8, "little", signed=True) + good[16:],  # negative count
+        # a whole file whose nt = 6 breaks the chi = 1 grid rule
+        lambda good: good[:8] + struct.pack("<qqqdd", 3, 6, 1, 2.0, 1.0) + bytes(8 * (3 + 6 + 36)),
     ],
-    ids=("magic", "cut-header", "cut-payload", "negative-count"),
+    ids=("magic", "cut-header", "cut-payload", "negative-count", "nt6-chi1"),
 )
 def test_binary_magic_check(tmp_path, spoil):
     # a file that is not a whole tile fails typed, never with struct.error or ValueError

@@ -30,10 +30,10 @@ from puretone.sl_core import (
     _piece_matrix,
     angle_and_slope_at_ell,
     angle_at_ell,
+    boundary_sine,
     fundamental_matrix,
     jump_angle,
     prufer_advance,
-    quarter_cos_sin,
     sample_sl_solution,
 )
 from puretone.spectrum import DEFAULT_MC_BOX, eigen_solve, resonance_scan
@@ -310,9 +310,11 @@ def test_prufer_reconstruction_satisfies_sl(smooth_ramp):
 
 
 def test_quarter_table():
-    for n in range(-3, 9):
-        c, s = quarter_cos_sin(n)
-        assert_allclose([c, s], [np.cos(n * np.pi / 2), np.sin(n * np.pi / 2)], atol=1e-15)
+    # S takes (cos, sin) of n pi/2 exactly: its factors are 0 or +-1 to the bit
+    n = np.arange(-3, 9)
+    c, s = boundary_sine(n, 0.0, 1.0), -boundary_sine(n, 1.0, 0.0)
+    assert_allclose([c, s], [np.cos(n * np.pi / 2), np.sin(n * np.pi / 2)], atol=1e-15)
+    assert np.all(np.isin(c, (-1.0, 0.0, 1.0)) & np.isin(s, (-1.0, 0.0, 1.0)))
 
 
 # -- omega-batched Magnus propagator ----------------------------------------------------

@@ -139,6 +139,13 @@ def test_resonance_scan_constant(const_profile):
     assert rep2.verdict == "resonant"
 
 
+def test_resonance_scan_borderline(two_level):
+    # min divisor 0.0377 lies between BORDERLINE_TOL and tol = 1
+    rep = resonance_scan(two_level, 1, tol=1.0)
+    assert rep.verdict == "borderline"
+    assert rep.borderline < rep.min_divisor <= rep.tol
+
+
 def test_two_level_k3_exact_resonance(two_level):
     # omega_3 = pi and omega_6 = 2 pi exactly: the (k, j, l) = (3, 6, 6)
     # relation makes the k = 3 mode resonant
