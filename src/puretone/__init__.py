@@ -66,6 +66,5 @@ from .bifurcate import (
     BranchResult,
     PureToneSolution,
     branch_continue,
-    dgdz_check,
     solve_at_alpha,
 )

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PureToneError, ResonanceError, SolverError
+from .errors import DomainError, PureToneError, ResonanceError, SolverError
 from . import spectrum as _spectrum
 from . import sl_core
 from .evolve import (
@@ -87,6 +87,8 @@ class BifurcationProblem:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not 0.0 < self.newton_tol < np.inf:
+            raise DomainError(f"newton_tol must be finite and positive (got {self.newton_tol!r})")
         if self.cfg is None:
             self.cfg = EvolutionConfig(M=32)
         if self.cfg.k_accuracy is None:
@@ -154,10 +156,6 @@ class BranchResult:
     failure: Optional[dict]
     alphas_requested: tuple
 
-    @property
-    def largest_alpha(self):
-        return self.solutions[-1].alpha if self.solutions else None
-
 
 # -- residual assembly ---------------------------------------------------------
 
@@ -167,9 +165,13 @@ def _mode_indices(m, k):
     return [j for j in range(1, m + 1) if j != k]
 
 
-def _sine_components(a_out, b_out, chi):
-    """Sine coefficients of S applied to the evolved field, j = 1..M."""
-    return sl_core.boundary_sine(np.arange(a_out.shape[-1]) * chi, a_out, b_out)[..., 1:]
+def _boundary_sines(problem, cos_rows):
+    """Sine coefficients j = 1..M of S E^ell y0 for even data y0 with cosine rows cos_rows."""
+    (a_out, b_out), _ = evolve_coefficients(
+        problem.profile, problem.eos, cos_rows, np.zeros_like(cos_rows), problem.eigen().T,
+        problem.cfg,
+    )
+    return sl_core.boundary_sine(np.arange(a_out.shape[-1]) * problem.chi, a_out, b_out)[..., 1:]
 
 
 class _NewtonWorkspace:
@@ -180,29 +182,20 @@ class _NewtonWorkspace:
         self.alpha = alpha
         self.m = m
         self.idx = _mode_indices(m, problem.k)
-        self.eig = problem.eigen()
+        self.pbar = problem.profile.pbar
         self.table = problem.validate().divisor_table
         self.n_evolve = 0
 
     def unpack(self, u):
-        z = u[0]
         cos = np.zeros(self.m + 1)
-        cos[0] = self.problem.profile.pbar + z
+        cos[0] = self.pbar + u[0]
         cos[self.problem.k] = self.alpha
         cos[self.idx] = u[1:]
         return cos
 
     def _evolve(self, cos_batch):
         self.n_evolve += cos_batch.shape[0] if cos_batch.ndim > 1 else 1
-        (a_out, b_out), _ = evolve_coefficients(
-            self.problem.profile,
-            self.problem.eos,
-            cos_batch,
-            np.zeros_like(cos_batch),
-            self.eig.T,
-            self.problem.cfg,
-        )
-        return _sine_components(a_out, b_out, self.problem.chi)
+        return _boundary_sines(self.problem, cos_batch)
 
     def residual(self, u):
         return self._evolve(self.unpack(u))
@@ -230,14 +223,12 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
     max |a_j|, the cutoff M is doubled (n_quad kept >= 4 M) and the solve repeats.
     """
     problem.validate()
-    pbar = problem.profile.pbar
-    eig = problem.eigen()
     if alpha == 0.0:
-        m = problem.cfg.M
+        m, pbar = problem.cfg.M, problem.profile.pbar
         return PureToneSolution(
             alpha=0.0, z=0.0, a=np.zeros(m + 1), residual_weighted=0.0,
             newton_iters=0, converged=True, k=problem.k, chi=problem.chi,
-            T=eig.T, M=m, pbar=pbar, pbar_effective=pbar,
+            T=problem.eigen().T, M=m, pbar=pbar, pbar_effective=pbar,
             diagnostics={"note": "quiet state solves exactly"},
         )
 
@@ -245,7 +236,7 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
         m = problem.cfg.M
         ws = _NewtonWorkspace(problem, alpha, m)
         u = np.zeros(m) if warm is None else _resize_warm(warm, m, problem.k, alpha)
-        sol = _newton_loop(problem, ws, u, alpha, eig, pbar)
+        sol = _newton_loop(ws, u)
         tail_ok = _tail_small(sol)
         if tail_ok or doubling == _MAX_M_DOUBLINGS:
             if not tail_ok:
@@ -280,8 +271,8 @@ def _tail_small(sol: PureToneSolution) -> bool:
     return tail <= _TAIL_TOL * peak
 
 
-def _newton_loop(problem, ws, u, alpha, eig, pbar):
-    k = problem.k
+def _newton_loop(ws, u):
+    problem, alpha, pbar, k = ws.problem, ws.alpha, ws.pbar, ws.problem.k
     others = np.arange(1, ws.m + 1) != k
     # the quiet Jacobian is diagonal in the unknowns' order: alpha * pairing
     # at (r_k, z), delta_j at (r_j, a_j)
@@ -332,7 +323,7 @@ def _newton_loop(problem, ws, u, alpha, eig, pbar):
         converged=True,
         k=k,
         chi=problem.chi,
-        T=eig.T,
+        T=problem.eigen().T,
         M=ws.m,
         pbar=pbar,
         pbar_effective=pbar + z,
@@ -369,56 +360,3 @@ def branch_continue(problem: BifurcationProblem, alphas=(1e-4, 2e-4, 5e-4, 1e-3)
         solutions.append(sol)
         warm = sol
     return BranchResult(tuple(solutions), failure, schedule)
-
-
-# -- dual-path derivative check ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DgdzCheck:
-    fd_value: float
-    pairing: float
-    rel_diff: float
-    sign_match: bool
-    phi_hat: float
-    psi_hat: float
-    b_ell: float
-    h_alpha: float
-    h_z: float
-
-
-def dgdz_check(problem: BifurcationProblem) -> DgdzCheck:
-    """Central finite differences of f(alpha, z) against the Duhamel pairing.
-
-    f(alpha, z) is the k-th sine coefficient of S E^ell (pbar + z + alpha
-    cos(k .)); the mixed partial at the origin equals the quiet-state second
-    derivative pairing (auxiliary terms are higher order there).
-    """
-    problem.validate()
-    m = problem.cfg.M
-    eig = problem.eigen()
-    pbar = problem.profile.pbar
-    h = 3e-4  # the central-difference step in alpha and in z
-    batch = np.zeros((4, m + 1))
-    signs = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
-    for row, (sa, sz) in zip(batch, signs):
-        row[0] = pbar + sz * h
-        row[problem.k] = sa * h
-    (a_out, b_out), _ = evolve_coefficients(
-        problem.profile, problem.eos, batch, np.zeros_like(batch), eig.T, problem.cfg
-    )
-    r = _sine_components(a_out, b_out, problem.chi)[:, problem.k - 1]
-    fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
-    d2 = problem.second_derivative()
-    rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
-    return DgdzCheck(
-        fd_value=float(fd),
-        pairing=float(d2.pairing),
-        rel_diff=float(rel),
-        sign_match=bool(np.sign(fd) == np.sign(d2.pairing)),
-        phi_hat=d2.phi_hat,
-        psi_hat=d2.psi_hat,
-        b_ell=d2.b_ell,
-        h_alpha=h,
-        h_z=h,
-    )

@@ -215,13 +215,17 @@ def cmd_genericity(args):
     return EXIT_OK
 
 
+def _mode_tile(args, prof):
+    """The linear k-mode of `mode` and of `tile` without --alpha or --quiet, and its tile."""
+    eig = spectrum.eigen_solve(prof, args.k, _chi_of(args))
+    mode = linwave.eigenfunction_profiles(prof, eig, nx=args.nx)
+    return mode, linwave.mode_field(mode, args.nt, meta={"kind": "linear-mode", "k": args.k})
+
+
 def cmd_mode(args):
     t0 = time.perf_counter()
     prof = _load_profile(args.profile)
-    chi = _chi_of(args)
-    eig = spectrum.eigen_solve(prof, args.k, chi)
-    mode = linwave.eigenfunction_profiles(prof, eig, nx=args.nx)
-    tile = linwave.mode_field(mode, args.nt, meta={"kind": "linear-mode", "k": args.k})
+    mode, tile = _mode_tile(args, prof)
     out = _out_dir(args)
     prof_path = out / "mode_profile.csv"
     _write_csv(
@@ -231,7 +235,7 @@ def cmd_mode(args):
     tile_out = linwave.extend_tile(tile) if args.extend else tile
     outputs = [prof_path] + _write_tile(out, "mode_tile", tile_out, args.binary)
     _write_manifest(out, "mode", args, t0, outputs, profile=prof,
-                    extra={"omega": eig.omega, "T": eig.T})
+                    extra={"omega": mode.omega, "T": mode.T})
     return EXIT_OK
 
 
@@ -254,24 +258,23 @@ def _solution_doc(sol):
 
 
 def _problem_from_args(args, prof):
-    cfg = evolve.EvolutionConfig(M=args.modes, n_quad=max(args.nt, 4 * args.modes))
+    """The problem of `perturb` and `tile --alpha`; its solves run the resonance gate."""
+    if prof.eos is None or prof.pbar is None:
+        raise _UsageFailure(f"{args.command} needs a profile file with eos and pbar")
     return bifurcate.BifurcationProblem(
         profile=prof, eos=prof.eos, k=args.k, chi=_chi_of(args),
-        cfg=cfg, newton_tol=args.tol,
+        cfg=evolve.EvolutionConfig(M=args.modes), newton_tol=args.tol,
     )
 
 
 def cmd_perturb(args):
     t0 = time.perf_counter()
     prof = _load_profile(args.profile)
-    if prof.eos is None or prof.pbar is None:
-        raise _UsageFailure("perturb needs a profile file with eos and pbar")
     problem = _problem_from_args(args, prof)
     if args.alpha is not None:
         schedule = (args.alpha,)
     else:
         schedule = tuple(_floats(args.alpha_schedule, "--alpha-schedule"))
-    problem.validate()  # raises ResonanceError -> exit 3
     branch = bifurcate.branch_continue(problem, alphas=schedule)
     out = _out_dir(args)
     path = out / "branch.json"
@@ -294,6 +297,10 @@ def cmd_tile(args):
     t0 = time.perf_counter()
     prof = _load_profile(args.profile)
     chi = _chi_of(args)
+    if args.quiet and args.alpha is not None:
+        raise _UsageFailure("tile takes --quiet or --alpha, not both")
+    if args.period is not None and not args.quiet:
+        raise _UsageFailure("--period sets the quiet tile's period and needs --quiet")
     out = _out_dir(args)
     if args.quiet:
         if prof.pbar is None:
@@ -302,14 +309,9 @@ def cmd_tile(args):
         tile = linwave.quiet_tile(prof, prof.pbar, T, args.nx, args.nt, chi,
                                   meta={"kind": "quiet"})
     elif args.alpha is None:
-        eig = spectrum.eigen_solve(prof, args.k, chi)
-        mode = linwave.eigenfunction_profiles(prof, eig, nx=args.nx)
-        tile = linwave.mode_field(mode, args.nt, meta={"kind": "linear-mode", "k": args.k})
+        _, tile = _mode_tile(args, prof)
     else:
-        if prof.eos is None or prof.pbar is None:
-            raise _UsageFailure("nonlinear tile needs a profile file with eos and pbar")
         problem = _problem_from_args(args, prof)
-        problem.validate()
         sol = bifurcate.solve_at_alpha(problem, args.alpha)
         m = problem.cfg.M  # the solve may have doubled --modes
         if args.nt < 2 * m + 2:
@@ -471,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--modes", type=int, default=32)
-    p.add_argument("--nt", type=int, default=256)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alpha-schedule", default="1e-4,2e-4,5e-4,1e-3")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -483,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--alpha", type=float, default=None,
                    help="perturb first, then tile the nonlinear solution")
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=float, default=None,
+                   help="quiet tile's period (default 2 pi)")
     p.add_argument("--modes", type=int, default=32)
     p.add_argument("--nx", type=int, default=128)
     p.add_argument("--nt", type=int, default=256)

@@ -148,10 +148,6 @@ class FourierField:
         self._compatible(other)
         return FourierField(self.T, self.cos + other.cos, self.sin + other.sin)
 
-    def __sub__(self, other):
-        self._compatible(other)
-        return FourierField(self.T, self.cos - other.cos, self.sin - other.sin)
-
     def __mul__(self, scalar):
         return FourierField(self.T, self.cos * float(scalar), self.sin * float(scalar))
 
@@ -461,10 +457,15 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     """
     a = np.array(a, dtype=float)[None]
     b = np.array(b, dtype=float)[None]
+    (a, b), snaps = _guarded_walk(profile, eos, T, cfg, a, b, x_nodes)
+    return (a[0], b[0]), snaps
+
+
+def _guarded_walk(profile, eos, T, cfg, a, b, x_nodes=None):
+    """_Marcher.walk of the stacked fields (a, b), (fields, ..., M+1), under _StepGuard."""
     marcher = _Marcher(profile, eos, T, cfg, a[0, ..., :1])
     on_step = _StepGuard(a, b, marcher.omega_modes, profile.pieces[0])
-    (a, b), snaps = marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
-    return (a[0], b[0]), snaps
+    return marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
 
 
 def nonlinear_evolve(profile, eos, y0: FourierField, cfg: EvolutionConfig, x_nodes=None):
@@ -493,10 +494,8 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     """
     if y0.n_modes != cfg.M or Y0.n_modes != cfg.M:
         raise DomainError("field cutoffs must match cfg.M")
-    marcher = _Marcher(profile, eos, y0.T, cfg, y0.cos[:1])
     a, b = np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin))
-    on_step = _StepGuard(a, b, marcher.omega_modes, profile.pieces[0])
-    (a, b), _ = marcher.walk(a, b, on_step=on_step)
+    (a, b), _ = _guarded_walk(profile, eos, y0.T, cfg, a, b)
     return FourierField(y0.T, a[1], b[1])
 
 

@@ -46,12 +46,6 @@ class LinearMode:
     def T(self) -> float:
         return 2.0 * np.pi * self.k / self.omega
 
-    def boundary_value(self) -> float:
-        """|phi(ell)| for odd k with chi=1, else |psi(ell)|; zero at eigenfrequencies."""
-        if self.chi == 1 and self.k % 2 == 1:
-            return abs(float(self.phi[-1]))
-        return abs(float(self.psi[-1]))
-
 
 def eigenfunction_profiles(profile, eig, nx: int = 512) -> LinearMode:
     """Integrate the SL system at omega_k from (1, 0) over an nx+1 point grid."""

@@ -117,11 +117,6 @@ class _PieceProfile:
                 out[mask] = piece.sigma(x[mask])
         return out if x.ndim else float(out)
 
-    def require_eos(self):
-        if self.eos is None or self.pbar is None:
-            raise DomainError("profile carries no equation of state / ambient pressure")
-        return self.eos, self.pbar
-
 
 @dataclass(frozen=True)
 class PiecewiseConstantProfile(_PieceProfile):
@@ -158,11 +153,6 @@ class PiecewiseConstantProfile(_PieceProfile):
     def angles(self) -> np.ndarray:
         """Evolution angles theta_i = sigma_i * L_i."""
         return self.sigma_levels * self.widths
-
-    def entropy_factors(self) -> np.ndarray:
-        """Per-level entropy factors A_i (requires eos and pbar)."""
-        eos, pbar = self.require_eos()
-        return eos.factor_from_sigma(pbar, self.sigma_levels)
 
 
 @dataclass(frozen=True)

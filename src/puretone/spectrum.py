@@ -258,8 +258,11 @@ def resonance_scan(
     below BORDERLINE_TOL, 'borderline' in between.  The ratio check looks for
     integer relations k*omega_l ~ j*omega_k (l <= j_max + 2); these are the
     zeros of delta_j, since delta_j(T_k) = 0 means j*2pi/T_k meets the
-    boundary condition and hence is itself an eigenfrequency omega_l.
+    boundary condition and hence is itself an eigenfrequency omega_l.  A tol
+    that is not finite and positive raises DomainError.
     """
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive (got {tol!r})")
     eig = eigen_solve(profile, k, chi)
     table = divisors(profile, eig.T, chi, j_max)
     absd = np.abs(table.delta).copy()

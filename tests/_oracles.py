@@ -16,7 +16,9 @@ algebra nor the quadrature of the library's closed-form path.  The
 four-evaluation Lawson step, one remainder call per RK4 stage, is the
 reference for the library's stage-paired step.  The
 boundary residual of the bifurcation system at one assembled point, one
-unbatched evolution, probes S E^ell directly.  The field operators (parity
+unbatched evolution, probes S E^ell directly; the dual-path derivative
+check holds the closed-form quiet pairing against central differences of
+that map.  The field operators (parity
 projections, time shift and the boundary operator S = R_- T^{-chi T/4})
 act on FourierField coefficients by their definitions, as the reference S
 of S o L = diag(delta_j); its quarter turns are rounded libm values, not
@@ -27,17 +29,18 @@ library's active-set, blocked root solve.  The per-row np.roll extension is
 the reference for the tile extension's gathers.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from puretone import spectrum
-from puretone.bifurcate import _sine_components
+from puretone.bifurcate import _boundary_sines
 from puretone.evolve import (
     EvolutionConfig,
     FourierField,
     QuietSecondDerivative,
     _Marcher,
     coeffs_to_grid,
-    evolve_coefficients,
 )
 from puretone.profile import ConstantPiece
 from puretone.sl_core import (
@@ -415,10 +418,52 @@ def residual(problem, z, a_vec, alpha):
     assert cos.size == problem.cfg.M + 1
     cos[0] = problem.profile.pbar + z
     cos[problem.k] = alpha
-    (a_out, b_out), _ = evolve_coefficients(
-        problem.profile, problem.eos, cos, np.zeros_like(cos), problem.eigen().T, problem.cfg
+    return _boundary_sines(problem, cos)
+
+
+@dataclass(frozen=True)
+class DgdzCheck:
+    fd_value: float
+    pairing: float
+    rel_diff: float
+    sign_match: bool
+    phi_hat: float
+    psi_hat: float
+    b_ell: float
+    h_alpha: float
+    h_z: float
+
+
+def dgdz_check(problem):
+    """Central finite differences of f(alpha, z) against the Duhamel pairing.
+
+    f(alpha, z) is the k-th sine coefficient of S E^ell (pbar + z + alpha
+    cos(k .)); the mixed partial at the origin equals the quiet-state second
+    derivative pairing (auxiliary terms are higher order there).
+    """
+    problem.validate()
+    pbar = problem.profile.pbar
+    h = 3e-4  # the central-difference step in alpha and in z
+    batch = np.zeros((4, problem.cfg.M + 1))
+    signs = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+    for row, (sa, sz) in zip(batch, signs):
+        row[0] = pbar + sz * h
+        row[problem.k] = sa * h
+    r = _boundary_sines(problem, batch)[:, problem.k - 1]
+    fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
+    d2 = problem.second_derivative()
+    rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
+    return DgdzCheck(
+        fd_value=float(fd),
+        pairing=float(d2.pairing),
+        rel_diff=float(rel),
+        sign_match=bool(np.sign(fd) == np.sign(d2.pairing)),
+        phi_hat=d2.phi_hat,
+        psi_hat=d2.psi_hat,
+        b_ell=d2.b_ell,
+        h_alpha=h,
+        h_z=h,
     )
-    return _sine_components(a_out, b_out, problem.chi)
 
 
 def project_even(y):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import dense_transfer_pwc, random_pwc
+from _oracles import dense_transfer_pwc, dgdz_check, random_pwc
 from puretone.cli import main as cli_main
 from puretone.eos import GammaLawEos
 from puretone.profile import (
@@ -37,7 +37,7 @@ from puretone.evolve import (
     second_derivative_quiet,
 )
 from puretone.linwave import eigenfunction_profiles, extend_tile, nonlinear_tile
-from puretone.bifurcate import BifurcationProblem, branch_continue, dgdz_check
+from puretone.bifurcate import BifurcationProblem, branch_continue
 
 
 def _report(num, name, ok, detail=""):
@@ -155,7 +155,7 @@ def test_criterion_05_resonant_gate(tmp_path, eos2):
     path = tmp_path / "const.json"
     save_profile(constant_profile(1.0, 1.0, pbar=1.0, eos=eos2), path)
     rc = cli_main(
-        ["perturb", "--profile", str(path), "--k", "1", "--modes", "8", "--nt", "32",
+        ["perturb", "--profile", str(path), "--k", "1", "--modes", "8",
          "--alpha", "1e-4", "--out-dir", str(tmp_path)]
     )
     _report(5, "completely-resonant profile refused with exit code 3", rc == 3,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import residual
-from puretone.errors import ResonanceError, SolverError
+from _oracles import dgdz_check, residual
+from puretone.errors import DomainError, ResonanceError, SolverError
 from puretone.eos import GammaLawEos
 from puretone.profile import PiecewiseConstantProfile, constant_profile
 from puretone.spectrum import divisors, eigen_solve
@@ -11,7 +11,6 @@ from puretone.evolve import EvolutionConfig, second_derivative_quiet
 from puretone.bifurcate import (
     BifurcationProblem,
     branch_continue,
-    dgdz_check,
     solve_at_alpha,
 )
 
@@ -85,6 +84,13 @@ def test_unset_k_accuracy_follows_the_mode(two_level, gamma2, k):
     assert problem.cfg == EvolutionConfig(
         M=16, n_quad=64, x_error_target=1e-10, k_accuracy=max(4, k + 2)
     )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_newton_tol_must_be_finite_and_positive(two_level, gamma2, tol):
+    # a tolerance no residual can pass (or every one passes) is refused at once
+    with pytest.raises(DomainError, match="newton_tol"):
+        BifurcationProblem(profile=two_level, eos=gamma2, k=1, newton_tol=tol)
 
 
 @pytest.mark.parametrize("k_accuracy", [1, 16])
@@ -217,7 +223,7 @@ def test_branch_continuation(quick_problem):
     branch = branch_continue(quick_problem, alphas=(1e-4, 2e-4, 5e-4))
     assert branch.failure is None
     assert len(branch.solutions) == 3
-    assert branch.largest_alpha == 5e-4
+    assert branch.solutions[-1].alpha == 5e-4
     assert all(s.converged for s in branch.solutions)
     # warm-started branch is deterministic
     branch2 = branch_continue(quick_problem, alphas=(1e-4, 2e-4, 5e-4))

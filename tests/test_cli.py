@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,11 +109,14 @@ def test_resonance_borderline_verdict(profile_file, tmp_path):
         (["eigen", "--k-range", "5:2"], 2, "_UsageFailure"),
         (["eigen", "--k-range", "1:1", "--chi", "acoustic"], 2, "_UsageFailure"),
         (["eigen", "--k-range", "3:3", "--chi", "acoustic"], 2, "_UsageFailure"),
-        (["perturb", "--k", "1", "--modes", "8", "--nt", "32", "--alpha-schedule", "abc"], 2,
-         "_UsageFailure"),
+        (["perturb", "--k", "1", "--modes", "8", "--alpha-schedule", "abc"], 2, "_UsageFailure"),
         (["tile", "--quiet", "--period", "-1", "--nx", "4", "--nt", "8"], 1, "DomainError"),
         (["divisors", "--period", "inf"], 1, "DomainError"),
         (["mode", "--k", "5", "--nt", "8"], 1, "DomainError"),  # nt < 2 k + 2
+        (["resonance", "--k", "1", "--tol", "nan"], 1, "DomainError"),
+        (["perturb", "--k", "1", "--modes", "8", "--tol", "0"], 1, "DomainError"),
+        (["tile", "--quiet", "--alpha", "1e-3"], 2, "_UsageFailure"),
+        (["tile", "--alpha", "1e-3", "--period", "5"], 2, "_UsageFailure"),
     ],
 )
 def test_bad_arguments_fail_typed(profile_file, tmp_path, capsys, argv, code, error):
@@ -161,7 +165,7 @@ def test_bad_profile_file_fails_typed(tmp_path, capsys, doc, field):
 
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     rc = main(
-        ["perturb", "--profile", const_file, "--k", "1", "--modes", "8", "--nt", "32",
+        ["perturb", "--profile", const_file, "--k", "1", "--modes", "8",
          "--alpha", "1e-4", "--out-dir", str(tmp_path)]
     )
     assert rc == 3
@@ -172,7 +176,7 @@ def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
 def test_perturb_branch(profile_file, tmp_path):
     out = tmp_path / "out"
     rc = main(
-        ["perturb", "--profile", profile_file, "--k", "1", "--modes", "8", "--nt", "32",
+        ["perturb", "--profile", profile_file, "--k", "1", "--modes", "8",
          "--alpha-schedule", "1e-4,2e-4", "--out-dir", str(out)]
     )
     assert rc == 0
@@ -185,7 +189,7 @@ def test_perturb_branch(profile_file, tmp_path):
 def test_perturb_failed_branch_exit_1(profile_file, tmp_path):
     # the only alpha loses positive pressure: no solution, the failure recorded
     out = tmp_path / "out"
-    rc = main(["perturb", "--profile", profile_file, "--k", "1", "--modes", "8", "--nt", "32",
+    rc = main(["perturb", "--profile", profile_file, "--k", "1", "--modes", "8",
                "--alpha-schedule", "0.9", "--out-dir", str(out)])
     assert rc == 1
     doc = json.loads((out / "branch.json").read_text())
@@ -200,7 +204,7 @@ def test_perturb_diagnostics_byte_identical(profile_file, tmp_path):
     for name in ("o1", "o2"):
         out = tmp_path / name
         rc = main(
-            ["perturb", "--profile", profile_file, "--k", "1", "--modes", "8", "--nt", "32",
+            ["perturb", "--profile", profile_file, "--k", "1", "--modes", "8",
              "--alpha-schedule", "1e-4,2e-4", "--out-dir", str(out)]
         )
         assert rc == 0
@@ -258,12 +262,51 @@ def test_tile_after_m_doubling_names_the_nt_it_needs(profile_file, tmp_path, cap
 @pytest.mark.parametrize("command", ["perturb", "tile"])
 @pytest.mark.parametrize("k, k_accuracy", [(1, 4), (3, 5)])
 def test_cli_problem_marches_at_the_k_aware_accuracy(two_level, command, k, k_accuracy):
+    # the CLI's problem is the library's: the march's quadrature does not follow --nt
     args = build_parser().parse_args(
-        [command, "--profile", "two.json", "--k", str(k), "--alpha", "1e-3",
-         "--modes", "16", "--nt", "64"]
+        [command, "--profile", "two.json", "--k", str(k), "--alpha", "1e-3", "--modes", "16"]
     )
     cfg = _problem_from_args(args, two_level).cfg
-    assert cfg == EvolutionConfig(M=16, n_quad=64, k_accuracy=k_accuracy)
+    library = bifurcate.BifurcationProblem(two_level, two_level.eos, k=k, cfg=EvolutionConfig(M=16))
+    assert cfg == library.cfg
+    assert cfg.k_accuracy == k_accuracy
+
+
+def test_default_perturb_writes_the_library_branch(profile_file, two_level, tmp_path):
+    out = tmp_path / "out"
+    assert main(["perturb", "--profile", profile_file, "--k", "1", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "branch.json").read_text())
+    branch = bifurcate.branch_continue(
+        bifurcate.BifurcationProblem(two_level, two_level.eos, k=1)
+    )
+    assert doc["failure"] is None and len(doc["solutions"]) == len(branch.solutions) == 4
+    for written, sol in zip(doc["solutions"], branch.solutions):
+        assert written["z"] == sol.z
+        assert written["a"] == sol.a.tolist()
+
+
+def test_perturb_has_no_nt(capsys):
+    # the march's quadrature is the library's; only the tile has a time grid
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "--profile", "two.json", "--k", "1", "--nt", "32"])
+    assert exc.value.code == 2
+    assert "--nt" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every `puretone` line of the README's code blocks parses: a removed flag
+    # cannot live on in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [
+        line.partition("#")[0].split()
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("puretone ")
+    ]
+    assert len(lines) == 8  # one example per subcommand
+    for words in lines:
+        build_parser().parse_args(words[1:])
 
 
 def test_tile_solve_accuracy_against_fine_step(two_level):

@@ -108,15 +108,9 @@ def test_sigma_at_lookup(smooth_jumpy, two_level):
 
 
 def test_entropy_factor_consistency(two_level, gamma2):
-    a_levels = two_level.entropy_factors()
+    a_levels = gamma2.factor_from_sigma(two_level.pbar, two_level.sigma_levels)
     sig = gamma2.sigma_from_factor(1.0, a_levels)
     assert_allclose(sig, two_level.sigma_levels, rtol=1e-14)
-
-
-def test_requires_eos():
-    prof = PiecewiseConstantProfile([1.0], [1.0])
-    with pytest.raises(DomainError):
-        prof.require_eos()
 
 
 def test_validation_errors():

@@ -146,6 +146,13 @@ def test_resonance_scan_borderline(two_level):
     assert rep.borderline < rep.min_divisor <= rep.tol
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_resonance_tol_must_be_finite_and_positive(two_level, tol):
+    # min_div <= nan is false: a NaN tol would pass every profile as nonresonant
+    with pytest.raises(DomainError, match="tol"):
+        resonance_scan(two_level, 1, tol=tol)
+
+
 def test_two_level_k3_exact_resonance(two_level):
     # omega_3 = pi and omega_6 = 2 pi exactly: the (k, j, l) = (3, 6, 6)
     # relation makes the k = 3 mode resonant
