@@ -8,6 +8,10 @@ entries are sigma at its ends; jumps are allowed between pieces.
   levels sigma_1..sigma_N of widths L_1..L_N.
 * :class:`SmoothPiece` : C1 sigma(x) sampled on an x grid with monotone cubic
   (PCHIP) interpolation.  A :class:`SmoothProfile` holds any number of them.
+  The PCHIP is this module's own numpy port of Fritsch & Carlson (SIAM J.
+  Numer. Anal. 17:238, 1980) with Moler's one-sided end slopes (*Numerical
+  Computing with MATLAB*, 2004, ch. 3); it reproduces scipy's
+  ``PchipInterpolator`` bit for bit, so the package needs numpy alone.
 
 Both profile kinds read edges, jumps, sigma_max, log_sigma_variation and
 sigma_at off their pieces.  A profile may carry an equation of state and
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .eos import GammaLawEos
 from .errors import DomainError
@@ -193,22 +196,65 @@ def to_jump_angles(profile: PiecewiseConstantProfile) -> JumpAngleParams:
     return JumpAngleParams(profile.jumps, profile.angles)
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, kept shape preserving: 0 if its
+    sign is not the end secant's, 3 m0 if the secants change sign and it
+    exceeds that."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    """PCHIP knot slopes from the interval widths h and secants m.
+
+    Interior knots take the weighted harmonic mean of the two secants, or 0
+    where either is 0 or their signs differ; two samples give a line.
+    """
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    return np.concatenate(([_end_slope(h[0], h[1], m[0], m[1])], d,
+                           [_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+
+
 class SmoothPiece:
-    """One C1 piece of a smooth profile: sigma sampled on an x grid."""
+    """One C1 piece of a smooth profile: sigma sampled on an x grid.
+
+    sigma is the PCHIP interpolant of the samples, held as a 4 x (n-1) table
+    of cubic coefficients in the local power basis s = x - x_k (highest power
+    first); dsigma reads the differentiated table.  Both extrapolate with the
+    end cubics.
+    """
 
     def __init__(self, x, sigma):
         x = np.asarray(x, dtype=float)
         sigma = _as_positive_array(sigma, "sigma samples")
-        if x.ndim != 1 or x.size < 2:
+        if x.ndim != 1:
+            raise DomainError("x samples must be a 1-D sequence")
+        if x.size < 2:
             raise DomainError("a smooth piece needs at least two x samples")
         if x.size != sigma.size:
             raise DomainError("x and sigma sample arrays must have equal length")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("x samples must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise DomainError("x samples must be strictly increasing")
         self.x = x
         self.sigma_samples = sigma
-        self._interp = PchipInterpolator(x, sigma, extrapolate=True)
-        self._dinterp = self._interp.derivative()
+        h = np.diff(x)
+        m = np.diff(sigma) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], sigma[:-1]))
+        self._dcoef = self._coef[:3] * np.array([[3.0], [2.0], [1.0]])
 
     @property
     def x0(self) -> float:
@@ -218,11 +264,35 @@ class SmoothPiece:
     def x1(self) -> float:
         return float(self.x[-1])
 
+    def _evaluate(self, coef, x):
+        """The cubic table at points x, summed constant term first in rising
+        powers of s (scipy's PPoly order, so the bits match it).
+
+        Interval k holds x_k <= x < x_{k+1}; the end intervals extend past
+        the ends, so searching the interior knots alone finds it.
+        """
+        x = np.asarray(x, dtype=float)
+        k = np.searchsorted(self.x[1:-1], x, side="right")
+        s = x - self.x[k]
+        out, z = coef[-1][k], 1.0
+        for row in coef[-2::-1]:
+            z = z * s
+            out = out + row[k] * z
+        return out
+
     def sigma(self, x):
-        return self._interp(x)
+        return self._evaluate(self._coef, x)
 
     def dsigma(self, x):
-        return self._dinterp(x)
+        return self._evaluate(self._dcoef, x)
+
+    def integral(self) -> float:
+        """integral of sigma over [x0, x1], exact for the cubics; each term
+        takes scipy's rounded 1/(p+1) and the intervals add in order."""
+        h = np.diff(self.x)
+        c0, c1, c2, c3 = self._coef
+        v = c3 * h + c2 * (h * h) * 0.5 + c1 * (h * h * h) * (1.0 / 3.0) + c0 * (h * h * h * h) * 0.25
+        return float(np.cumsum(v)[-1])
 
     def __eq__(self, other):
         return (
@@ -291,7 +361,7 @@ def sigma_integral(profile) -> float:
     """
     if isinstance(profile, PiecewiseConstantProfile):
         return float(np.sum(profile.angles))
-    return float(sum(piece._interp.integrate(piece.x0, piece.x1) for piece in profile.pieces))
+    return float(sum(piece.integral() for piece in profile.pieces))
 
 
 # -- serialization ------------------------------------------------------------

@@ -26,12 +26,15 @@ the library's table.  The SL residual checks sampled solutions with
 fourth-order differences.  The full-array safeguarded Newton evaluates
 the angle chain on every point in every pass, as the reference for the
 library's active-set, blocked root solve.  The per-row np.roll extension is
-the reference for the tile extension's gathers.
+the reference for the tile extension's gathers.  scipy's PchipInterpolator
+through a piece's samples is the reference for SmoothPiece's numpy PCHIP:
+its values, derivatives and integral.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 from puretone import spectrum
 from puretone.bifurcate import _boundary_sines
@@ -50,6 +53,11 @@ from puretone.sl_core import (
     _step_groups,
     jump_angle,
 )
+
+
+def reference_pchip(piece):
+    """scipy's PCHIP through a SmoothPiece's samples, extrapolating as the piece does."""
+    return PchipInterpolator(piece.x, piece.sigma_samples, extrapolate=True)
 
 
 def rounded_quarter(n):

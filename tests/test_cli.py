@@ -163,6 +163,19 @@ def test_bad_profile_file_fails_typed(tmp_path, capsys, doc, field):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_non_finite_smooth_samples_fail_typed(tmp_path, capsys):
+    # json reads the bare NaN; the smooth piece refuses it with a typed error
+    piece = {"x": [0.0, float("nan"), 1.0], "sigma": [1.0, 1.5, 2.0]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "smooth", "pieces": [piece]}))
+    rc = main(["eigen", "--profile", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "_UsageFailure"
+    assert "x samples must be finite" in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     rc = main(
         ["perturb", "--profile", const_file, "--k", "1", "--modes", "8",

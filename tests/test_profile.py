@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _oracles import reference_pchip
 from puretone.eos import GammaLawEos
 from puretone.errors import DomainError
 from puretone.profile import (
@@ -100,6 +103,60 @@ def test_sigma_integral_smooth_matches_dense_simpson(smooth_jumpy):
     assert abs(sigma_integral(smooth_jumpy) - dense) < 1e-12
 
 
+@st.composite
+def _pchip_draws(draw):
+    """1-3 contiguous pieces from x = 0, each of 2-70 unevenly spaced samples
+    whose sigma mixes a few repeated levels (flat segments) with free draws
+    (secant sign changes), and query points in and beyond each piece, knots
+    included, as a scalar or an N-d array."""
+    pieces, x0 = [], 0.0
+    level = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 10.0))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=2, max_value=70))
+        gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+        x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        pieces.append(SmoothPiece(x, draw(st.lists(level, min_size=n, max_size=n))))
+        x0 = x[-1]
+    shape = draw(st.sampled_from([(), (5,), (2, 3)]))
+    queries = []
+    for piece in pieces:
+        width = piece.x1 - piece.x0
+        point = st.one_of(st.floats(piece.x0 - width, piece.x1 + width),
+                          st.sampled_from(piece.x.tolist()))
+        pts = draw(st.lists(point, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        queries.append(pts[0] if shape == () else np.reshape(pts, shape))
+    return SmoothProfile(tuple(pieces)), queries
+
+
+@given(_pchip_draws())
+@settings(max_examples=100, deadline=None)
+def test_pchip_is_bit_identical_to_scipy(draw):
+    # values, derivatives and the integral equal scipy's PchipInterpolator
+    # exactly (==), in range and extrapolated, in the query's own shape
+    prof, queries = draw
+    for piece, q in zip(prof.pieces, queries):
+        ref = reference_pchip(piece)
+        for got, want in ((piece.sigma(q), ref(q)), (piece.dsigma(q), ref.derivative()(q))):
+            assert np.shape(got) == np.shape(q)
+            assert np.all(got == want)
+    want = float(sum(reference_pchip(p).integrate(p.x0, p.x1) for p in prof.pieces))
+    assert sigma_integral(prof) == want
+
+
+@pytest.mark.parametrize(
+    "sigma, zeroed",
+    [
+        ([1.0, 1.1, 3.0], True),  # the one-sided estimate's sign is not the secant's: d = 0
+        ([1.0, 1.1, 0.1], False),  # secants change sign and |d| > 3|m0|: d = 3 m0
+    ],
+)
+def test_pchip_end_slope_branches(sigma, zeroed):
+    piece = SmoothPiece([0.0, 1.0, 2.0], sigma)
+    m0 = sigma[1] - sigma[0]
+    assert piece.dsigma(0.0) == (0.0 if zeroed else 3.0 * m0)
+    assert piece.dsigma(0.0) == reference_pchip(piece).derivative()(0.0)
+
+
 def test_sigma_at_lookup(smooth_jumpy, two_level):
     assert_allclose(two_level.sigma_at([0.1, 0.75]), [1.0, 2.0])
     # right limit at the jump
@@ -124,6 +181,8 @@ def test_validation_errors():
         JumpAngleParams(np.array([-1.0]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
         SmoothPiece([0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match="x samples must be a 1-D sequence"):
+        SmoothPiece([[0.0, 0.5, 1.0]], [1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         SmoothProfile((SmoothPiece([0.1, 0.5], [1.0, 1.0]),))  # must start at 0
 
@@ -206,6 +265,8 @@ def _smooth(*pieces):
         (_smooth(_PIECE, "p"), "pieces[1] must be a JSON object"),
         (_smooth({"x": [0.0, 1.0], "sigma": "abc"}), "'pieces[0].sigma' must be a list of numbers"),
         (_smooth({"x": [0, "1"], "sigma": [1, 2]}), "'pieces[0].x' must be a list of numbers"),
+        (_smooth({"x": [0.0, float("nan"), 1.0], "sigma": [1, 2, 3]}), "x samples must be finite"),
+        (_smooth({"x": [0.0, 1.0, float("inf")], "sigma": [1, 2, 3]}), "x samples must be finite"),
     ],
 )
 def test_json_malformed_fields_fail_typed(doc, message):
