@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import PureToneError, ResonanceError
+from .errors import NumericalError, PureToneError, ResonanceError
 from .eos import GammaLawEos
 from . import profile as profile_mod
 from . import sl_core
@@ -92,9 +92,13 @@ def _write_manifest(out: Path, command, args, t0, outputs, profile=None, extra=N
 
 
 def _write_json(path: Path, doc, default=None):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=default)
-        fh.write("\n")
+    """doc as strict JSON (RFC 8259 has no NaN or Infinity); a non-finite
+    value fails typed and leaves no file."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _write_tile(out: Path, stem, tile, binary):
@@ -126,6 +130,13 @@ def _floats(spec: str, flag: str):
         return [float(v) for v in spec.split(",")]
     except ValueError as exc:
         raise _UsageFailure(f"{flag} wants comma-separated numbers, got {spec!r}") from exc
+
+
+def _finite_alphas(alphas, flag):
+    """alphas as a tuple; a NaN or infinite amplitude is a usage failure."""
+    if not np.all(np.isfinite(alphas)):
+        raise _UsageFailure(f"{flag} wants finite amplitudes, got {alphas!r}")
+    return tuple(alphas)
 
 
 # -- commands ------------------------------------------------------------------
@@ -272,9 +283,9 @@ def cmd_perturb(args):
     prof = _load_profile(args.profile)
     problem = _problem_from_args(args, prof)
     if args.alpha is not None:
-        schedule = (args.alpha,)
+        schedule = _finite_alphas([args.alpha], "--alpha")
     else:
-        schedule = tuple(_floats(args.alpha_schedule, "--alpha-schedule"))
+        schedule = _finite_alphas(_floats(args.alpha_schedule, "--alpha-schedule"), "--alpha-schedule")
     branch = bifurcate.branch_continue(problem, alphas=schedule)
     out = _out_dir(args)
     path = out / "branch.json"
@@ -299,6 +310,8 @@ def cmd_tile(args):
     chi = _chi_of(args)
     if args.quiet and args.alpha is not None:
         raise _UsageFailure("tile takes --quiet or --alpha, not both")
+    if args.alpha is not None:
+        _finite_alphas([args.alpha], "--alpha")
     if args.period is not None and not args.quiet:
         raise _UsageFailure("--period sets the quiet tile's period and needs --quiet")
     out = _out_dir(args)

@@ -23,10 +23,11 @@ Across a profile.ConstantPiece theta turns by exactly omega*sigma_i*L_i, and
 the transfer matrix is the rotation R(omega*sigma_i*L_i) conjugated by the
 aspect matrix M(sigma_i) = diag(1/sqrt(sigma_i), sqrt(sigma_i)), from
 `rotation`, the one constant-slowness turn (evolve's march takes it too).
-A smooth piece is stepped by the fourth-order Magnus method with two Gauss
-points (Iserles 2002, BIT 42:561), vectorized over omega: every step is the
-exponential of a traceless 2x2 matrix in closed form, so det = 1 holds step
-by step, and on a constant stretch one step is the exact rotation.  Transfer
+A smooth piece is stepped by the sixth-order Magnus method on three Gauss
+points (Blanes, Casas & Ros 2000, BIT 40:434; Iserles 2002, BIT 42:561),
+vectorized over omega: every step is the exponential of a traceless 2x2
+matrix in closed form, so det = 1 holds step by step, and on a constant
+stretch one step is the exact rotation.  Transfer
 matrices and end states are ordered products of the steps, formed by
 pairwise tree reduction in O(steps) 2x2 products.  The winding of theta
 comes from the phase integral, which fixes it wherever half the
@@ -99,76 +100,107 @@ def jump_angle(J, z):
 
 # -- Magnus propagation of smooth pieces ----------------------------------------
 
-#: Gauss points of the two-point rule, as offsets from the step midpoint
-_GAUSS = np.sqrt(3.0) / 6.0
+#: Gauss-Legendre nodes of the three-point rule, as offsets from the step
+#: midpoint in units of the step
+_GAUSS = np.sqrt(15.0) / 10.0
 
 #: error constants of the Magnus step rule (see _step_groups): the largest
-#: commutator constant fitted on smooth test pieces (they range 0.01-0.12),
-#: and the two-point Gauss quadrature constant
-_ERR_COMM = 0.1
-_ERR_QUAD = 1.0 / 4320.0
+#: omega^5 constant fitted on smooth test pieces (they range 0.0005-0.012),
+#: and the three-point Gauss quadrature constant (fits 3.3e-7 to 4.1e-7)
+_ERR_HIGH = 0.012
+_ERR_QUAD = 1.0 / 2016000.0
 
 #: largest number of Magnus steps on one piece, and of steps x omegas at once
-#: (building the steps and their omega-derivatives peaks at about 35 doubles
-#: per step and omega; the tree reduction needs less)
+#: (building the steps and their omega-derivatives peaks at about 26 doubles
+#: per step and omega, as traced by tracemalloc; the tree reduction needs 6)
 _MAX_STEPS, _MAX_BATCH = 2**17, 2**12
 
 
+def _omega_terms(piece, knots, sub):
+    """Omega_p of `sub` equal steps per knot interval, as stacks (a, b, c).
+
+    With s1, s2, s3 the values of sigma^2 at the Gauss nodes of a step h,
+    alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1) and alpha3 = (10 h/3)
+    (A3 - 2 A2 + A1) for A = omega [[0, -1], [sigma^2, 0]], the sixth-order
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240,
+    C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60 (Blanes, Casas &
+    Ros 2000), is a polynomial sum_p omega^p Omega_p in omega.  A commutator
+    of two off-diagonal matrices is diagonal, and of a diagonal and an
+    off-diagonal one off-diagonal, so Omega_p = [[a, b], [c, -a]] has a = 0
+    for odd p and b = c = 0 for even p: a stacks p = 2, 4 and b, c stack
+    p = 1, 3, 5, each of shape (powers, steps).
+    """
+    h = np.repeat(np.diff(knots) / sub, sub)
+    mid = np.repeat(knots[:-1], sub) + (np.tile(np.arange(sub), knots.size - 1) + 0.5) * h
+    s1, s2, s3 = np.split(piece.sigma(np.concatenate((mid - _GAUSS * h, mid, mid + _GAUSS * h))) ** 2, 3)
+    p = (np.sqrt(15.0) / 3.0) * h * (s3 - s1)
+    q = (10.0 / 3.0) * h * (s3 - 2.0 * s2 + s1)
+    hh, pp = h * h, p * p
+    a = np.stack((h * p / 12.0, hh * p * (h * s2 / 180.0 + q / 7200.0)))
+    b = np.stack((-h, -hh * q / 180.0, -hh * h * pp / 3600.0))
+    c = np.stack((h * s2 + q / 12.0, h * (pp / 120.0 - q * (h * s2 / 180.0 + q / 3600.0)),
+                  hh * h * s2 * pp / 3600.0))
+    return a, b, c
+
+
 def _step_groups(piece, knots, omega, min_sub=1):
-    """Yield (omega indices, steps per interval, (h, s1^2, s2^2) at the Gauss points).
+    """Yield (omega indices, steps per interval, Omega_p stacks of _omega_terms).
 
     With steps h = dx / 2**level on sample intervals of width dx, the global
-    error on the piece is about sum h^4 (C_c |omega|^3 I_c + C_q |omega| I_q),
-    I_c the integral of sigma sigma'^2 (the commutator term, dominant at
-    large omega) and I_q that of |(sigma^2)''''| (the quadrature term), both
-    from sigma' at the ends and midpoint of the cubic interval.  Each omega
-    gets the smallest level that meets PRUFER_TOL, so its value does not
-    depend on the batch; knot intervals lie inside sample intervals.  Every knot
-    interval holds max(2**level, min_sub) equal steps.
+    error on the piece is about sum h^6 (C_h |omega|^5 I_h + C_q |omega| I_q),
+    I_h the integral of sigma^3 sigma'^2 (dominant at large omega) and I_q
+    that of |(sigma^2)^(6)| = 20 sigma'''^2 on a cubic (the quadrature term,
+    dominant at small omega on a wiggly piece), both from sigma' at the
+    ends and midpoint of the cubic interval.  Each omega gets the
+    smallest level that meets PRUFER_TOL, so its value does not depend on the
+    batch; knot intervals lie inside sample intervals.  Every knot interval
+    holds max(2**level, min_sub) equal steps.
     """
     x, samples = piece.x, piece.sigma_samples
     dx = np.diff(x)
     d0, d1, dm = np.split(piece.dsigma(np.concatenate((x[:-1], x[1:], x[:-1] + 0.5 * dx))), 3)
-    d2, d3 = (d1 - d0) / dx, 4.0 * (d0 - 2.0 * dm + d1) / (dx * dx)  # sigma'' (midpoint), sigma'''
-    comm = np.sum(dx**5 * np.maximum(samples[:-1], samples[1:]) * (d0**2 + 4.0 * dm**2 + d1**2) / 6.0)
-    quad = np.sum(dx**5 * np.abs(8.0 * dm * d3 + 6.0 * d2 * d2))
+    d3 = 4.0 * (d0 - 2.0 * dm + d1) / (dx * dx)  # sigma''' of the cubic
+    smax = np.maximum(samples[:-1], samples[1:])
+    high = np.sum(dx**7 * smax**3 * (d0**2 + 4.0 * dm**2 + d1**2) / 6.0)
+    quad = np.sum(dx**7 * 20.0 * d3**2)
     w = np.abs(omega)
-    need = (_ERR_COMM * w**3 * comm + _ERR_QUAD * w * quad) / PRUFER_TOL
-    level = np.ceil(0.25 * np.log2(np.maximum(need, 1.0))).astype(int)
+    need = (_ERR_HIGH * w**5 * high + _ERR_QUAD * w * quad) / PRUFER_TOL
+    level = np.ceil(np.log2(np.maximum(need, 1.0)) / 6.0).astype(int)
     subs = np.maximum(2**level, int(min_sub))
     for sub in np.unique(subs):
         n = (knots.size - 1) * sub
         if n > _MAX_STEPS:
             raise IntegrationError(f"Magnus steps {n} above {_MAX_STEPS}")
-        h = np.repeat(np.diff(knots) / sub, sub)
-        mid = np.repeat(knots[:-1], sub) + (np.tile(np.arange(sub), knots.size - 1) + 0.5) * h
-        sq = piece.sigma(np.concatenate((mid - _GAUSS * h, mid + _GAUSS * h))) ** 2
+        terms = _omega_terms(piece, knots, sub)
         idx = np.flatnonzero(subs == sub)
         for chunk in np.array_split(idx, min(idx.size, -(-n * idx.size // _MAX_BATCH))):
-            yield chunk, sub, (h, sq[:n], sq[n:])
+            yield chunk, sub, terms
 
 
 def _traceless(d, a, b, c):
     """[[d + a, b], [c, d - a]] on the last two axes."""
-    d, a, b, c = np.broadcast_arrays(d, a, b, c)
-    return np.stack((np.stack((d + a, b), axis=-1), np.stack((c, d - a), axis=-1)), axis=-2)
+    out = np.empty(np.broadcast_shapes(np.shape(d), np.shape(a), np.shape(b), np.shape(c)) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = d + a, b, c, d - a
+    return out
 
 
-def _magnus_steps(grid, omega, slope=False):
-    """Steps exp(Omega) of the two-point Gauss Magnus method on a grid of _step_groups.
+def _magnus_steps(terms, omega, slope=False):
+    """Steps exp(Omega) of the sixth-order Magnus method on the terms of _step_groups.
 
-    With s1^2, s2^2 the values of sigma^2 at the Gauss points of a step h and
-    m = (s1^2 + s2^2)/2, Omega = omega h [[0, -1], [m, 0]] + omega^2 h^2
-    (sqrt(3)/12) (s2^2 - s1^2) diag(1, -1).  Omega is traceless, so
-    exp(Omega) = cos(nu) I + sin(nu)/nu Omega with nu^2 = det(Omega), and
-    det exp(Omega) = 1.  Returns (e, nu[, de = d e/d omega]); e and de have
-    shape (steps, omegas, 2, 2), nu (signed like omega) (steps, omegas).
+    Omega = [[a, b], [c, -a]] with a = omega^2 a_2 + omega^4 a_4 and b, c
+    summed alike over omega, omega^3, omega^5 (see _omega_terms).  Omega is
+    traceless, so exp(Omega) = cos(nu) I + sin(nu)/nu Omega with nu^2 =
+    det(Omega), and det exp(Omega) = 1; d exp(Omega)/d omega follows from the
+    exact omega-derivatives of the polynomials.  Returns (e, nu[, de = d e/d
+    omega]); e and de have shape (steps, omegas, 2, 2), nu (signed like
+    omega) (steps, omegas).
     """
-    h, s1, s2 = (v[:, None] for v in grid)
+    ap, bp, cp = (v[..., None] for v in terms)
     w = omega[None, :]
-    mean = 0.5 * (s1 + s2)
-    comm = (np.sqrt(3.0) / 12.0) * (s2 - s1) * h * h
-    a, b, c = w * w * comm, -w * h, w * h * mean
+    w2 = w * w
+    a = w2 * (ap[0] + w2 * ap[1])
+    b = w * (bp[0] + w2 * (bp[1] + w2 * bp[2]))
+    c = w * (cp[0] + w2 * (cp[1] + w2 * cp[2]))
     det = -a * a - b * c
     if np.any(det < 0.0):
         raise IntegrationError("Magnus step is not oscillatory; the step rule is too coarse")
@@ -177,8 +209,10 @@ def _magnus_steps(grid, omega, slope=False):
     e = _traceless(cos, sinc * a, sinc * b, sinc * c)
     if not slope:
         return e, nu
-    da, db, dc = 2.0 * w * comm, -h, h * mean
-    ddet = -2.0 * a * da + 2.0 * w * h * h * mean
+    da = w * (2.0 * ap[0] + 4.0 * w2 * ap[1])
+    db = bp[0] + w2 * (3.0 * bp[1] + 5.0 * w2 * bp[2])
+    dc = cp[0] + w2 * (3.0 * cp[1] + 5.0 * w2 * cp[2])
+    ddet = -2.0 * a * da - db * c - b * dc
     # d sinc/d det = (cos - sinc) / (2 det), by its series near det = 0
     small = det < 1e-2
     dsinc = ddet * np.where(small, -1.0 / 6.0 + det / 60.0 - det**2 / 1680.0 + det**3 / 90720.0,
@@ -265,8 +299,8 @@ def _magnus_angle(piece, omega, theta, zeta):
     y = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
     v = None if zeta is None else zeta[:, None] * np.stack((-y[:, 1] / sig[0], sig[0] * y[:, 0]), axis=-1)
     theta = theta.copy()
-    for idx, sub, grid in _step_groups(piece, knots, omega):
-        e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
+    for idx, sub, terms in _step_groups(piece, knots, omega):
+        e, nu, *de = _magnus_steps(terms, omega[idx], slope=zeta is not None)
         yi, th = y[idx, :, None], theta[idx]
         vi = None if zeta is None else v[idx, :, None]
         cut, s_cut = _spans(piece, knots, sig, sub)
@@ -291,7 +325,7 @@ def _magnus_angle(piece, omega, theta, zeta):
 def prufer_advance(piece: SmoothPiece, omega, theta, zeta=None):
     """Advance theta across one smooth piece; vectorized over omega.
 
-    The piece is stepped by the fourth-order Magnus method on 2**level
+    The piece is stepped by the sixth-order Magnus method on 2**level
     equal steps per sample interval, the level chosen per omega from
     PRUFER_TOL (see _step_groups), so a value at one omega does not depend
     on the other omegas of the batch.  theta, and zeta = d theta/d omega when given,
@@ -377,8 +411,8 @@ def _piece_matrix(piece, omega, x=None):
         return psis[:: (ends.size - 1) // (knots.size - 1)][np.searchsorted(knots, x)]
     om = np.asarray(omega, dtype=float).reshape(-1)
     out = np.empty(om.shape + (2, 2))
-    for idx, _, grid in _step_groups(piece, piece.x, om):
-        out[idx] = _tree_product(_magnus_steps(grid, om[idx])[0])[0]
+    for idx, _, terms in _step_groups(piece, piece.x, om):
+        out[idx] = _tree_product(_magnus_steps(terms, om[idx])[0])[0]
     return out.reshape(np.shape(omega) + (2, 2))
 
 
@@ -432,7 +466,8 @@ def magnus_states(piece: SmoothPiece, omega, knots=None, min_sub=1):
     """
     knots = piece.x if knots is None else knots
     om = np.array([float(omega)])
-    (_, sub, grid), = _step_groups(piece, knots, om, min_sub)
-    x = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * grid[0]
-    p = _prefix_products(_magnus_steps(grid, om)[0])[:, 0]
+    (_, sub, terms), = _step_groups(piece, knots, om, min_sub)
+    h = np.repeat(np.diff(knots) / sub, sub)
+    x = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * h
+    p = _prefix_products(_magnus_steps(terms, om)[0])[:, 0]
     return np.concatenate((knots[:1], x)), np.concatenate((np.eye(2)[None], p))

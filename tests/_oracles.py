@@ -223,8 +223,8 @@ def prefix_magnus_angle(piece, knots, omega, theta, zeta):
     rs0 = np.sqrt(s0)
     y0 = np.stack((np.cos(theta) / rs0, rs0 * np.sin(theta)), axis=-1)
     turn, y_end, v_end = np.empty_like(omega), np.empty_like(y0), np.empty_like(y0)
-    for idx, _, grid in _step_groups(piece, knots, omega):
-        e, nu, *de = _magnus_steps(grid, omega[idx], slope=zeta is not None)
+    for idx, _, terms in _step_groups(piece, knots, omega):
+        e, nu, *de = _magnus_steps(terms, omega[idx], slope=zeta is not None)
         p = _prefix_products(e)
         ys = np.concatenate((y0[None, idx], (p @ y0[idx, :, None])[..., 0]))
         slip = np.diff(np.arctan2(ys[..., 1], s0 * ys[..., 0]), axis=0) - nu
@@ -246,8 +246,8 @@ def prefix_magnus_angle(piece, knots, omega, theta, zeta):
 def prefix_piece_matrix(piece, omega):
     """Transfer matrix of one smooth piece as the last prefix product; 1-D omega."""
     out = np.empty(omega.shape + (2, 2))
-    for idx, _, grid in _step_groups(piece, piece.x, omega):
-        out[idx] = _prefix_products(_magnus_steps(grid, omega[idx])[0])[-1]
+    for idx, _, terms in _step_groups(piece, piece.x, omega):
+        out[idx] = _prefix_products(_magnus_steps(terms, omega[idx])[0])[-1]
     return out
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from puretone import bifurcate, linwave
-from puretone.cli import _problem_from_args, build_parser, main
+from puretone.cli import _problem_from_args, _write_json, build_parser, main
 from puretone.eos import GammaLawEos
+from puretone.errors import NumericalError
 from puretone.evolve import EvolutionConfig
 from puretone.profile import (
     PiecewiseConstantProfile,
@@ -174,6 +175,37 @@ def test_non_finite_smooth_samples_fail_typed(tmp_path, capsys):
     assert err["error"] == "_UsageFailure"
     assert "x samples must be finite" in err["message"]
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["perturb", "--alpha", "nan"], "--alpha"),
+        (["perturb", "--alpha=-inf"], "--alpha"),
+        (["perturb", "--alpha-schedule", "1e-4,nan"], "--alpha-schedule"),
+        (["perturb", "--alpha-schedule", "1e-4,inf,2e-4"], "--alpha-schedule"),
+        (["tile", "--alpha", "nan"], "--alpha"),
+        (["tile", "--alpha", "inf"], "--alpha"),
+    ],
+)
+def test_non_finite_alpha_is_a_usage_error(profile_file, tmp_path, capsys, argv, flag):
+    # refused before the march: no branch, tile or manifest is written
+    out = tmp_path / "out"
+    rc = main(argv + ["--profile", profile_file, "--k", "1", "--modes", "8", "--out-dir", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "_UsageFailure"
+    assert err["message"].startswith(flag + " wants finite")
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_json_artifacts_refuse_non_finite_values(tmp_path):
+    # artifacts are strict JSON: a NaN or infinity fails typed and leaves no file
+    for bad in (float("nan"), float("inf")):
+        path = tmp_path / "doc.json"
+        with pytest.raises(NumericalError, match="doc.json"):
+            _write_json(path, {"alphas": [1e-4, bad]})
+        assert not path.exists()
 
 
 def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
