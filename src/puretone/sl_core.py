@@ -342,17 +342,13 @@ def prufer_advance(piece: SmoothPiece, omega, theta, zeta=None):
 
 
 def _angle_chain(jumps, pieces, omega, with_slope=False):
-    """theta(ell), or (theta, d theta/d omega), from theta(0) = 0 across N pieces, N-1 jumps.
+    """theta(ell), or (theta, d theta/d omega), from theta(0) = 0 across a profile's N pieces.
 
-    `jumps` has shape (..., N-1).  `pieces` is a profile's N pieces, or a
-    batch of pwc angles of shape (..., N).  A SmoothPiece is advanced by
-    prufer_advance; a ConstantPiece or a batch's piece turns theta by
-    exactly omega times its angle.  Vectorized over omega, which broadcasts
-    against the batch shape.  The jumps are validated once per call.
+    `jumps` has shape (N-1,).  A SmoothPiece is advanced by prufer_advance;
+    a ConstantPiece turns theta by exactly omega times its angle.
+    Vectorized over omega.  The jumps are validated once per call.
     """
     jumps = _check_jump(jumps)
-    if isinstance(pieces, np.ndarray):
-        pieces = [pieces[..., i] for i in range(pieces.shape[-1])]
     omega = np.asarray(omega, dtype=float)
     z = np.zeros(omega.shape)
     dz = np.zeros_like(z) if with_slope else None
@@ -360,15 +356,30 @@ def _angle_chain(jumps, pieces, omega, with_slope=False):
         if isinstance(piece, SmoothPiece):
             z, dz = prufer_advance(piece, omega, z, zeta=dz)
         else:
-            angle = piece.angle if isinstance(piece, ConstantPiece) else piece
-            z = z + omega * angle
+            z = z + omega * piece.angle
             if with_slope:
-                dz = dz + angle
-        if i < jumps.shape[-1]:
-            z, dh = _jump_map(jumps[..., i], z, with_slope)
+                dz = dz + piece.angle
+        if i < jumps.size:
+            z, dh = _jump_map(jumps[i], z, with_slope)
             if with_slope:
                 dz = dh * dz
     return (z, dz) if with_slope else z
+
+
+def _pwc_chain(omega, jumps, angles):
+    """(theta(ell), d theta/d omega) of pwc chains given as per-point columns; jumps unchecked.
+
+    `jumps` and `angles` are sequences of N-1 and N arrays that broadcast
+    against omega, one entry per point.  The operations and their order are
+    _angle_chain's on constant pieces (z + omega theta_i, the jump map,
+    dh dz + theta_i), so each value is bit-identical to it.
+    """
+    z, dz = omega * angles[0], angles[0]
+    for J, angle in zip(jumps, angles[1:]):
+        z, dh = _jump_map(J, z, with_slope=True)
+        z = z + omega * angle
+        dz = dh * dz + angle
+    return z, dz
 
 
 def angle_at_ell(profile, omega):

@@ -102,47 +102,55 @@ def asymptotic_slope(profile) -> float:
 _BLOCK = 2**14
 
 
-def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
+def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max_iter=80):
     """Active-set safeguarded Newton for theta(ell, omega) = target, point by point.
 
-    `angle_and_slope(omega, idx)` returns (theta, d theta/d omega) at the
-    points of flat indices idx into targets.shape; theta(ell, omega) lies
-    within `wiggle` of omega * `total` (broadcast against targets), which
-    brackets each root.  Points are solved in blocks of _BLOCK, and a point
-    leaves the active set once it has converged, so later passes evaluate
-    the chain only on the points still moving.  Each point runs the same
-    update as it would alone, so its root does not depend on the batch.
-    targets has at least one axis.  Returns (omega, converged mask), both
-    of targets' shape.
+    `columns` are per-point inputs, arrays that broadcast against targets,
+    like `total`.  Points are solved in blocks of _BLOCK; a block gathers
+    each column once as a contiguous 1-D array, and
+    `angle_and_slope(omega, *columns)` returns (theta, d theta/d omega) at
+    the block's active points.  theta(ell, omega) lies within `wiggle` of
+    omega * `total`, which brackets each root.  A point leaves the active
+    set once it has converged, and one index of the points still moving
+    compresses the columns with the Newton state, so later passes evaluate
+    the chain only where it is needed.  Each point runs the same update as
+    it would alone, so its root does not depend on the batch.  targets has
+    at least one axis.  Returns (omega, converged mask), both of targets'
+    shape.
     """
     targets = np.asarray(targets, dtype=float)
     shape, size = targets.shape, targets.size
-    total = np.broadcast_to(total, shape)
+    per_point = [np.broadcast_to(v, shape) for v in (targets, total, *columns)]
+    inner = size // shape[0] if size else 1  # flat points per index of the leading axis
     omega, ok = np.empty(size), np.ones(size, dtype=bool)
     tol_theta = tol * (np.pi / 2.0)
     for start in range(0, size, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, size))
-        at = np.unravel_index(idx, shape)
-        t, tot = targets[at], total[at]
+        stop = min(start + _BLOCK, size)
+        # the leading-axis rows that hold the block, flattened, then cut to it
+        r0, r1 = start // inner, -(-stop // inner)
+        cut = slice(start - r0 * inner, stop - r0 * inner)
+        t, tot, *cols = (v[r0:r1].reshape(-1)[cut] for v in per_point)
+        idx = np.arange(start, stop)
         lo = np.maximum((t - wiggle) / tot, 0.0)
         hi = (t + wiggle) / tot
         om = np.clip(t / tot, lo + 1e-30, hi)
         for _ in range(max_iter):
-            th, dth = angle_and_slope(om, idx)
+            th, dth = angle_and_slope(om, *cols)
             f = th - t
             done = np.abs(f) <= tol_theta
-            omega[idx[done]] = om[done]
-            if np.all(done):
+            omega[idx] = om  # final for the points that converge now, overwritten for the rest
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 break
-            keep = ~done
             idx, t, lo, hi, om, f, dth = (v[keep] for v in (idx, t, lo, hi, om, f, dth))
+            cols = [c[keep] for c in cols]
             hi = np.where(f > 0.0, np.minimum(hi, om), hi)
             lo = np.where(f < 0.0, np.maximum(lo, om), lo)
             cand = om - f / dth
             bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
             om = np.where(bad, 0.5 * (lo + hi), cand)
         else:  # points still moving after max_iter passes get a 10x looser test
-            th, _ = angle_and_slope(om, idx)
+            th, _ = angle_and_slope(om, *cols)
             omega[idx] = om
             ok[idx] = np.abs(th - t) <= 10.0 * tol_theta
     return omega.reshape(shape), ok.reshape(shape)
@@ -151,20 +159,21 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):
 def _pwc_solve_targets(jumps, angles, targets, max_iter=80):
     """Roots of the pwc chain; jumps (..., N-1), angles (..., N) broadcast against targets.
 
-    The active points' jumps and angles are gathered from broadcast views,
-    so no flattened copy of the whole batch is made.
+    The jumps are validated once per solve.  Every jump and angle is one
+    per-point column of the solve, so a block gathers each once and the
+    Newton passes only compress them.
     """
-    targets = np.asarray(targets, dtype=float)
-    shape = targets.shape
-    J = np.broadcast_to(jumps, shape + jumps.shape[-1:])
-    A = np.broadcast_to(angles, shape + angles.shape[-1:])
-    wiggle = jumps.shape[-1] * (np.pi / 2.0)
+    jumps = sl_core._check_jump(jumps)
+    angles = np.asarray(angles, dtype=float)
+    n = jumps.shape[-1]
+    columns = [jumps[..., i] for i in range(n)] + [angles[..., i] for i in range(n + 1)]
 
-    def chain(om, idx):
-        at = np.unravel_index(idx, shape)
-        return sl_core._angle_chain(J[at], A[at], om, with_slope=True)
+    def chain(om, *cols):
+        return sl_core._pwc_chain(om, cols[:n], cols[n:])
 
-    return _solve_targets(chain, np.sum(angles, axis=-1), wiggle, targets, KAPPA_TOL, max_iter)
+    wiggle = n * (np.pi / 2.0)
+    total = np.sum(angles, axis=-1)
+    return _solve_targets(chain, total, wiggle, targets, KAPPA_TOL, columns, max_iter)
 
 
 def _solve_profile_targets(profile, targets):
@@ -173,7 +182,7 @@ def _solve_profile_targets(profile, targets):
         return _pwc_solve_targets(profile.jumps, profile.angles, targets)
     # |theta(ell) - omega*total| <= pi/2 per jump + TV(log sigma)/2 per piece
     wiggle = (profile.n_pieces - 1) * (np.pi / 2.0) + 0.5 * profile.log_sigma_variation() + 1e-9
-    slope = lambda om, _idx: sl_core.angle_and_slope_at_ell(profile, om)
+    slope = lambda om: sl_core.angle_and_slope_at_ell(profile, om)
     return _solve_targets(slope, sigma_integral(profile), wiggle, targets, KAPPA_TOL_SMOOTH)
 
 
@@ -321,6 +330,7 @@ class GenericityResult:
     argmin_triple: np.ndarray  # per sample (k, j, l)
     n_exact: int
     n_failed: int
+    n_no_triple: int  # converged samples with no admissible (k, j, l), left out of the histogram
     failed_ids: np.ndarray
     hist_counts: np.ndarray
     hist_edges: np.ndarray  # log10of residual bin edges
@@ -338,11 +348,50 @@ class GenericityResult:
             "exact_tol": self.exact_tol,
             "n_exact": self.n_exact,
             "n_failed": self.n_failed,
+            "n_no_triple": self.n_no_triple,
             "min_residual": float(np.min(self.min_residual[ok])) if np.any(ok) else None,
             "median_residual": float(np.median(self.min_residual[ok])) if np.any(ok) else None,
             "hist_counts": self.hist_counts.tolist(),
             "hist_edges_log10": self.hist_edges.tolist(),
         }
+
+
+#: samples per block of the ratio-residual pass; a block's (k, l) arrays stay small
+_RES_BLOCK = 512
+
+
+def _min_ratio_residual(om, k_max, l_max, j_max):
+    """Per ladder, the smallest relative residual over (k, l) and its triple (k, j, l).
+
+    om has shape (samples, >= max(k_max, l_max)).  Every pair k <= k_max,
+    l <= l_max, l != k, with j = rint(k om_l / om_k) in [1, j_max] and
+    j != k, has residual |k om_l - j om_k| / (k om_l); the others count as
+    inf.  One pass takes all pairs of _RES_BLOCK samples at once, and the
+    flat argmin over (k, l) breaks ties by the smallest k, then the
+    smallest l.  A row with no admissible pair keeps inf and (0, 0, 0).
+    """
+    samples = om.shape[0]
+    min_res = np.full(samples, np.inf)
+    argmin = np.zeros((samples, 3), dtype=int)
+    ks = np.arange(1, k_max + 1)[:, None]
+    ls = np.arange(1, l_max + 1)[None, :]
+    for start in range(0, samples, _RES_BLOCK):
+        rows = slice(start, start + _RES_BLOCK)
+        om_k = om[rows, :k_max, None]
+        k_om_l = ks * om[rows, None, :l_max]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            j_star = np.rint(k_om_l / om_k)
+            res = np.abs(k_om_l - j_star * om_k) / k_om_l
+        valid = (ls != ks) & (j_star >= 1) & (j_star <= j_max) & (j_star != ks)
+        res = np.where(valid, res, np.inf).reshape(res.shape[0], -1)
+        flat = np.argmin(res, axis=1)
+        hit = np.flatnonzero(res[np.arange(res.shape[0]), flat] < np.inf)
+        best = flat[hit]
+        min_res[start + hit] = res[hit, best]
+        argmin[start + hit, 0] = best // l_max + 1
+        argmin[start + hit, 1] = j_star.reshape(res.shape)[hit, best]
+        argmin[start + hit, 2] = best % l_max + 1
+    return min_res, argmin
 
 
 def genericity_mc(
@@ -357,11 +406,18 @@ def genericity_mc(
     """Sample (J, Theta) profiles and hunt for frequency-ratio resonances.
 
     For every sample the eigenfrequency ladder omega_1..omega_max is solved
-    (one active-set Newton over all (sample, target) points, in blocks of
-    _BLOCK), then over all pairs (k, l), l != k, the nearest
-    integer j = round(k omega_l / omega_k) <= j_max defines the relative
-    residual |k omega_l - j omega_k| / (k omega_l).  Exact resonances are
-    residuals below EXACT_TOL.  Deterministic for a fixed seed.
+    by one active-set Newton over all (sample, target) points, in blocks of
+    _BLOCK; a sample's jumps and angles are per-point columns that a block
+    gathers once and its Newton passes only compress.  Then one pass per
+    _RES_BLOCK samples takes every pair (k, l), l != k: the nearest integer
+    j = rint(k omega_l / omega_k), if in [1, j_max] and not k, defines the
+    relative residual |k omega_l - j omega_k| / (k omega_l), and the flat
+    argmin over (k, l) keeps the smallest, ties going to the smallest k,
+    then the smallest l.  Exact resonances are residuals below EXACT_TOL.
+    A converged sample with no admissible triple keeps min_residual inf
+    and triple (0, 0, 0); it counts in n_no_triple and in no histogram
+    bin, so sum(hist_counts) + n_no_triple = samples - n_failed.
+    Deterministic for a fixed seed.
     """
     if n_levels < 2:
         raise DomainError("need at least two entropy levels")
@@ -385,30 +441,13 @@ def genericity_mc(
     )
     sample_ok = np.all(ok, axis=1)
 
-    min_res = np.full(samples, np.inf)
-    argmin = np.zeros((samples, 3), dtype=int)
-    ls = np.arange(1, l_max + 1)
-    for k in range(1, k_max + 1):
-        om_k = om[:, k - 1][:, None]
-        om_l = om[:, :l_max]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            j_star = np.rint(k * om_l / om_k)
-            res = np.abs(k * om_l - j_star * om_k) / (k * om_l)
-        valid = (ls[None, :] != k) & (j_star >= 1) & (j_star <= j_max) & (j_star != k)
-        res = np.where(valid, res, np.inf)
-        best_l = np.argmin(res, axis=1)
-        best = res[np.arange(samples), best_l]
-        better = best < min_res
-        min_res = np.where(better, best, min_res)
-        argmin[better, 0] = k
-        argmin[better, 1] = j_star[np.arange(samples), best_l][better].astype(int)
-        argmin[better, 2] = best_l[better] + 1
-
+    min_res, argmin = _min_ratio_residual(om, k_max, l_max, j_max)
     min_res[~sample_ok] = np.nan
-    finite = min_res[sample_ok]
-    n_exact = int(np.sum(finite < EXACT_TOL))
+    resid = min_res[sample_ok]
+    n_exact = int(np.sum(resid < EXACT_TOL))
+    has_triple = np.isfinite(resid)
     edges = np.arange(-16.0, 0.5, 0.5)
-    logs = np.log10(np.clip(finite, 1e-300, None))
+    logs = np.log10(np.clip(resid[has_triple], 1e-300, None))
     counts, edges = np.histogram(np.clip(logs, edges[0], edges[-1]), bins=edges)
     return GenericityResult(
         n_levels=n_levels,
@@ -423,6 +462,7 @@ def genericity_mc(
         argmin_triple=argmin,
         n_exact=n_exact,
         n_failed=int(np.sum(~sample_ok)),
+        n_no_triple=int(np.sum(~has_triple)),
         failed_ids=np.flatnonzero(~sample_ok),
         hist_counts=counts,
         hist_edges=edges,

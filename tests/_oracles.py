@@ -25,8 +25,10 @@ of S o L = diag(delta_j); its quarter turns are rounded libm values, not
 the library's table.  The SL residual checks sampled solutions with
 fourth-order differences.  The full-array safeguarded Newton evaluates
 the angle chain on every point in every pass, as the reference for the
-library's active-set, blocked root solve.  The per-row np.roll extension is
-the reference for the tile extension's gathers.  scipy's PchipInterpolator
+library's active-set, blocked root solve, and the loop over k of the
+frequency-ratio residual is the reference for its blocked one-pass form.
+The per-row np.roll extension is the reference for the tile extension's
+gathers.  scipy's PchipInterpolator
 through a piece's samples is the reference for SmoothPiece's numpy PCHIP:
 its values, derivatives and integral.
 """
@@ -47,9 +49,9 @@ from puretone.evolve import (
 )
 from puretone.profile import ConstantPiece
 from puretone.sl_core import (
-    _angle_chain,
     _magnus_steps,
     _prefix_products,
+    _pwc_chain,
     _step_groups,
     jump_angle,
 )
@@ -586,8 +588,41 @@ def full_array_pwc_solve_targets(jumps, angles, targets, tol=spectrum.KAPPA_TOL,
     targets = np.asarray(targets, dtype=float)
     total = np.broadcast_to(np.sum(angles, axis=-1), targets.shape)
     wiggle = jumps.shape[-1] * (np.pi / 2.0)
-    chain = lambda om: _angle_chain(jumps, angles, om, with_slope=True)
+    jumps, angles = np.asarray(jumps, dtype=float), np.asarray(angles, dtype=float)
+    jump_cols = [jumps[..., i] for i in range(jumps.shape[-1])]
+    angle_cols = [angles[..., i] for i in range(angles.shape[-1])]
+    chain = lambda om: _pwc_chain(om, jump_cols, angle_cols)
     return full_array_solve_targets(chain, total, wiggle, targets, tol, max_iter)
+
+
+def reference_min_ratio_residual(om, k_max, l_max, j_max):
+    """Per ladder, the smallest ratio residual and its (k, j, l), one k at a time.
+
+    The loop over k keeps a strictly smaller residual only, so ties go to
+    the smallest k, and within a k argmin takes the smallest l.  The
+    reference for spectrum._min_ratio_residual's blocked one-pass form.
+    """
+    samples = om.shape[0]
+    min_res = np.full(samples, np.inf)
+    argmin = np.zeros((samples, 3), dtype=int)
+    ls = np.arange(1, l_max + 1)
+    rows = np.arange(samples)
+    for k in range(1, k_max + 1):
+        om_k = om[:, k - 1][:, None]
+        om_l = om[:, :l_max]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            j_star = np.rint(k * om_l / om_k)
+            res = np.abs(k * om_l - j_star * om_k) / (k * om_l)
+        valid = (ls[None, :] != k) & (j_star >= 1) & (j_star <= j_max) & (j_star != k)
+        res = np.where(valid, res, np.inf)
+        best_l = np.argmin(res, axis=1)
+        best = res[rows, best_l]
+        better = best < min_res
+        min_res = np.where(better, best, min_res)
+        argmin[better, 0] = k
+        argmin[better, 1] = j_star[rows, best_l][better].astype(int)
+        argmin[better, 2] = best_l[better] + 1
+    return min_res, argmin
 
 
 def random_pwc(rng, n_max=5, pbar=None, eos=None):

@@ -445,6 +445,18 @@ def test_genericity_command(tmp_path):
     assert data.size == 200
 
 
+def test_genericity_without_triples_leaves_the_histogram_empty(tmp_path):
+    out = tmp_path / "out"
+    rc = main(
+        ["genericity", "--levels", "2", "--samples", "50", "--kmax", "1", "--lmax", "2",
+         "--jmax", "2", "--box", "4.9,5.0,2.9,3.0", "--out-dir", str(out)]
+    )
+    assert rc == 0
+    summary = json.loads((out / "genericity_summary.json").read_text())
+    assert summary["n_no_triple"] == 50 and summary["n_failed"] == 0
+    assert not any(summary["hist_counts"])
+
+
 def test_acoustic_chi_flag(profile_file, tmp_path):
     out = tmp_path / "out"
     rc = main(

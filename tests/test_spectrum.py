@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import full_array_pwc_solve_targets, random_pwc
-from puretone import spectrum
+from types import SimpleNamespace
+
+from _oracles import full_array_pwc_solve_targets, random_pwc, reference_min_ratio_residual
+from puretone import sl_core, spectrum
 from puretone.errors import DomainError
 from puretone.profile import PiecewiseConstantProfile, constant_profile, from_jump_angles
 from puretone.sl_core import angle_and_slope_at_ell
@@ -230,6 +232,99 @@ def test_genericity_does_not_depend_on_block(block, monkeypatch):
     g = genericity_mc(3, 40, seed=17)
     assert np.array_equal(g.min_residual, base.min_residual, equal_nan=True)
     assert np.array_equal(g.argmin_triple, base.argmin_triple)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_bad_jump_refused_before_any_pass(bad, two_level, monkeypatch):
+    # the pwc solve checks its jumps once, up front; no chain pass runs first
+    calls = []
+    monkeypatch.setattr(sl_core, "_pwc_chain", lambda *args: calls.append(args))
+    jumps = np.array([[[2.0]], [[bad]]])
+    angles = np.ones((2, 1, 2))
+    with pytest.raises(DomainError):
+        spectrum._pwc_solve_targets(jumps, angles, np.ones((2, 3)))
+    assert not calls
+    # angle_at_ell keeps its own check
+    fake = SimpleNamespace(jumps=np.array([bad]), pieces=two_level.pieces)
+    with pytest.raises(DomainError):
+        sl_core.angle_at_ell(fake, 1.0)
+
+
+def test_genericity_root_work(monkeypatch):
+    # pwc chain point-evaluations per root of genericity_mc's 2-level solve
+    # (one jump per chain, so one _jump_map point per evaluation); the
+    # active-set Newton takes 4.58-4.59 on 10^4 samples
+    jump_map, points = sl_core._jump_map, [0]
+
+    def counted(J, z, with_slope=False):
+        points[0] += np.size(z)
+        return jump_map(J, z, with_slope)
+
+    monkeypatch.setattr(sl_core, "_jump_map", counted)
+    samples = 10_000
+    g = genericity_mc(2, samples, seed=0)
+    assert g.n_failed == 0
+    per_root = points[0] / (samples * max(g.k_max, g.l_max))
+    assert 1.0 <= per_root <= 4.7
+
+
+def _ratio_ladders(rng, samples, k_top):
+    """Positive ladders with NaN entries, rows with no admissible pair and exact ties."""
+    om = np.sort(rng.uniform(0.2, 30.0, size=(samples, k_top)), axis=1)
+    om[rng.random(samples) < 0.1, rng.integers(0, k_top)] = np.nan
+    om[-12:] = 1000.0 ** np.arange(k_top)  # every ratio is 0 or far above j_max
+    om[-24:-12] = rng.uniform(0.5, 2.0, size=(12, 1)) * np.arange(1, k_top + 1)  # all residuals 0
+    return om
+
+
+@pytest.mark.parametrize(
+    "k_max, l_max, j_max", [(12, 12, 24), (5, 9, 3), (9, 4, 12), (1, 3, 2), (3, 1, 5), (7, 7, 1)]
+)
+@pytest.mark.parametrize("res_block", [7, 512])
+def test_ratio_residual_matches_k_loop_oracle(k_max, l_max, j_max, res_block, monkeypatch):
+    monkeypatch.setattr(spectrum, "_RES_BLOCK", res_block)
+    rng = np.random.default_rng(100 * k_max + 10 * l_max + j_max)
+    om = _ratio_ladders(rng, 300, max(k_max, l_max))
+    res, triple = spectrum._min_ratio_residual(om, k_max, l_max, j_max)
+    ref_res, ref_triple = reference_min_ratio_residual(om, k_max, l_max, j_max)
+    assert np.array_equal(res, ref_res) and np.array_equal(triple, ref_triple)
+    assert not np.any(np.isnan(res))
+    none = ~np.isfinite(res)
+    assert np.all(triple[none] == 0) and np.all(triple[~none, 0] >= 1)
+    assert np.all(none[-12:])
+
+
+def test_ratio_residual_ties_on_the_isentropic_box():
+    # J = 1: omega_k = k omega_1, every admissible residual is 0, and the
+    # first admissible (k, l) in k-major order wins
+    g = genericity_mc(2, 64, seed=4, box=((1.0, 1.0), (0.1, 3.0)), k_max=5, l_max=7, j_max=9)
+    assert np.all(g.min_residual == 0.0)
+    assert np.all(g.argmin_triple == (1, 2, 2))
+    # the ladder from the solve itself, through both residual forms
+    targets = np.broadcast_to(np.arange(1, 8) * np.pi / 2.0, (64, 7))
+    rng = np.random.default_rng(4)
+    om, ok = spectrum._pwc_solve_targets(
+        np.ones((64, 1, 1)), rng.uniform(0.1, 3.0, size=(64, 1, 2)), targets
+    )
+    assert np.all(ok)
+    for got, ref in zip(spectrum._min_ratio_residual(om, 7, 5, 3),
+                        reference_min_ratio_residual(om, 7, 5, 3)):
+        assert np.array_equal(got, ref)
+
+
+def test_samples_without_a_triple_leave_the_histogram():
+    # k_max 1, l_max 2, j_max 2 admits only (k, j, l) = (1, 2, 2)
+    g = genericity_mc(2, 2000, seed=0, k_max=1, l_max=2, j_max=2)
+    assert g.n_no_triple == 1074 and g.n_failed == 0
+    assert int(np.sum(g.hist_counts)) + g.n_no_triple == g.samples - g.n_failed
+    assert int(np.sum(np.isinf(g.min_residual))) == g.n_no_triple
+    assert g.summary()["n_no_triple"] == 1074
+    # a box where no sample has one: an empty histogram
+    g = genericity_mc(2, 50, seed=0, k_max=1, l_max=2, j_max=2, box=((4.9, 5.0), (2.9, 3.0)))
+    assert g.n_no_triple == 50 and not np.any(g.hist_counts)
+    assert np.all(g.argmin_triple == 0)
+    s = g.summary()
+    assert s["n_no_triple"] == 50 and s["min_residual"] is None
 
 
 def test_smooth_roots_do_not_depend_on_batch(smooth_jumpy):
