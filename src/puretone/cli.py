@@ -228,7 +228,9 @@ def cmd_genericity(args):
 
 def _mode_tile(args, prof):
     """The linear k-mode of `mode` and of `tile` without --alpha or --quiet, and its tile."""
-    eig = spectrum.eigen_solve(prof, args.k, _chi_of(args))
+    chi = _chi_of(args)
+    linwave.check_grid(args.nx, args.nt, chi)
+    eig = spectrum.eigen_solve(prof, args.k, chi)
     mode = linwave.eigenfunction_profiles(prof, eig, nx=args.nx)
     return mode, linwave.mode_field(mode, args.nt, meta={"kind": "linear-mode", "k": args.k})
 
@@ -304,6 +306,13 @@ def cmd_perturb(args):
     return EXIT_OK
 
 
+def _check_nt_carries(nt, m):
+    if nt < 2 * m + 2:
+        raise _UsageFailure(
+            f"--nt {nt} cannot carry M = {m}: the tile needs --nt >= 2 M + 2 = {2 * m + 2}"
+        )
+
+
 def cmd_tile(args):
     t0 = time.perf_counter()
     prof = _load_profile(args.profile)
@@ -325,13 +334,11 @@ def cmd_tile(args):
         _, tile = _mode_tile(args, prof)
     else:
         problem = _problem_from_args(args, prof)
+        # M only grows, so a short --nt fails before the solve; the solve may double M
+        _check_nt_carries(args.nt, problem.cfg.M)
+        linwave.check_grid(args.nx, args.nt, chi)
         sol = bifurcate.solve_at_alpha(problem, args.alpha)
-        m = problem.cfg.M  # the solve may have doubled --modes
-        if args.nt < 2 * m + 2:
-            raise _UsageFailure(
-                f"--nt {args.nt} cannot carry the solved M = {m}: "
-                f"the tile needs --nt >= 2 M + 2 = {2 * m + 2}"
-            )
+        _check_nt_carries(args.nt, problem.cfg.M)
         tile = linwave.nonlinear_tile(
             prof, prof.eos, sol.y0_field(), problem.cfg, args.nx, args.nt, chi,
             meta={"kind": "pure-tone", "k": args.k, "alpha": args.alpha},

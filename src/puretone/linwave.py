@@ -71,9 +71,7 @@ class TileField:
             raise DomainError("field arrays must be (len(x), len(t))")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise DomainError(f"period T must be finite and positive (got {self.T!r})")
-        # the extension's time shifts are rolls by nt/2 and nt/4 columns
-        if self.t.size % 2 or (self.chi == 1 and self.t.size % 4):
-            raise DomainError("nt must be even, and divisible by 4 when chi = 1")
+        check_grid(self.nx, self.nt, self.chi)
 
     @property
     def nx(self) -> int:
@@ -86,6 +84,17 @@ class TileField:
     @property
     def x_period(self) -> float:
         return float(self.x[-1])
+
+
+def check_grid(nx, nt, chi):
+    """Refuse (DomainError) a tile grid of nx + 1 rows and nt columns that no
+    tile can have: nx >= 1, and nt even, and divisible by 4 when chi = 1,
+    because the extension reflects rows and shifts time by rolls of nt/2 and
+    nt/4 columns.  The CLI checks its arguments with it before any solve."""
+    if nx < 1:
+        raise DomainError(f"nx must be at least 1 (got {nx})")
+    if nt % 2 or (chi == 1 and nt % 4):
+        raise DomainError("nt must be even, and divisible by 4 when chi = 1")
 
 
 def _x_grid(profile, nx):
@@ -213,18 +222,36 @@ def extend_tile(tile: TileField) -> TileField:
 
 
 def tile_to_csv(tile: TileField, path):
-    """Long-format CSV with header x,t,p,u."""
-    # tolist() gives Python floats, whose repr is that of float(np.float64);
-    # converting row by row keeps one row of them alive at a time
-    ts = [repr(tv) for tv in np.asarray(tile.t, dtype=float).tolist()]
-    p = np.asarray(tile.p, dtype=float)
-    u = np.asarray(tile.u, dtype=float)
+    """Long-format CSV with header x,t,p,u; every number is Python's shortest
+    round-trip repr, so the file parses back bit-exact."""
+    ts = np.asarray(tile.t, dtype=float).tolist()
+    p_strs, p_idx = _distinct_reprs(tile.p, ",")
+    u_strs, u_idx = _distinct_reprs(tile.u, "\n")
+    # a row's lines are the strings x ",t," "p," "u\n" in turn; its p and u
+    # strings are references into the tables, gathered through the index
+    line = [None] * (4 * len(ts))
+    line[1::4] = [f",{tv!r}," for tv in ts]
     with open(path, "w") as fh:
         fh.write("x,t,p,u\n")
         for i, xv in enumerate(np.asarray(tile.x, dtype=float).tolist()):
-            xs = repr(xv)
-            rows = zip(ts, p[i].tolist(), u[i].tolist())
-            fh.write("".join(f"{xs},{tv},{pv!r},{uv!r}\n" for tv, pv, uv in rows))
+            line[0::4] = [repr(xv)] * len(ts)
+            line[2::4] = p_strs[p_idx[i]].tolist()
+            line[3::4] = u_strs[u_idx[i]].tolist()
+            fh.write("".join(line))
+
+
+def _distinct_reprs(values, suffix):
+    """(strings, index): repr + suffix of each distinct float64 bit pattern in
+    values, as an object array, and the index of each entry's string in
+    values' shape.
+
+    An extended tile repeats its base tile up to sign, so most values recur;
+    keying on the bits keeps 0.0 and -0.0 apart and never merges NaN payloads.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(v.ravel().view(np.int64), return_inverse=True)
+    strings = np.array([f"{f!r}{suffix}" for f in bits.view(np.float64).tolist()], dtype=object)
+    return strings, inverse.reshape(v.shape)
 
 
 def tile_to_binary(tile: TileField, path):

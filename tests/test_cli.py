@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puretone import bifurcate, linwave
+from puretone import bifurcate, linwave, spectrum
 from puretone.cli import _problem_from_args, _write_json, build_parser, main
 from puretone.eos import GammaLawEos
 from puretone.errors import NumericalError
@@ -302,6 +302,31 @@ def test_tile_after_m_doubling_names_the_nt_it_needs(profile_file, tmp_path, cap
     assert err["error"] == "_UsageFailure"
     assert "M = 8" in err["message"] and "--nt >= 2 M + 2 = 18" in err["message"]
     assert not list(tmp_path.glob("tile*"))
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["tile", "--alpha", "1e-3", "--modes", "16", "--nx", "128", "--nt", "34"], 1, "DomainError"),
+        (["tile", "--alpha", "1e-3", "--modes", "16", "--nx", "0", "--nt", "64"], 1, "DomainError"),
+        (["tile", "--alpha", "1e-3", "--modes", "16", "--nx", "16", "--nt", "32"], 2, "_UsageFailure"),
+        (["tile", "--nx", "16", "--nt", "30"], 1, "DomainError"),
+        (["mode", "--nx", "0", "--nt", "32"], 1, "DomainError"),
+        (["mode", "--nx", "16", "--nt", "34"], 1, "DomainError"),
+    ],
+)
+def test_bad_grid_fails_before_any_solve(profile_file, tmp_path, capsys, monkeypatch,
+                                         argv, code, error):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad grid reached the solve")
+
+    monkeypatch.setattr(bifurcate, "solve_at_alpha", no_solve)
+    monkeypatch.setattr(spectrum, "eigen_solve", no_solve)
+    rc = main(argv + ["--k", "1", "--profile", profile_file, "--out-dir", str(tmp_path)])
+    assert rc == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["perturb", "tile"])

@@ -1,7 +1,11 @@
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import rolled_extension, sl_residual
@@ -302,6 +306,70 @@ def test_tile_csv_bytes_match_per_value_formatter(tmp_path):
     assert (tmp_path / "tile.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+# values whose bits differ only in sign, in the last ulp, or in a NaN's payload and sign
+_NEAR_TWINS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, np.nextafter(1e-310, 1.0),
+     1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, -np.nextafter(1.0, 2.0)],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0x7FF8000000000123, 0xFFF00000000ABCDE], dtype=np.uint64).view(np.float64),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 32),
+    nt=st.sampled_from([4, 8, 12, 16, 32, 64]),
+    chi=st.sampled_from([0, 1]),
+    quiet=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    twin_frac=st.floats(0.0, 0.5),
+)
+def test_tile_csv_bytes_match_per_value_formatter_on_extended_tiles(
+    tmp_path_factory, nx, nt, chi, quiet, seed, twin_frac
+):
+    # the writer formats each distinct bit pattern once; an extended tile
+    # repeats its base up to sign, and near twins must still keep their own strings
+    rng = np.random.default_rng(seed)
+    if quiet:
+        base = quiet_tile(constant_profile(1.0, 1.0), rng.normal(), 2.0, nx, nt, chi)
+        tile = extend_tile(base)
+        assert np.unique(base.p.view(np.int64)).size == np.unique(base.u.view(np.int64)).size == 1
+        assert np.unique(tile.p.view(np.int64)).size == 1
+        assert np.unique(tile.u.view(np.int64)).tolist() == [-(2**63), 0]  # -0.0 and 0.0
+    else:
+        p, u = rng.normal(size=(2, nx + 1, nt)) * 10.0 ** rng.integers(-300, 300, size=(2, nx + 1, nt))
+        for f in (p, u):
+            flat = f.ravel()
+            src = flat[rng.integers(0, flat.size, size=flat.size)]
+            twins = (-src, np.nextafter(src, np.inf), np.nextafter(src, -np.inf),
+                     rng.choice(_NEAR_TWINS, size=flat.size))
+            pick = rng.random(flat.size) < twin_frac
+            flat[pick] = np.choose(rng.integers(0, 4, size=flat.size), twins)[pick]
+        p_ext, u_ext = rolled_extension(p, u, chi)
+        tile = TileField(np.linspace(0.0, 1.0, p_ext.shape[0]), np.arange(nt) * (2.0 / nt),
+                         p_ext, u_ext, chi=chi, T=2.0)
+    out = tmp_path_factory.mktemp("csv")
+    tile_to_csv(tile, out / "tile.csv")
+    _per_value_csv(tile, out / "ref.csv")
+    assert (out / "tile.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_tile_csv_memory_stays_at_the_distinct_strings(two_level):
+    # the strings live once per distinct value; per-value Python lists of
+    # strings or indices peak above 2.6 MB on this 513 x 64 tile
+    mode = eigenfunction_profiles(two_level, eigen_solve(two_level, 1), nx=128)
+    tile = extend_tile(mode_field(mode, nt=64))
+    assert tile.p.shape == (513, 64)
+    with tempfile.TemporaryDirectory() as out:
+        tracemalloc.start()
+        try:
+            tile_to_csv(tile, f"{out}/tile.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -311,8 +379,10 @@ def test_tile_csv_bytes_match_per_value_formatter(tmp_path):
         lambda good: good[:8] + (-1).to_bytes(8, "little", signed=True) + good[16:],  # negative count
         # a whole file whose nt = 6 breaks the chi = 1 grid rule
         lambda good: good[:8] + struct.pack("<qqqdd", 3, 6, 1, 2.0, 1.0) + bytes(8 * (3 + 6 + 36)),
+        # a whole file of one x row, which no extension can reflect
+        lambda good: good[:8] + struct.pack("<qqqdd", 1, 4, 1, 2.0, 0.0) + bytes(8 * (1 + 4 + 8)),
     ],
-    ids=("magic", "cut-header", "cut-payload", "negative-count", "nt6-chi1"),
+    ids=("magic", "cut-header", "cut-payload", "negative-count", "nt6-chi1", "one-row"),
 )
 def test_binary_magic_check(tmp_path, spoil):
     # a file that is not a whole tile fails typed, never with struct.error or ValueError
