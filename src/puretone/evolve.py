@@ -45,11 +45,18 @@ the midpoint's) (p - a_0).  Since the remainder is quadratic in the
 fluctuation, a constant piece takes few steps, sized from the remainder's
 share of the motion (EvolutionConfig).  With N the remainder and E the
 exact half-step turn, the RK4 stages k1 = N(u) and k3 = N(E u) read only the
-step's entry state, k2 only k1 and k4 only k3, so a step evaluates N twice,
-each time on a stacked stage pair with one synthesis and one analysis
-product: (u, E u), then (E(u + h/2 k1), E(E u + h k3)).  Entropy jumps are
-the identity on (p, u) coefficients.  f(0) = 0 exactly, so quiet states are
-exact fixed points, bit for bit.
+step's entry state, k2 only k1 and k4 only k3, and N reads only cosine
+parts, which E(u + (0, k)) = E u + E(0, k) splits into a turned state and
+a turned kick.  So a step is four products: one synthesis of the cosine
+parts of (u, E u, E^2 u), one analysis of N on (u, E u), one synthesis of
+the kicks E(0, h/2 k1) and E(0, h k3), which turn (E u, E^2 u) into the
+stages of k2 and k4, and one analysis of N on those.  It closes as
+u+ = E^2 (u + h/6 (0, k1)) + h/3 E(0, k2 + k3) + h/6 (0, k4), with E and
+E^2 from one sl_core.rotation call per segment of a constant piece.  E^2
+enters as the identity plus its increment, cos th - 1 = -2 sin^2(th/2),
+so each step rounds a coefficient once, at its own scale.  Entropy jumps
+are the identity on (p, u) coefficients.  f(0) = 0 exactly, so quiet
+states are exact fixed points, bit for bit.
 """
 
 from __future__ import annotations
@@ -224,9 +231,38 @@ class _Frozen(NamedTuple):
     vp0: np.ndarray
 
 
+class _Turn(NamedTuple):
+    """The tables of one x-step of length h, per row and mode (_Marcher._step).
+
+    E is the half-step turn, E(0, k) = (-sn/s k, c k), and `rates` gives
+    K = h/6 k.  cos3 a - sin3 b are the cosine parts of (u, E u, E^2 u), and
+    kick turns (K1, K3) into those of E(0, h/2 k1) and E(0, h k3); these
+    synthesis tables carry the fields' weights (_Marcher.weights).  E^2
+    enters as I + (E^2 - I), whose diagonal c2 - 1 = -2 sin^2(th/2) is free
+    of cancellation: a step adds to each coefficient only its increment and
+    so rounds it once, where a rounded c2 would scale every amplitude by its
+    rounding error on every step.
+    """
+
+    cos3: np.ndarray  # (1, c, c2): (3, fields, ..., M+1)
+    sin3: np.ndarray  # (0, sn/s, sn2/s)
+    kick: np.ndarray  # -(3, 6) sn/s: (2, fields, ..., M+1)
+    ta: np.ndarray  # (c2 - 1, s sn2) = E^2 - I acting on a: (2, 1, ..., M+1)
+    tb: np.ndarray  # (-sn2/s, c2 - 1) = E^2 - I acting on b
+    tk: np.ndarray  # 2 (-sn/s, c) = h/3 E acting on (0, k), applied to K
+    rates: np.ndarray  # grid values -> K: h/6 times _Marcher.to_rates
+
+    def at_step(self, i):
+        """Step i of turns stacked on a leading step axis (_Marcher._turns)."""
+        return _Turn(*(t[i] for t in self[:-1]), self.rates)
+
+
 #: ShockProximityError once the time-gradient bound passes this multiple of its entry
 #: value, beyond what linear propagation can add (_StepGuard)
 _GUARD_FACTOR = 10.0
+
+#: a smooth piece builds the turns of at most this many (step, row, mode) entries at once
+_TURN_ENTRIES = 1 << 14
 
 
 class _Marcher:
@@ -235,11 +271,12 @@ class _Marcher:
     The state is one (a, b) pair of cos/sin coefficient arrays over the mean
     a0 whose leading axis holds the marched fields: 0 is the solution, 1 (if
     present) its first variation.  Inside a step every mode turns exactly as
-    the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx (one
-    sl_core.rotation call per half step, per batch row); RK4 carries only the
-    remainder, which drives the sine coefficients and vanishes at quiet data.
-    The remainder is evaluated on two RK4 stages at once, stacked on one more
-    leading axis (see _step).
+    the SL system with s^2 = -v_p(a0, A), mode j by j Omega s dx, per batch
+    row; RK4 carries only the remainder, which drives the sine coefficients
+    and vanishes at quiet data.  A step's half and full turns come from one
+    sl_core.rotation call (_turns), made once per segment of a constant
+    piece and once per block of steps of a smooth one, and the step is four
+    products: two syntheses and two analyses of stacked RK4 stages (_step).
     """
 
     def __init__(self, profile, eos, T, cfg, a0):
@@ -255,43 +292,44 @@ class _Marcher:
         if self.eos is None or self.pbar is None:
             raise DomainError("nonlinear work needs an equation of state and pbar")
         self.a0 = np.asarray(a0, dtype=float)
-        # synthesis weights per field: the solution enters as its fluctuation
-        # about a0, a variation with its own mean
-        self.keep = np.ones((2,) + (1,) * (self.a0.ndim - 1) + (cfg.M + 1,))
-        self.keep[0, ..., 0] = 0.0
+        # synthesis weights per field: the solution enters as its relative
+        # fluctuation x = (p - a0) / a0, a variation as itself, with its mean
+        self.weights = np.ones((2,) + self.a0.shape[:-1] + (cfg.M + 1,))
+        self.weights[0] /= self.a0
+        self.weights[0, ..., 0] = 0.0
 
     def frozen(self, sigma):
-        """EOS constants at sigma; an array of sigmas stacks them on a new leading axis."""
+        """EOS constants at sigma; an array of sigmas stacks them on new leading axes."""
         eos_, shape = self.eos, np.shape(sigma) + (1,) * self.a0.ndim
         A = eos_.factor_from_sigma(self.pbar, np.reshape(sigma, shape))
         return _Frozen(eos_.volume_from_factor(self.a0, A), eos_.dvdp_from_factor(self.a0, A))
 
-    def remainder(self, a, at, rot):
-        """Sine-coefficient rates of the remainder, shaped like `a`: (stages, fields, ..., M+1).
+    def remainder(self, grid, at, rot):
+        """Grid values of the remainder at the stages' synthesized grid values.
 
-        `at` holds the stages' constants, stacked on the stage axis or one set
-        that every stage shares.  The solution's row is v0 f(x), a variation's
-        v_p(a0) slope_increment(x) P; where the stage's constants `at` are not
-        the rotation's `rot` (a smooth piece), each row also gets
-        (at.vp0 - rot.vp0) times its own field.  All stages and fields share
-        one synthesis and one analysis product.
+        Both are (stages, fields, ..., n); `rates` or to_rates turns the
+        result into sine-coefficient rates.  `at` holds the stages'
+        constants, stacked on the stage axis or one set that every stage
+        shares.  The solution's row is v0 f(x), a variation's
+        v_p(a0) slope_increment(x) P; where the stage's constants `at` are
+        not the rotation's `rot` (a smooth piece), each row also gets
+        (at.vp0 - rot.vp0) times its own field, p - a0 = a0 x for the
+        solution.
         """
-        grid = coeffs_to_grid(a * self.keep[: a.shape[1]], None, self.n)
-        dp = grid[:, 0]
-        x = dp / self.a0
+        x = grid[:, 0]
         if x.min() <= -1.0:  # the pressure a0 (1 + x) is no longer positive
             raise ShockProximityError("pressure lost positivity during evolution")
         dvp = None if at is rot else at.vp0 - rot.vp0
         w = at.v0 * self.eos.volume_remainder(x)
         if dvp is not None:
-            w = w + dvp * dp
-        if a.shape[1] == 1:
-            return w[:, None] @ self.to_rates
+            w = w + dvp * self.a0 * x
+        if grid.shape[1] == 1:
+            return w[:, None]
         P = grid[:, 1]
         dvp_P = at.vp0 * self.eos.slope_increment(x) * P
         if dvp is not None:
             dvp_P = dvp_P + dvp * P
-        return np.stack((w, dvp_P), axis=1) @ self.to_rates
+        return np.stack((w, dvp_P), axis=1)
 
     def eta(self, a, b, rot):
         """Remainder size against the rotation rate, in [0, 1], of field 0.
@@ -303,12 +341,67 @@ class _Marcher:
         """
         s = np.sqrt(-rot.vp0)
         envelope = np.hypot(a[:1], b[:1] / s)
+        grid = coeffs_to_grid(envelope[None] * self.weights[:1], None, self.n)
         try:
-            rem = float(np.max(np.abs(self.remainder(envelope[None], rot, rot))))
+            rem = float(np.max(np.abs(self.remainder(grid, rot, rot) @ self.to_rates)))
         except ShockProximityError:
             return 1.0  # the envelope leaves positive pressure: fully nonlinear
         lin = float(np.max(self.omega_modes * s * s * envelope))
         return rem / (lin + rem) if rem > 0.0 else 0.0
+
+    def _turns(self, s, h, fields):
+        """The _Turn of steps of length h at sound slownesses s, (steps,) + a0.shape.
+
+        Each table gets that leading step axis (_Turn.at_step picks one step).
+        One sl_core.rotation call at the angles 0, h/2 and h gives (1, E, E^2)
+        of every step, row and mode.
+        """
+        dx = np.array((0.0, 0.5 * h, h)).reshape((3, 1) + (1,) * self.a0.ndim)
+        c, sn_s, s_sn = sl_core.rotation(
+            np.reshape(s, (-1, 1, 1) + self.a0.shape), self.omega_modes, dx
+        )
+        weights = self.weights[:fields]
+        sin3 = sn_s * weights
+        dc2 = -2.0 * sn_s[:, 1] * s_sn[:, 1]  # cos th - 1 = -2 sin^2(th/2)
+        return _Turn(
+            cos3=c * weights,
+            sin3=sin3,
+            kick=sin3[:, 1:2] * np.array((-3.0, -6.0)).reshape(dx[1:].shape),
+            ta=np.stack((dc2, s_sn[:, 2]), axis=1),
+            tb=np.stack((-sn_s[:, 2], dc2), axis=1),
+            tk=np.stack((-sn_s[:, 1], c[:, 1]), axis=1) * 2.0,
+            rates=self.to_rates * (h / 6.0),
+        )
+
+    def _segment(self, piece, const, x, h, n_steps, fields, memo):
+        """(x after the step, _Turn, mid, stage pairs) of n_steps steps of length h from x.
+
+        A constant piece (const, its constants) shares one set of constants
+        and one turn, which memo keeps per h for the piece's other segments
+        (x_nodes split a piece into segments of mostly equal steps).  A
+        smooth piece takes sigma and the EOS constants at every step's
+        (x, x + h/2, x + h) in one frozen call, the step starts summed as
+        x += h, and the turns at the midpoint constants `mid`, for at most
+        _TURN_ENTRIES (step, row, mode) entries at once; its stage pairs are
+        (x, x + h/2) and (x + h/2, x + h).
+        """
+        if const is not None:
+            turn = memo.get(h)
+            if turn is None:
+                turn = memo[h] = self._turns(np.sqrt(-const.vp0), h, fields).at_step(0)
+            for _ in range(n_steps):
+                x += h
+                yield x, turn, const, (const, const)
+            return
+        starts = np.cumsum(np.concatenate(([x], np.full(n_steps - 1, h))))
+        at = self.frozen(piece.sigma(starts[:, None] + np.array([0.0, 0.5 * h, h])))
+        block = max(1, _TURN_ENTRIES // (self.a0.size * self.omega_modes.size))
+        for lo in range(0, n_steps, block):
+            turns = self._turns(np.sqrt(-at.vp0[lo : lo + block, 1]), h, fields)
+            for i in range(lo, min(lo + block, n_steps)):
+                v0, vp0 = at.v0[i], at.vp0[i]
+                pairs = (_Frozen(v0[:2], vp0[:2]), _Frozen(v0[1:], vp0[1:]))
+                yield starts[i] + h, turns.at_step(i - lo), _Frozen(v0[1], vp0[1]), pairs
 
     def walk(self, a, b, x_nodes=None, on_step=None):
         """March (a, b) from 0 to ell, snapshotting field 0 exactly at x_nodes.
@@ -334,8 +427,9 @@ class _Marcher:
         for piece in self.profile.pieces:
             targets = [xn for xn in nodes if piece.x0 - eps < xn < piece.x1 - eps] + [piece.x1]
             constant = isinstance(piece, ConstantPiece)
+            const = self.frozen(piece.level) if constant else None
+            memo = {}
             if constant:
-                const = self.frozen(piece.level)
                 # an explicit cfg.dx is honoured as is, so eta is not needed
                 eta = 1.0 if self.cfg.dx is not None else self.eta(a, b, const)
                 dx = self.cfg.resolved_dx(self.profile, self.T, piece.level, eta)
@@ -350,47 +444,41 @@ class _Marcher:
                     continue
                 n_steps = max(1, int(np.ceil(seg / dx)))
                 h = seg / n_steps
-                if constant:
-                    mid, pairs = const, (const, const)
-                    turn = sl_core.rotation(np.sqrt(-const.vp0), self.omega_modes, 0.5 * h)
-                for _ in range(n_steps):
-                    if not constant:
-                        at = self.frozen(piece.sigma(np.array([x, x + 0.5 * h, x + h])))
-                        mid = _Frozen(*(v[1] for v in at))
-                        pairs = (_Frozen(*(v[:2] for v in at)), _Frozen(*(v[1:] for v in at)))
-                        turn = sl_core.rotation(np.sqrt(-mid.vp0), self.omega_modes, 0.5 * h)
-                    a, b = self._step(self.remainder, a, b, h, turn, mid, pairs)
-                    x += h
+                segment = self._segment(piece, const, x, h, n_steps, a.shape[0], memo)
+                for x, turn, mid, pairs in segment:
+                    a, b = self._step(a, b, turn, mid, pairs)
                     if on_step is not None:
                         on_step(x, a, b, piece)
                 x = xt
                 take(x, a, b)
         return (a, b), snaps
 
-    @staticmethod
-    def _step(remainder, a, b, h, turn, mid, pairs):
+    def _step(self, a, b, turn, mid, pairs):
         """One Lawson RK4 step, E = exact half-step turn, N = remainder:
 
-        k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u + h/2 k2),
-        k4 = N(E(E u + h k3)), u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.
-        N reads only a and drives only b, so k3 = N(E u) and k2, k4 need only
-        the cosine half of their turns.  Then k1 and k3 read only the entry
-        state, k2 only k1 and k4 only k3, so N runs on two stacked stage
-        pairs: (u, E u) at pairs[0], the constants at (x, x + h/2), then
-        (E(u + h/2 k1), E(E u + h k3)) at pairs[1], at (x + h/2, x + h).  The
-        turn uses the midpoint constants `mid`.
+        k1 = N(u), k2 = N(E(u + h/2 k1)), k3 = N(E u), k4 = N(E(E u + h k3)),
+        u+ = E^2 (u + h/6 (0, k1)) + h/3 E(0, k2 + k3) + h/6 (0, k4).
+        N reads only cosine parts and drives only sine rates, and
+        E(u + (0, k)) = E u + (-sn/s k, c k).  So the stages' cosine parts are
+        those of (u, E u, E^2 u), synthesized in one product, plus the kicks
+        E(0, h/2 k1) and E(0, h k3), synthesized in a second.  k1 and k3 read
+        only the entry state, k2 only k1 and k4 only k3, so N runs on two
+        stacked stage pairs, each with one analysis product: (u, E u) at
+        pairs[0], the constants at (x, x + h/2), then the kicked pair at
+        pairs[1], at (x + h/2, x + h).  The turns use the midpoint constants
+        `mid`; the analyses give K = h/6 k (_Turn).
         """
-        c, sn_over_s, s_sn = turn
-        ta, tb = c * a - sn_over_s * b, s_sn * a + c * b
-        cos_halves = np.array((a, ta))
-        k13 = remainder(cos_halves, pairs[0], mid)
-        kicks = k13 * np.reshape((0.5 * h, h), (2,) + (1,) * a.ndim)  # h/2 k1, h k3
-        k2, k4 = remainder(c * cos_halves - sn_over_s * (np.array((b, tb)) + kicks), pairs[1], mid)
-        # E(u + h/6 k1) = E u + h/6 E(0, k1), and E(0, k) = (-sn/s k, c k)
-        kick = h / 6.0 * k13[0]
-        a, b = ta - sn_over_s * kick, tb + c * kick + h / 3.0 * (k2 + k13[1])
-        a, b = c * a - sn_over_s * b, s_sn * a + c * b
-        return a, b + h / 6.0 * k4
+        cos3, sin3, kick, ta, tb, tk, rates = turn
+        grid = coeffs_to_grid(cos3 * a - sin3 * b, None, self.n)
+        k13 = self.remainder(grid[:2], pairs[0], mid) @ rates
+        kicked = grid[1:] + coeffs_to_grid(kick * k13, None, self.n)
+        k24 = self.remainder(kicked, pairs[1], mid) @ rates
+        bk = b + k13[0]
+        out = ta * a + tb * bk + tk * (k13[1] + k24[0])
+        out[1] += k24[1]
+        out[0] += a  # the identity part of E^2 last: one rounding at the state's scale
+        out[1] += bk
+        return out[0], out[1]
 
 
 def _guard_sigma(piece):

@@ -13,8 +13,9 @@ quiet second derivative has two references: fixed-step RK4 of the joint
 (Psi, a, b) Duhamel system, and the pseudospectral march of the second
 variation through the library's Lawson walker, which shares neither the SL
 algebra nor the quadrature of the library's closed-form path.  The
-four-evaluation Lawson step, one remainder call per RK4 stage, is the
-reference for the library's stage-paired step.  The
+four-evaluation Lawson step, one remainder call per RK4 stage and two half
+turns where the library takes one full turn, is the reference for the
+library's stage-paired, closed-form step.  The
 boundary residual of the bifurcation system at one assembled point, one
 unbatched evolution, probes S E^ell directly; the dual-path derivative
 check holds the closed-form quiet pairing against central differences of
@@ -337,31 +338,38 @@ class _SecondVariationMarcher(_Marcher):
 
     At the quiet base P1 = 1 (the evolved 0-mode), so Z is forced by v_pp Y
     on the collocation grid; both fields carry the sigma variation within a
-    step, and both size the step count.  Like the library's, the remainder
-    takes a stack of stages on its leading axis.
+    step, and both size the step count.  Both fields are variations, so
+    both are synthesized as themselves, with their means.  Like the
+    library's, the remainder maps the grid values of a stack of stages on
+    its leading axis.
     """
 
-    def remainder(self, a, at, rot):
-        grid = coeffs_to_grid(a, None, self.n)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.weights = np.ones_like(self.weights)
+
+    def remainder(self, grid, at, rot):
         P, Q = grid[:, 0], grid[:, 1]
         dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
         g = 1.0 / self.eos.gamma
         vpp = g * (g + 1.0) * at.v0 / self.a0**2
-        return np.stack((dvp * P, dvp * Q + vpp * P), axis=1) @ self.to_rates
+        return np.stack((dvp * P, dvp * Q + vpp * P), axis=1)
 
     def eta(self, a, b, rot):
         s = np.sqrt(-rot.vp0)
         envelope = np.hypot(a, b / s)
-        rem = float(np.max(np.abs(self.remainder(envelope[None], rot, rot))))
+        grid = coeffs_to_grid(envelope[None], None, self.n)
+        rem = float(np.max(np.abs(self.remainder(grid, rot, rot) @ self.to_rates)))
         lin = float(np.max(self.omega_modes * s * s * envelope))
         return rem / (lin + rem) if rem > 0.0 else 0.0
 
 
-def reference_lawson_step(remainder, a, b, h, turn, stages):
+def reference_lawson_step(marcher, a, b, h, turn, stages):
     """One Lawson RK4 step that evaluates the remainder once per stage.
 
-    The four-evaluation form of `_Marcher._step`: E = exact half-step turn,
-    N = remainder on a single stage (a leading stage axis of length one),
+    The four-evaluation form of `_Marcher._step`, with the half turn applied
+    twice where the step takes E^2 in closed form: E = exact half-step turn,
+    N = the marcher's synthesis, remainder and analysis of a single stage,
     k1 = N(u) at stages[0], k2 = N(E(u + h/2 k1)) and k3 = N(E u) at
     stages[1], the midpoint, k4 = N(E(E u + h k3)) at stages[2], and
     u+ = E(E(u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4.  stages holds the
@@ -369,9 +377,11 @@ def reference_lawson_step(remainder, a, b, h, turn, stages):
     """
     at0, mid, at1 = stages
     c, sn_over_s, s_sn = turn
+    weights = marcher.weights[: a.shape[0]]
 
     def rates(a_stage, at):
-        return remainder(a_stage[None], at, mid)[0]
+        grid = coeffs_to_grid(weights * a_stage, None, marcher.n)
+        return (marcher.remainder(grid[None], at, mid) @ marcher.to_rates)[0]
 
     k1 = rates(a, at0)
     k2 = rates(c * a - sn_over_s * (b + 0.5 * h * k1), mid)

@@ -171,11 +171,50 @@ def test_boundary_operator_quarter_shift(rng):
 # -- nonlinear evolution -------------------------------------------------------------
 
 
+def _quiet_batch(m):
+    """Quiet rows that differ in their means, the forward-difference Jacobian's
+    batch shape: every row turns at its own sound slowness."""
+    a = np.zeros((5, m + 1))
+    a[:, 0] = (0.8, 0.95, 1.0, 1.05, 1.25)
+    return a, np.zeros_like(a)
+
+
 def test_quiet_state_exact_fixed_point(two_level, gamma2, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16)
     out = nonlinear_evolve(two_level, gamma2, y0, cfg16)
     assert np.array_equal(out.cos, y0.cos)
     assert np.array_equal(out.sin, y0.sin)
+    # a batch of quiet rows with distinct means, and the quiet family's
+    # tangent (a variation of the mean) along each of them: in the solution
+    # march, in the two-field march that linearized_evolve runs, and in
+    # linearized_evolve itself
+    a, b = _quiet_batch(16)
+    out, _ = evolve_coefficients(two_level, gamma2, a, b, eig1.T, cfg16)
+    assert np.array_equal(out[0], a) and np.array_equal(out[1], b)
+    tangent = np.zeros_like(a)
+    tangent[:, 0] = 1.0
+    fields = np.stack((a, tangent))
+    both, _ = evolve._guarded_walk(two_level, gamma2, eig1.T, cfg16, fields, np.stack((b, b)))
+    assert np.array_equal(both[0], fields) and np.all(both[1] == 0.0)
+    unit = FourierField.constant(eig1.T, 1.0, 16)
+    for mean in a[:, 0]:
+        quiet = FourierField.constant(eig1.T, mean, 16)
+        Y = linearized_evolve(two_level, gamma2, quiet, unit, cfg16)
+        assert np.array_equal(Y.cos, np.eye(17)[0]) and np.all(Y.sin == 0.0)
+
+
+def test_smooth_turn_blocks_leave_the_bits(smooth_jumpy, gamma2, monkeypatch):
+    # a smooth piece builds its turns _TURN_ENTRIES (step, row, mode) entries
+    # at a time; one step per block gives the same bits as the default blocks
+    m = 8
+    T = eigen_solve(smooth_jumpy, 1).T
+    a, b = _march_batch(1e-3, m)
+    cfg = EvolutionConfig(M=m)
+    ref, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, T, cfg)
+    monkeypatch.setattr(evolve, "_TURN_ENTRIES", 1)
+    out, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, T, cfg)
+    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    assert np.max(np.abs(ref[1])) > 1e-4  # the batch moved
 
 
 def test_mean_conserved_along_trajectory(two_level, gamma2, eig1, cfg16):
@@ -286,8 +325,9 @@ def test_non_finite_entry_data_refused(two_level, gamma2, eig1):
 
 
 def test_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
-    # a NaN remainder from the third call on (the second stage pair of the first
-    # step) passes the positivity check, since NaN <= 0 is false; the step
+    # a NaN remainder from the third call on (the kicked stage pair (k2, k4)
+    # of the first step) reaches the closed-form combination unchecked, since
+    # the positivity check reads only the stages' own grid values; the step
     # guard must catch it
     calls = []
     volume_remainder = GammaLawEos.volume_remainder
@@ -432,40 +472,56 @@ def test_lawson_step_is_fourth_order(two_level, gamma2, eig1, dense_oracle):
         assert 12.0 < coarse / fine < 20.0
 
 
-def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
-    # each RHS evaluation, one stacked pair of RK4 stages, synthesizes the grid
-    # once through the module-level coeffs_to_grid, so counting its calls
-    # counts RHS evaluations: two per step
-    calls = []
-    synth = evolve.coeffs_to_grid
+def _counting_march(monkeypatch):
+    """Per-step counts of coeffs_to_grid and remainder calls, and the totals.
 
-    def counting_synth(a, b, n):
-        calls.append(n)
-        return synth(a, b, n)
-
+    Every synthesis goes through the module-level coeffs_to_grid, so counting
+    its calls counts syntheses.
+    """
+    calls = {"synth": 0, "remainder": 0}
     per_step = []
+    synth, remainder = evolve.coeffs_to_grid, evolve._Marcher.remainder
     step = evolve._Marcher._step
 
-    def counting_step(*args):
-        before = len(calls)
-        out = step(*args)
-        per_step.append(len(calls) - before)
+    def counting_synth(a, b, n):
+        calls["synth"] += 1
+        return synth(a, b, n)
+
+    def counting_remainder(self, *args):
+        calls["remainder"] += 1
+        return remainder(self, *args)
+
+    def counting_step(self, *args):
+        before = dict(calls)
+        out = step(self, *args)
+        per_step.append(tuple(calls[k] - before[k] for k in ("synth", "remainder")))
         return out
 
     monkeypatch.setattr(evolve, "coeffs_to_grid", counting_synth)
-    monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
+    monkeypatch.setattr(evolve._Marcher, "remainder", counting_remainder)
+    monkeypatch.setattr(evolve._Marcher, "_step", counting_step)
+    return calls, per_step
+
+
+def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
+    # a step synthesizes twice, the cosine parts of (u, E u, E^2 u) and then
+    # the stage-2 kicks, and evaluates the remainder twice, once per stacked
+    # pair of RK4 stages (each one RHS evaluation of two stages)
+    calls, per_step = _counting_march(monkeypatch)
     evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, cfg16)
-    assert len(per_step) > 2 and set(per_step) == {2}
+    assert len(per_step) > 2 and set(per_step) == {(2, 2)}
     # outside the steps: one envelope evaluation per constant piece sizes its steps
-    assert len(calls) == 2 * len(per_step) + two_level.n_levels
+    assert calls["synth"] == 2 * len(per_step) + two_level.n_levels
+    assert calls["remainder"] == 2 * len(per_step) + two_level.n_levels
 
 
 @pytest.mark.parametrize("fields", (1, 2))
 @pytest.mark.parametrize("smooth", (False, True), ids=("constant", "smooth"))
 def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smooth):
-    # the stage-paired step against the four-evaluation Lawson step on random
-    # states of a 3-row batch; smooth stages take three distinct sigmas, so the
-    # remainder also carries the sigma variation at x and x + h
+    # the stage-paired, closed-form step against the four-evaluation Lawson
+    # step on random states of a 3-row batch with distinct means, so that
+    # every row turns at its own slowness; smooth stages take three distinct
+    # sigmas, so the remainder also carries the sigma variation at x and x + h
     rng = np.random.default_rng(10 * fields + smooth)
     m, rows, h = 16, 3, 0.03
     a0 = 1.0 + 0.1 * rng.random((rows, 1))
@@ -481,9 +537,11 @@ def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smo
     else:
         const = marcher.frozen(1.5)
         stages, pairs = (const,) * 3, (const, const)
-    turn = sl_core.rotation(np.sqrt(-stages[1].vp0), marcher.omega_modes, 0.5 * h)
-    got = evolve._Marcher._step(marcher.remainder, a, b, h, turn, stages[1], pairs)
-    ref = reference_lawson_step(marcher.remainder, a, b, h, turn, stages)
+    s = np.sqrt(-stages[1].vp0)
+    turn = marcher._turns(s, h, fields).at_step(0)
+    got = marcher._step(a, b, turn, stages[1], pairs)
+    half = sl_core.rotation(s, marcher.omega_modes, 0.5 * h)
+    ref = reference_lawson_step(marcher, a, b, h, half, stages)
     for g, r in zip(got, ref):
         assert g.shape == r.shape == a.shape
         assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
@@ -493,26 +551,12 @@ def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smo
 
 def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
     # with cfg.dx given, the step count does not depend on eta, so no
-    # envelope remainder is evaluated: every synthesis belongs to a step
-    calls = []
-    synth = evolve.coeffs_to_grid
-
-    def counting_synth(a, b, n):
-        calls.append(n)
-        return synth(a, b, n)
-
-    steps = []
-    step = evolve._Marcher._step
-
-    def counting_step(*args):
-        steps.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(evolve, "coeffs_to_grid", counting_synth)
-    monkeypatch.setattr(evolve._Marcher, "_step", staticmethod(counting_step))
+    # envelope remainder is evaluated: every synthesis and every remainder
+    # call belongs to a step, two of each
+    calls, per_step = _counting_march(monkeypatch)
     evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, EvolutionConfig(M=16, dx=0.05))
-    assert len(steps) == 20
-    assert len(calls) == 2 * len(steps)
+    assert len(per_step) == 20 and set(per_step) == {(2, 2)}
+    assert calls == {"synth": 40, "remainder": 40}
 
 
 # -- linearized evolution -------------------------------------------------------------
@@ -541,6 +585,22 @@ def test_quiet_linearization_is_exact_rotation(two_level, gamma2, eig1):
         assert abs(Y.sin[k] - psi[1, 0]) < 1e-12
 
 
+def test_many_step_quiet_linearization_keeps_the_transfer(two_level, gamma2, eig1):
+    # 4000 steps of the quiet linearization turn each mode by E^2 and add
+    # nothing else.  A step adds to every coefficient only its increment
+    # (E^2 - I) u, with cos th - 1 = -2 sin^2(th/2), so the rounding stays
+    # near 1e-15; a rounded cos th on the diagonal would scale every
+    # amplitude by its rounding error on every step, about 4e-13 here
+    m = 8
+    cfg = EvolutionConfig(M=m, dx=two_level.ell / 4000)
+    base = FourierField.constant(eig1.T, 1.0, m)
+    for k in (1, 4, 8):
+        Y0 = FourierField.cosine(eig1.T, k, 1.0, m=m)
+        Y = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+        psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
+        assert abs(Y.cos[k] - psi[0, 0]) < 1e-14 and abs(Y.sin[k] - psi[1, 0]) < 1e-14
+
+
 def test_linearized_is_linear(two_level, gamma2, eig1, rng):
     cfg = EvolutionConfig(M=8)
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(
@@ -564,9 +624,9 @@ def test_linearized_non_finite_entry_refused(two_level, gamma2, eig1):
 
 
 def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
-    # a NaN remainder from the third call on (the second stage pair of the first
-    # step) must be caught by the step guard, not surface later as a
-    # FourierField domain error
+    # a NaN remainder from the third call on (the kicked stage pair (k2, k4)
+    # of the first step, both fields) must be caught by the step guard, not
+    # surface later as a FourierField domain error
     calls = []
     volume_remainder = GammaLawEos.volume_remainder
 
@@ -593,6 +653,12 @@ def test_smooth_profile_evolution_paths(smooth_jumpy, gamma2):
     out = nonlinear_evolve(smooth_jumpy, gamma2, y0, cfg)
     assert np.array_equal(out.cos, y0.cos)
     assert np.array_equal(out.sin, y0.sin)
+    # so is a batch of quiet rows with distinct means (not the tangent: its
+    # sigma-variation term is a constant in t, whose cosine coefficients
+    # j >= 1 the DFT tables give at 1e-22, not 0)
+    a, b = _quiet_batch(8)
+    out, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, eig.T, cfg)
+    assert np.array_equal(out[0], a) and np.array_equal(out[1], b)
     for k in (1, 2):
         Y0 = FourierField.cosine(eig.T, k, 1.0, m=8)
         Y = linearized_evolve(smooth_jumpy, gamma2, y0, Y0, cfg)
