@@ -505,7 +505,8 @@ class _StepGuard:
     sigma_after) at each jump ((a, b) are continuous there) and _guard_sigma's
     gain across each piece.  Linear growth through a sigma contrast thus never
     trips it; past the threshold, steepening raises ShockProximityError and a
-    bound that is not finite NumericalError (also at entry).
+    bound that is not finite NumericalError (also at entry).  hypot, unlike a
+    root of squares, stays finite on large finite coefficients.
     """
 
     def __init__(self, a, b, omega_modes, piece):
@@ -519,7 +520,7 @@ class _StepGuard:
 
     def bound(self, a, b):
         """Energy-norm bound of max_t |dy/dt|; finite only if every coefficient is."""
-        return (self.omega_modes * np.hypot(a, b / self.sigma)).sum(axis=-1).max()
+        return np.dot(np.hypot(a, b / self.sigma), self.omega_modes).max()
 
     def __call__(self, x, a, b, piece):
         if piece is not self.piece:

@@ -14,7 +14,7 @@ At a jump of size J = sigma_-/sigma_+ continuity of (phi, psi) gives the
 angle map theta_+ = h(J, theta_-).  The Prüfer radius is never carried: the
 angle chain is closed on its own, and amplitudes come from Psi.
 
-The angle h carries an explicit integer winding m = floor(z/pi + 1/2), so
+The angle map moves theta by less than pi/2 and keeps its winding, so
 theta is continuous and unbounded in omega; eigenfrequencies are the roots of
 theta(ell, omega) = k*pi/2 with theta(0) = 0.
 
@@ -76,25 +76,22 @@ def _check_jump(J):
     return J
 
 
-def _split_winding(z):
-    z = np.asarray(z, dtype=float)
-    m = np.floor(z / np.pi + 0.5)
-    return m, z - m * np.pi
-
-
 def _jump_map(J, z, with_slope=False):
-    """(h(J, z), dh/dz or None) from one winding split and one cos/sin; J unchecked.
+    """(h(J, z), dh/dz or None) from t = tan z and one arctan; J unchecked.
 
-    dh/dz = J / (cos^2 w + J^2 sin^2 w) lies in [min(J,1/J), max(J,1/J)].
+    h = z + arctan((J - 1) t / (1 + J t^2)): h - z is pi-periodic with
+    |h - z| < pi/2, so the principal arctan holds at and next to the cuts
+    (m + 1/2) pi.  dh/dz = J (1 + t^2) / (1 + J^2 t^2) is in [min(J,1/J), max(J,1/J)].
     """
-    m, w = _split_winding(z)
-    c, s = np.cos(w), np.sin(w)
-    h = m * np.pi + np.arctan2(J * s, c)
-    return h, (J / (c * c + J * J * s * s) if with_slope else None)
+    t = np.tan(z)
+    t2 = t * t
+    jt2 = J * t2
+    h = z + np.arctan((J - 1.0) * t / (1.0 + jt2))
+    return h, (J * (1.0 + t2) / (1.0 + J * jt2) if with_slope else None)
 
 
 def jump_angle(J, z):
-    """h(J, z): post-jump Prüfer angle; same quadrant as z, fixes axes."""
+    """h(J, z), tan h = J tan z: post-jump Prüfer angle; same quadrant as z, fixes axes."""
     return _jump_map(_check_jump(J), z)[0]
 
 

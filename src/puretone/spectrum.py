@@ -110,13 +110,13 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
     each column once as a contiguous 1-D array, and
     `angle_and_slope(omega, *columns)` returns (theta, d theta/d omega) at
     the block's active points.  theta(ell, omega) lies within `wiggle` of
-    omega * `total`, which brackets each root.  A point leaves the active
-    set once it has converged, and one index of the points still moving
-    compresses the columns with the Newton state, so later passes evaluate
-    the chain only where it is needed.  Each point runs the same update as
-    it would alone, so its root does not depend on the batch.  targets has
-    at least one axis.  Returns (omega, converged mask), both of targets'
-    shape.
+    omega * `total`, which brackets each root; om stays in [lo, hi], so a
+    bound that moves moves to om, and a step outside (lo, hi), NaN and +-inf
+    included, bisects.  After a pass where some point converged, one index
+    of the points still moving compresses the columns with the Newton state.
+    Each point runs the same update as it would alone, so its root does not
+    depend on the batch.  targets has at least one axis.  Returns (omega,
+    converged mask), both of targets' shape.
     """
     targets = np.asarray(targets, dtype=float)
     shape, size = targets.shape, targets.size
@@ -138,17 +138,17 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
             th, dth = angle_and_slope(om, *cols)
             f = th - t
             done = np.abs(f) <= tol_theta
-            omega[idx] = om  # final for the points that converge now, overwritten for the rest
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
-                break
-            idx, t, lo, hi, om, f, dth = (v[keep] for v in (idx, t, lo, hi, om, f, dth))
-            cols = [c[keep] for c in cols]
-            hi = np.where(f > 0.0, np.minimum(hi, om), hi)
-            lo = np.where(f < 0.0, np.maximum(lo, om), lo)
+            if done.any():
+                omega[idx] = om  # final for the points that converge now, overwritten for the rest
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    break
+                idx, t, lo, hi, om, f, dth = (v[keep] for v in (idx, t, lo, hi, om, f, dth))
+                cols = [c[keep] for c in cols]
+            hi = np.where(f > 0.0, om, hi)
+            lo = np.where(f < 0.0, om, lo)
             cand = om - f / dth
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            om = np.where(bad, 0.5 * (lo + hi), cand)
+            om = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
         else:  # points still moving after max_iter passes get a 10x looser test
             th, _ = angle_and_slope(om, *cols)
             omega[idx] = om
@@ -167,10 +167,7 @@ def _pwc_solve_targets(jumps, angles, targets, max_iter=80):
     angles = np.asarray(angles, dtype=float)
     n = jumps.shape[-1]
     columns = [jumps[..., i] for i in range(n)] + [angles[..., i] for i in range(n + 1)]
-
-    def chain(om, *cols):
-        return sl_core._pwc_chain(om, cols[:n], cols[n:])
-
+    chain = lambda om, *cols: sl_core._pwc_chain(om, cols[:n], cols[n:])
     wiggle = n * (np.pi / 2.0)
     total = np.sum(angles, axis=-1)
     return _solve_targets(chain, total, wiggle, targets, KAPPA_TOL, columns, max_iter)
@@ -365,31 +362,36 @@ def _min_ratio_residual(om, k_max, l_max, j_max):
 
     om has shape (samples, >= max(k_max, l_max)).  Every pair k <= k_max,
     l <= l_max, l != k, with j = rint(k om_l / om_k) in [1, j_max] and
-    j != k, has residual |k om_l - j om_k| / (k om_l); the others count as
-    inf.  One pass takes all pairs of _RES_BLOCK samples at once, and the
-    flat argmin over (k, l) breaks ties by the smallest k, then the
+    j != k, has residual |k om_l - j om_k| / (k om_l); the others, and a NaN
+    j, count as inf.  One pass takes all pairs of _RES_BLOCK samples at once,
+    and the flat argmin over (k, l) breaks ties by the smallest k, then the
     smallest l.  A row with no admissible pair keeps inf and (0, 0, 0).
     """
     samples = om.shape[0]
     min_res = np.full(samples, np.inf)
     argmin = np.zeros((samples, 3), dtype=int)
-    ks = np.arange(1, k_max + 1)[:, None]
-    ls = np.arange(1, l_max + 1)[None, :]
+    ks = np.arange(1, k_max + 1, dtype=float)[:, None]
+    pair_ok = np.arange(1, l_max + 1)[None, :] != ks
     for start in range(0, samples, _RES_BLOCK):
         rows = slice(start, start + _RES_BLOCK)
         om_k = om[rows, :k_max, None]
         k_om_l = ks * om[rows, None, :l_max]
         with np.errstate(invalid="ignore", divide="ignore"):
-            j_star = np.rint(k_om_l / om_k)
-            res = np.abs(k_om_l - j_star * om_k) / k_om_l
-        valid = (ls != ks) & (j_star >= 1) & (j_star <= j_max) & (j_star != ks)
-        res = np.where(valid, res, np.inf).reshape(res.shape[0], -1)
+            j = np.divide(k_om_l, om_k)
+            res = np.multiply(np.rint(j, out=j), om_k)
+            np.abs(np.subtract(k_om_l, res, out=res), out=res)
+            np.divide(res, k_om_l, out=res)
+        ok = (j >= 1) & pair_ok
+        ok &= j <= j_max
+        ok &= j != ks
+        res[~ok] = np.inf
+        res = res.reshape(res.shape[0], -1)
         flat = np.argmin(res, axis=1)
         hit = np.flatnonzero(res[np.arange(res.shape[0]), flat] < np.inf)
         best = flat[hit]
         min_res[start + hit] = res[hit, best]
         argmin[start + hit, 0] = best // l_max + 1
-        argmin[start + hit, 1] = j_star.reshape(res.shape)[hit, best]
+        argmin[start + hit, 1] = j.reshape(res.shape)[hit, best]
         argmin[start + hit, 2] = best % l_max + 1
     return min_res, argmin
 

@@ -24,7 +24,9 @@ projections, time shift and the boundary operator S = R_- T^{-chi T/4})
 act on FourierField coefficients by their definitions, as the reference S
 of S o L = diag(delta_j); its quarter turns are rounded libm values, not
 the library's table.  The SL residual checks sampled solutions with
-fourth-order differences.  The full-array safeguarded Newton evaluates
+fourth-order differences.  The winding-split jump map, with one cos/sin
+per point, is the reference for the library's tan form.  The full-array
+safeguarded Newton evaluates
 the angle chain on every point in every pass, as the reference for the
 library's active-set, blocked root solve, and the loop over k of the
 frequency-ratio residual is the reference for its blocked one-pass form.
@@ -563,6 +565,21 @@ def sl_residual(profile, omega, x, vals):
     if not np.any(sel):
         return np.nan
     return float(max(np.max(np.abs(r1[sel])), np.max(np.abs(r2[sel]))))
+
+
+def reference_jump_map(J, z, with_slope=False):
+    """(h(J, z), dh/dz or None) by the winding split m = floor(z/pi + 1/2) and one cos/sin.
+
+    The reference for the tan form's values.  Its rounded m pi makes h step
+    back by up to an ulp of z at some cuts (m + 1/2) pi and m pi, which the
+    tan form does not.
+    """
+    z = np.asarray(z, dtype=float)
+    m = np.floor(z / np.pi + 0.5)
+    w = z - m * np.pi
+    c, s = np.cos(w), np.sin(w)
+    h = m * np.pi + np.arctan2(J * s, c)
+    return h, (J / (c * c + J * J * s * s) if with_slope else None)
 
 
 def full_array_solve_targets(angle_and_slope, total, wiggle, targets, tol, max_iter=80):

@@ -11,6 +11,7 @@ from _oracles import (
     prefix_magnus_angle,
     prefix_piece_matrix,
     random_pwc,
+    reference_jump_map,
     sl_residual,
 )
 from puretone import sl_core
@@ -104,12 +105,50 @@ def test_jump_angle_derivatives_match_fd(rng):
 @given(jumps, angles)
 @settings(max_examples=300, deadline=None)
 def test_fused_jump_map_matches_jump_angle(J, z):
-    # one winding split and one cos/sin give jump_angle's h bit for bit, and
+    # one tan and one arctan give jump_angle's h bit for bit, and
     # a slope in [min(J, 1/J), max(J, 1/J)] up to the rounding of its quotient
     h, dh = _jump_map(np.asarray(J), z, with_slope=True)
     assert h == jump_angle(J, z)
     eps = 4.0 * np.finfo(float).eps
     assert min(J, 1.0 / J) * (1.0 - eps) <= dh <= max(J, 1.0 / J) * (1.0 + eps)
+
+
+def _cut_neighbourhoods(rng, j_lo, j_hi):
+    """z at m pi and (m + 1/2) pi, |m| <= 2000, with 2 ulps on either side, and one
+    log-uniform J per cut; z has shape (cuts, 5), in increasing order."""
+    m = np.arange(-2000, 2001)
+    cuts = np.concatenate([m * np.pi, (m + 0.5) * np.pi])
+    below, above = np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)
+    z = [np.nextafter(below, -np.inf), below, cuts, above, np.nextafter(above, np.inf)]
+    z = np.stack(z, axis=1)
+    J = np.exp(rng.uniform(np.log(j_lo), np.log(j_hi), cuts.size))[:, None]
+    return J, z
+
+
+def test_jump_map_does_not_step_back_at_its_cuts():
+    J, z = _cut_neighbourhoods(np.random.default_rng(25), 1e-3, 1e3)
+    h, dh = _jump_map(J, z, with_slope=True)
+    assert np.all(np.diff(h, axis=1) >= 0.0) and np.all(dh > 0.0)
+    # the winding split's rounded m pi makes h step back at some of these cuts
+    assert np.any(np.diff(reference_jump_map(J, z)[0], axis=1) < 0.0)
+    # a split form m pi + arctan(J tan(z - m pi)) jumps by pi at this cut
+    z = 4839.623482855076
+    h = _jump_map(0.635, np.array([np.nextafter(z, 0.0), z, np.nextafter(z, 1e4)]))[0]
+    assert np.all(np.diff(h) >= 0.0) and np.all(np.abs(h - z) < 1e-9)
+
+
+def test_jump_map_matches_winding_split_oracle():
+    # on the genericity box's jumps, at uniform z and at the cuts: within
+    # 8 ulp of h (4 measured), and the slopes to 1e-14 relative (5.3e-15)
+    rng = np.random.default_rng(26)
+    (j_lo, j_hi), _ = DEFAULT_MC_BOX
+    J_cut, z_cut = _cut_neighbourhoods(rng, j_lo, j_hi)
+    J = np.concatenate([rng.uniform(j_lo, j_hi, 20_000), np.repeat(J_cut, 5)])
+    z = np.concatenate([rng.uniform(-30.0, 30.0, 20_000), z_cut.ravel()])
+    h, dh = _jump_map(J, z, with_slope=True)
+    ref_h, ref_dh = reference_jump_map(J, z, with_slope=True)
+    assert np.max(np.abs(h - ref_h) / np.spacing(np.abs(ref_h))) <= 8.0
+    assert_allclose(dh, ref_dh, rtol=1e-14)
 
 
 def test_jump_domain_errors():

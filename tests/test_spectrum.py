@@ -4,7 +4,12 @@ from numpy.testing import assert_allclose
 
 from types import SimpleNamespace
 
-from _oracles import full_array_pwc_solve_targets, random_pwc, reference_min_ratio_residual
+from _oracles import (
+    full_array_pwc_solve_targets,
+    random_pwc,
+    reference_jump_map,
+    reference_min_ratio_residual,
+)
 from puretone import sl_core, spectrum
 from puretone.errors import DomainError
 from puretone.profile import PiecewiseConstantProfile, constant_profile, from_jump_angles
@@ -248,6 +253,31 @@ def test_bad_jump_refused_before_any_pass(bad, two_level, monkeypatch):
     fake = SimpleNamespace(jumps=np.array([bad]), pieces=two_level.pieces)
     with pytest.raises(DomainError):
         sl_core.angle_at_ell(fake, 1.0)
+
+
+def test_roots_match_winding_split_jump_map(monkeypatch):
+    # the tan-form jump map moves the roots at roundoff only (1.3e-15 on this batch)
+    rng = np.random.default_rng(41)
+    samples, levels, k_top = 300, 3, 12
+    (j_lo, j_hi), (t_lo, t_hi) = DEFAULT_MC_BOX
+    jumps = rng.uniform(j_lo, j_hi, size=(samples, 1, levels - 1))
+    angles = rng.uniform(t_lo, t_hi, size=(samples, 1, levels))
+    targets = np.broadcast_to(np.arange(1, k_top + 1) * np.pi / 2.0, (samples, k_top))
+    om, ok = spectrum._pwc_solve_targets(jumps, angles, targets)
+    runs = [genericity_mc(2, 2000, seed=s) for s in range(4)]
+    monkeypatch.setattr(sl_core, "_jump_map", reference_jump_map)
+    ref_om, ref_ok = spectrum._pwc_solve_targets(jumps, angles, targets)
+    assert np.all(ok) and np.all(ref_ok)
+    assert_allclose(om, ref_om, rtol=1e-13, atol=0.0)
+    # below EXACT_TOL a residual is roundoff and may change bin (seed 2: one at
+    # 1e-15 crosses 10^-15); n_exact counts those bins together
+    counts = lambda r: (r.n_exact, r.n_no_triple, r.n_failed)
+    for s, g in enumerate(runs):
+        ref = genericity_mc(2, 2000, seed=s)
+        assert np.array_equal(g.argmin_triple, ref.argmin_triple)
+        assert counts(g) == counts(ref)
+        resolved = ref.hist_edges[:-1] >= np.log10(spectrum.EXACT_TOL)
+        assert np.array_equal(g.hist_counts[resolved], ref.hist_counts[resolved])
 
 
 def test_genericity_root_work(monkeypatch):
