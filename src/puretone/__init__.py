@@ -22,7 +22,6 @@ from .errors import (
 )
 from .profile import (
     ConstantPiece,
-    JumpAngleParams,
     PiecewiseConstantProfile,
     SmoothPiece,
     SmoothProfile,
@@ -32,7 +31,6 @@ from .profile import (
     profile_hash,
     save_profile,
     sigma_integral,
-    to_jump_angles,
 )
 from .spectrum import (
     DivisorTable,

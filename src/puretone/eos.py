@@ -1,13 +1,13 @@
 """Gamma-law equation of state.
 
 Closes the 1-D system in material coordinates: the specific volume is
-v(p, s) = A(s) * p**(-1/gamma) with entropy factor A(s) = (k_ref*exp(s))**(1/gamma).
-Entropy only ever enters through A, so most of the package carries A values
-(or the wavespeed coefficient sigma) instead of s itself.
+v(p, A) = A * p**(-1/gamma), where the entropy factor A = exp(s/gamma)
+carries the entropy s.  Entropy only ever enters through A, so the package
+carries A values (or the wavespeed coefficient sigma), never s itself.
 
 Sign conventions that the rest of the code relies on:
     v > 0,  v_p < 0 (strict hyperbolicity),  v_pp > 0 (genuine nonlinearity),
-    sigma = sqrt(-v_p(pbar, s)) > 0.
+    sigma = sqrt(-v_p(pbar, A)) > 0.
 """
 
 from __future__ import annotations
@@ -28,28 +28,18 @@ def _check_pressure(p):
 
 @dataclass(frozen=True)
 class GammaLawEos:
-    """p * v**gamma = A(s), i.e. v = A(s) * p**(-1/gamma).
+    """p * v**gamma = A**gamma, i.e. v = A * p**(-1/gamma).
 
     Parameters
     ----------
     gamma : adiabatic exponent, > 1
-    k_ref : reference entropy constant in A(s) = (k_ref * exp(s))**(1/gamma)
     """
 
     gamma: float
-    k_ref: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.k_ref > 0.0:
-            raise DomainError(f"k_ref must be positive, got {self.k_ref}")
-
-    # -- entropy handling -------------------------------------------------
-
-    def entropy_factor(self, s):
-        """A(s) = (k_ref * exp(s))**(1/gamma)."""
-        return (self.k_ref * np.exp(np.asarray(s, dtype=float))) ** (1.0 / self.gamma)
 
     def factor_from_sigma(self, p_bar, sigma):
         """Invert sigma = sqrt(-v_p(p_bar, A)) for the entropy factor A."""
@@ -59,22 +49,7 @@ class GammaLawEos:
             raise DomainError("sigma must be positive")
         return self.gamma * sigma**2 * p_bar ** (1.0 / self.gamma + 1.0)
 
-    # -- constitutive relations, entropy form ------------------------------
-
-    def specific_volume(self, p, s):
-        return self.volume_from_factor(p, self.entropy_factor(s))
-
-    def dv_dp(self, p, s):
-        return self.dvdp_from_factor(p, self.entropy_factor(s))
-
-    def d2v_dp2(self, p, s):
-        return self.d2vdp2_from_factor(p, self.entropy_factor(s))
-
-    def sigma_of(self, p_bar, s):
-        """Linear wavespeed coefficient sigma = sqrt(-v_p(p_bar, s))."""
-        return self.sigma_from_factor(p_bar, self.entropy_factor(s))
-
-    # -- constitutive relations, entropy-factor form -----------------------
+    # -- constitutive relations ---------------------------------------------
 
     def volume_from_factor(self, p, A):
         p = _check_pressure(p)
@@ -90,6 +65,7 @@ class GammaLawEos:
         return g * (g + 1.0) * self.volume_from_factor(p, A) / p**2
 
     def sigma_from_factor(self, p_bar, A):
+        """Linear wavespeed coefficient sigma = sqrt(-v_p(p_bar, A))."""
         return np.sqrt(-self.dvdp_from_factor(p_bar, A))
 
     # -- increments relative to a base pressure, p = a (1 + x) -------------

@@ -158,42 +158,21 @@ class PiecewiseConstantProfile(_PieceProfile):
         return self.sigma_levels * self.widths
 
 
-@dataclass(frozen=True)
-class JumpAngleParams:
-    """(J, Theta) parameterization of a piecewise constant profile.
-
-    J_i = sigma_i / sigma_{i+1} are the N-1 interface jumps and
-    theta_i = sigma_i * L_i the N evolution angles; together with sigma_1
-    these determine the profile exactly.
-    """
-
-    jumps: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        ang = _as_positive_array(self.angles, "angles")
-        if np.size(self.jumps) == 0:
-            jmp = np.empty(0, dtype=float)
-        else:
-            jmp = _as_positive_array(self.jumps, "jumps")
-        if jmp.size != ang.size - 1:
-            raise DomainError("need exactly one angle more than jumps")
-        object.__setattr__(self, "jumps", jmp)
-        object.__setattr__(self, "angles", ang)
-
-
 def from_jump_angles(jumps, angles, sigma_1=1.0, pbar=None, eos=None) -> PiecewiseConstantProfile:
-    """Profile from (J, Theta): sigma_{i+1} = sigma_i / J_i, L_i = theta_i / sigma_i."""
-    params = JumpAngleParams(np.asarray(jumps, dtype=float).reshape(-1), angles)
+    """Profile from (J, Theta): sigma_{i+1} = sigma_i / J_i, L_i = theta_i / sigma_i.
+
+    J_i = sigma_i / sigma_{i+1} are the N-1 interface jumps and theta_i = sigma_i L_i
+    the N evolution angles; the profile's `jumps` and `angles` give them back.
+    """
+    angles = _as_positive_array(angles, "angles")
+    jumps = np.asarray(jumps, dtype=float).reshape(-1)
+    jumps = _as_positive_array(jumps, "jumps") if jumps.size else jumps
+    if jumps.size != angles.size - 1:
+        raise DomainError("need exactly one angle more than jumps")
     if not sigma_1 > 0.0:
         raise DomainError("sigma_1 must be positive")
-    sigma = sigma_1 * np.concatenate(([1.0], np.cumprod(1.0 / params.jumps)))
-    widths = params.angles / sigma
-    return PiecewiseConstantProfile(sigma, widths, pbar=pbar, eos=eos)
-
-
-def to_jump_angles(profile: PiecewiseConstantProfile) -> JumpAngleParams:
-    return JumpAngleParams(profile.jumps, profile.angles)
+    sigma = sigma_1 * np.concatenate(([1.0], np.cumprod(1.0 / jumps)))
+    return PiecewiseConstantProfile(sigma, angles / sigma, pbar=pbar, eos=eos)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -373,7 +352,7 @@ def profile_to_dict(profile) -> dict:
     if profile.pbar is not None:
         doc["pbar"] = profile.pbar
     if profile.eos is not None:
-        doc["eos"] = {"gamma": profile.eos.gamma, "k_ref": profile.eos.k_ref}
+        doc["eos"] = {"gamma": profile.eos.gamma}
     if isinstance(profile, PiecewiseConstantProfile):
         doc["kind"] = "pwc"
         doc["levels"] = [
@@ -418,9 +397,10 @@ def profile_from_dict(doc: dict):
     pbar = None if doc.get("pbar") is None else _field(doc, "pbar", "pbar")
     eos = None
     if "eos" in doc:
-        gamma = _field(doc["eos"], "gamma", "eos.gamma")
-        k_ref = _field(doc["eos"], "k_ref", "eos.k_ref") if "k_ref" in doc["eos"] else 1.0
-        eos = GammaLawEos(gamma=gamma, k_ref=k_ref)
+        eos = GammaLawEos(gamma=_field(doc["eos"], "gamma", "eos.gamma"))
+        # A = exp(s/gamma) fixes the entropy scale; another k_ref would be ignored
+        if "k_ref" in doc["eos"] and _field(doc["eos"], "k_ref", "eos.k_ref") != 1.0:
+            raise DomainError(f"profile field 'eos.k_ref' must be 1.0 (got {doc['eos']['k_ref']!r})")
     if kind == "pwc":
         levels = _field(doc, "levels", "levels", "a list")
         widths = [_field(lv, "L", f"levels[{i}].L") for i, lv in enumerate(levels)]

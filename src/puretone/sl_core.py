@@ -339,44 +339,33 @@ def prufer_advance(piece: SmoothPiece, omega, theta, zeta=None):
 
 
 def _angle_chain(jumps, pieces, omega, with_slope=False):
-    """theta(ell), or (theta, d theta/d omega), from theta(0) = 0 across a profile's N pieces.
+    """theta(ell), or (theta, d theta/d omega), from theta(0) = 0 across N pieces; jumps unchecked.
 
-    `jumps` has shape (N-1,).  A SmoothPiece is advanced by prufer_advance;
-    a ConstantPiece turns theta by exactly omega times its angle.
-    Vectorized over omega.  The jumps are validated once per call.
+    `jumps` holds the N-1 jump ratios.  A piece is a SmoothPiece, advanced
+    by prufer_advance, or the angle theta_i = sigma_i L_i of a constant
+    piece, which turns theta by exactly omega theta_i.  Jumps and angles are
+    numbers or per-point arrays that broadcast against omega.
     """
-    jumps = _check_jump(jumps)
-    omega = np.asarray(omega, dtype=float)
-    z = np.zeros(omega.shape)
-    dz = np.zeros_like(z) if with_slope else None
-    for i, piece in enumerate(pieces):
+    head, *rest = pieces
+    if isinstance(head, SmoothPiece):
+        z, dz = prufer_advance(head, omega, 0.0, 0.0 if with_slope else None)
+    else:
+        z, dz = omega * head, head
+    for J, piece in zip(jumps, rest):
+        z, dh = _jump_map(J, z, with_slope)
         if isinstance(piece, SmoothPiece):
-            z, dz = prufer_advance(piece, omega, z, zeta=dz)
+            z, dz = prufer_advance(piece, omega, z, dh * dz if with_slope else None)
         else:
-            z = z + omega * piece.angle
+            z = z + omega * piece
             if with_slope:
-                dz = dz + piece.angle
-        if i < jumps.size:
-            z, dh = _jump_map(jumps[i], z, with_slope)
-            if with_slope:
-                dz = dh * dz
+                dz = dh * dz + piece
     return (z, dz) if with_slope else z
 
 
-def _pwc_chain(omega, jumps, angles):
-    """(theta(ell), d theta/d omega) of pwc chains given as per-point columns; jumps unchecked.
-
-    `jumps` and `angles` are sequences of N-1 and N arrays that broadcast
-    against omega, one entry per point.  The operations and their order are
-    _angle_chain's on constant pieces (z + omega theta_i, the jump map,
-    dh dz + theta_i), so each value is bit-identical to it.
-    """
-    z, dz = omega * angles[0], angles[0]
-    for J, angle in zip(jumps, angles[1:]):
-        z, dh = _jump_map(J, z, with_slope=True)
-        z = z + omega * angle
-        dz = dh * dz + angle
-    return z, dz
+def _profile_chain(profile, omega, with_slope):
+    """_angle_chain on a profile's own pieces, constant ones as their angles."""
+    pieces = [p if isinstance(p, SmoothPiece) else p.angle for p in profile.pieces]
+    return _angle_chain(_check_jump(profile.jumps), pieces, np.asarray(omega, dtype=float), with_slope)
 
 
 def angle_at_ell(profile, omega):
@@ -385,12 +374,15 @@ def angle_at_ell(profile, omega):
     Strictly increasing in omega; accepts vector omega.  Exact across
     constant pieces; smooth pieces are stepped by the Magnus propagator.
     """
-    return _angle_chain(profile.jumps, profile.pieces, omega)
+    return _profile_chain(profile, omega, False)
 
 
 def angle_and_slope_at_ell(profile, omega):
     """(theta(ell), d theta(ell)/d omega) from theta(0) = 0; the slope is positive."""
-    return _angle_chain(profile.jumps, profile.pieces, omega, with_slope=True)
+    theta, zeta = _profile_chain(profile, omega, True)
+    if np.shape(zeta) != np.shape(theta):  # a lone constant piece leaves zeta its angle
+        zeta = np.full(np.shape(theta), zeta)
+    return theta, zeta
 
 
 # -- fundamental (transfer) matrices --------------------------------------------

@@ -167,7 +167,7 @@ def _pwc_solve_targets(jumps, angles, targets, max_iter=80):
     angles = np.asarray(angles, dtype=float)
     n = jumps.shape[-1]
     columns = [jumps[..., i] for i in range(n)] + [angles[..., i] for i in range(n + 1)]
-    chain = lambda om, *cols: sl_core._pwc_chain(om, cols[:n], cols[n:])
+    chain = lambda om, *cols: sl_core._angle_chain(cols[:n], cols[n:], om, True)
     wiggle = n * (np.pi / 2.0)
     total = np.sum(angles, axis=-1)
     return _solve_targets(chain, total, wiggle, targets, KAPPA_TOL, columns, max_iter)
@@ -365,7 +365,8 @@ def _min_ratio_residual(om, k_max, l_max, j_max):
     j != k, has residual |k om_l - j om_k| / (k om_l); the others, and a NaN
     j, count as inf.  One pass takes all pairs of _RES_BLOCK samples at once,
     and the flat argmin over (k, l) breaks ties by the smallest k, then the
-    smallest l.  A row with no admissible pair keeps inf and (0, 0, 0).
+    smallest l; below EXACT_TOL roundoff orders the residuals, so the first
+    (k, l) there wins.  A row with no admissible pair keeps inf and (0, 0, 0).
     """
     samples = om.shape[0]
     min_res = np.full(samples, np.inf)
@@ -387,9 +388,12 @@ def _min_ratio_residual(om, k_max, l_max, j_max):
         res[~ok] = np.inf
         res = res.reshape(res.shape[0], -1)
         flat = np.argmin(res, axis=1)
-        hit = np.flatnonzero(res[np.arange(res.shape[0]), flat] < np.inf)
+        low = res[np.arange(res.shape[0]), flat]
+        hit = np.flatnonzero(low < np.inf)
+        min_res[start + hit] = low[hit]
+        exact = low < EXACT_TOL
+        flat[exact] = np.argmax(res[exact] < EXACT_TOL, axis=1)
         best = flat[hit]
-        min_res[start + hit] = res[hit, best]
         argmin[start + hit, 0] = best // l_max + 1
         argmin[start + hit, 1] = j.reshape(res.shape)[hit, best]
         argmin[start + hit, 2] = best % l_max + 1
@@ -415,7 +419,8 @@ def genericity_mc(
     j = rint(k omega_l / omega_k), if in [1, j_max] and not k, defines the
     relative residual |k omega_l - j omega_k| / (k omega_l), and the flat
     argmin over (k, l) keeps the smallest, ties going to the smallest k,
-    then the smallest l.  Exact resonances are residuals below EXACT_TOL.
+    then the smallest l.  Exact resonances are residuals below EXACT_TOL,
+    where the triple is the first in that order, not roundoff's smallest.
     A converged sample with no admissible triple keeps min_residual inf
     and triple (0, 0, 0); it counts in n_no_triple and in no histogram
     bin, so sum(hist_counts) + n_no_triple = samples - n_failed.

@@ -52,9 +52,9 @@ from puretone.evolve import (
 )
 from puretone.profile import ConstantPiece
 from puretone.sl_core import (
+    _angle_chain,
     _magnus_steps,
     _prefix_products,
-    _pwc_chain,
     _step_groups,
     jump_angle,
 )
@@ -618,7 +618,7 @@ def full_array_pwc_solve_targets(jumps, angles, targets, tol=spectrum.KAPPA_TOL,
     jumps, angles = np.asarray(jumps, dtype=float), np.asarray(angles, dtype=float)
     jump_cols = [jumps[..., i] for i in range(jumps.shape[-1])]
     angle_cols = [angles[..., i] for i in range(angles.shape[-1])]
-    chain = lambda om: _pwc_chain(om, jump_cols, angle_cols)
+    chain = lambda om: _angle_chain(jump_cols, angle_cols, om, True)
     return full_array_solve_targets(chain, total, wiggle, targets, tol, max_iter)
 
 
@@ -626,12 +626,15 @@ def reference_min_ratio_residual(om, k_max, l_max, j_max):
     """Per ladder, the smallest ratio residual and its (k, j, l), one k at a time.
 
     The loop over k keeps a strictly smaller residual only, so ties go to
-    the smallest k, and within a k argmin takes the smallest l.  The
-    reference for spectrum._min_ratio_residual's blocked one-pass form.
+    the smallest k, and within a k argmin takes the smallest l.  Once a k
+    holds a residual below EXACT_TOL, the row's triple is its first such l
+    and no later k moves it.  The reference for
+    spectrum._min_ratio_residual's blocked one-pass form.
     """
     samples = om.shape[0]
     min_res = np.full(samples, np.inf)
     argmin = np.zeros((samples, 3), dtype=int)
+    exact = np.zeros(samples, dtype=bool)
     ls = np.arange(1, l_max + 1)
     rows = np.arange(samples)
     for k in range(1, k_max + 1):
@@ -646,9 +649,14 @@ def reference_min_ratio_residual(om, k_max, l_max, j_max):
         best = res[rows, best_l]
         better = best < min_res
         min_res = np.where(better, best, min_res)
-        argmin[better, 0] = k
-        argmin[better, 1] = j_star[rows, best_l][better].astype(int)
-        argmin[better, 2] = best_l[better] + 1
+        first_l = np.argmax(res < spectrum.EXACT_TOL, axis=1)
+        new_exact = ~exact & (res[rows, first_l] < spectrum.EXACT_TOL)
+        pick = np.where(new_exact, first_l, best_l)
+        take = new_exact | (better & ~exact)
+        exact |= new_exact
+        argmin[take, 0] = k
+        argmin[take, 1] = j_star[rows, pick][take].astype(int)
+        argmin[take, 2] = pick[take] + 1
     return min_res, argmin
 
 

@@ -70,6 +70,18 @@ def test_malformed_profile_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_k_ref_other_than_one_exit_2(profile_file, tmp_path, capsys):
+    doc = json.loads(Path(profile_file).read_text())
+    doc["eos"]["k_ref"] = 2.0
+    bad = tmp_path / "k_ref.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["eigen", "--profile", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "usage" and "'eos.k_ref' must be 1.0" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism_byte_identical(profile_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):

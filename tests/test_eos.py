@@ -9,8 +9,8 @@ from puretone.errors import DomainError
 
 
 def test_unit_normalization():
-    eos = GammaLawEos(2.0, k_ref=1.0)
-    # A(s) = 1 at s = 0 with k_ref = 1
+    eos = GammaLawEos(2.0)
+    # A = exp(s / gamma) = 1 at s = 0
     assert_allclose(eos.volume_from_factor(1.0, 1.0), 1.0)
     assert_allclose(eos.volume_from_factor(4.0, 1.0), 0.5)
 
@@ -28,33 +28,33 @@ def test_derivative_values_at_unit_state():
 
 def test_derivatives_match_finite_differences():
     # central differences at h = 1e-5 agree to relative 1e-8
-    eos = GammaLawEos(1.4, k_ref=0.7)
+    eos = GammaLawEos(1.4)
     h = 1e-5
     for p in (0.5, 1.0, 3.0):
-        for s in (-0.5, 0.0, 1.0):
-            fd1 = (eos.specific_volume(p + h, s) - eos.specific_volume(p - h, s)) / (2 * h)
-            assert_allclose(fd1, eos.dv_dp(p, s), rtol=1e-8)
-            fd2 = (eos.dv_dp(p + h, s) - eos.dv_dp(p - h, s)) / (2 * h)
-            assert_allclose(fd2, eos.d2v_dp2(p, s), rtol=1e-8)
+        for A in (0.6, 1.0, 2.1):
+            fd1 = (eos.volume_from_factor(p + h, A) - eos.volume_from_factor(p - h, A)) / (2 * h)
+            assert_allclose(fd1, eos.dvdp_from_factor(p, A), rtol=1e-8)
+            fd2 = (eos.dvdp_from_factor(p + h, A) - eos.dvdp_from_factor(p - h, A)) / (2 * h)
+            assert_allclose(fd2, eos.d2vdp2_from_factor(p, A), rtol=1e-8)
 
 
 def test_fd_error_shrinks_with_h():
     eos = GammaLawEos(2.0)
     errs = []
     for h in (1e-3, 1e-4):
-        fd = (eos.specific_volume(1.0 + h, 0.0) - eos.specific_volume(1.0 - h, 0.0)) / (2 * h)
-        errs.append(abs(fd - eos.dv_dp(1.0, 0.0)))
+        fd = (eos.volume_from_factor(1.0 + h, 1.0) - eos.volume_from_factor(1.0 - h, 1.0)) / (2 * h)
+        errs.append(abs(fd - eos.dvdp_from_factor(1.0, 1.0)))
     assert errs[1] < errs[0] * 1e-1  # O(h^2)
 
 
 def test_sign_conditions_on_grid():
-    # strict hyperbolicity and genuine nonlinearity over a (p, s) grid
+    # strict hyperbolicity and genuine nonlinearity over a (p, A) grid
     eos = GammaLawEos(1.4)
     p = np.linspace(0.1, 10.0, 25)[:, None]
-    s = np.linspace(-2.0, 2.0, 15)[None, :]
-    assert np.all(eos.specific_volume(p, s) > 0)
-    assert np.all(eos.dv_dp(p, s) < 0)
-    assert np.all(eos.d2v_dp2(p, s) > 0)
+    A = np.exp(np.linspace(-2.0, 2.0, 15) / 1.4)[None, :]
+    assert np.all(eos.volume_from_factor(p, A) > 0)
+    assert np.all(eos.dvdp_from_factor(p, A) < 0)
+    assert np.all(eos.d2vdp2_from_factor(p, A) > 0)
 
 
 def test_sigma_examples():
@@ -66,13 +66,13 @@ def test_sigma_examples():
 
 def test_sigma_continuous_in_entropy():
     eos = GammaLawEos(1.4)
-    s = np.linspace(-1.0, 1.0, 200)
-    sig = eos.sigma_of(1.0, s)
+    A = np.exp(np.linspace(-1.0, 1.0, 200) / 1.4)
+    sig = eos.sigma_from_factor(1.0, A)
     assert np.all(np.abs(np.diff(sig)) < 1e-2)
 
 
 def test_factor_sigma_round_trip():
-    eos = GammaLawEos(1.4, k_ref=2.0)
+    eos = GammaLawEos(1.4)
     for A in (0.5, 1.0, 3.0):
         sig = eos.sigma_from_factor(2.5, A)
         assert_allclose(eos.factor_from_sigma(2.5, sig), A, rtol=1e-14)
@@ -81,21 +81,19 @@ def test_factor_sigma_round_trip():
 def test_domain_errors():
     eos = GammaLawEos(2.0)
     with pytest.raises(DomainError):
-        eos.specific_volume(0.0, 0.0)
+        eos.volume_from_factor(0.0, 1.0)
     with pytest.raises(DomainError):
-        eos.specific_volume(-1.0, 0.0)
+        eos.volume_from_factor(-1.0, 1.0)
     with pytest.raises(DomainError):
-        eos.sigma_of(-2.0, 0.0)
+        eos.sigma_from_factor(-2.0, 1.0)
+    with pytest.raises(DomainError):
+        eos.factor_from_sigma(1.0, 0.0)
+    with pytest.raises(DomainError):
+        eos.factor_from_sigma(1.0, -0.5)
     with pytest.raises(DomainError):
         GammaLawEos(1.0)
     with pytest.raises(DomainError):
-        GammaLawEos(2.0, k_ref=0.0)
-
-
-def test_entropy_factor_definition():
-    eos = GammaLawEos(1.4, k_ref=0.5)
-    s = 0.3
-    assert_allclose(eos.entropy_factor(s), (0.5 * np.exp(s)) ** (1 / 1.4), rtol=1e-15)
+        GammaLawEos(0.5)
 
 
 def test_increments_match_decimal_reference():

@@ -10,7 +10,6 @@ from _oracles import reference_pchip
 from puretone.eos import GammaLawEos
 from puretone.errors import DomainError
 from puretone.profile import (
-    JumpAngleParams,
     PiecewiseConstantProfile,
     SmoothPiece,
     SmoothProfile,
@@ -23,7 +22,6 @@ from puretone.profile import (
     reversed_profile,
     save_profile,
     sigma_integral,
-    to_jump_angles,
 )
 
 
@@ -46,8 +44,7 @@ def test_jump_angle_round_trip(rng):
         sigma = rng.uniform(0.2, 5.0, n)
         widths = rng.uniform(0.05, 2.0, n)
         prof = PiecewiseConstantProfile(sigma, widths)
-        params = to_jump_angles(prof)
-        back = from_jump_angles(params.jumps, params.angles, sigma_1=sigma[0])
+        back = from_jump_angles(prof.jumps, prof.angles, sigma_1=sigma[0])
         assert_allclose(back.sigma_levels, prof.sigma_levels, rtol=1e-14)
         assert_allclose(back.widths, prof.widths, rtol=1e-14)
 
@@ -177,8 +174,16 @@ def test_validation_errors():
         PiecewiseConstantProfile([1.0], [0.5, 0.5])
     with pytest.raises(DomainError):
         from_jump_angles([0.5], [1.0], sigma_1=1.0)  # wrong lengths
-    with pytest.raises(DomainError):
-        JumpAngleParams(np.array([-1.0]), np.array([1.0, 1.0]))
+    for jumps, angles, sigma_1, message in (
+        ([-1.0], [1.0, 1.0], 1.0, "jumps must be finite and positive"),
+        ([np.inf], [1.0, 1.0], 1.0, "jumps must be finite and positive"),
+        ([2.0], [1.0, 0.0], 1.0, "angles must be finite and positive"),
+        ([], [], 1.0, "angles must be a non-empty 1-D sequence"),
+        ([2.0, 3.0], [1.0, 1.0], 1.0, "need exactly one angle more than jumps"),
+        ([2.0], [1.0, 1.0], 0.0, "sigma_1 must be positive"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            from_jump_angles(jumps, angles, sigma_1=sigma_1)
     with pytest.raises(DomainError):
         SmoothPiece([0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
     with pytest.raises(DomainError, match="x samples must be a 1-D sequence"):
@@ -194,6 +199,21 @@ def test_json_round_trip(two_level, tmp_path):
     assert profile_hash(again) == profile_hash(two_level)
     assert again.eos.gamma == 2.0
     assert again.pbar == 1.0
+
+
+def test_json_k_ref_only_as_one(two_level, tmp_path):
+    # entropy enters as A = exp(s/gamma) alone: k_ref 1.0 loads, any other
+    # value would be ignored, so it fails typed
+    path = tmp_path / "prof.json"
+    save_profile(two_level, path)
+    doc = json.loads(path.read_text())
+    assert doc["eos"] == {"gamma": 2.0}
+    for k_ref in (2.0, 0.5, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="'eos.k_ref' must be 1.0"):
+            profile_from_dict({**doc, "eos": {"gamma": 2.0, "k_ref": k_ref}})
+    for eos in ({"gamma": 2.0, "k_ref": 1.0}, {"gamma": 2.0, "k_ref": 1}, {"gamma": 2.0}):
+        prof = profile_from_dict({**doc, "eos": eos})
+        assert prof.eos == two_level.eos and profile_hash(prof) == profile_hash(two_level)
 
 
 def test_json_entropy_factor_levels(gamma2):

@@ -416,6 +416,23 @@ def test_constant_samples_reproduce_pwc_rotation():
         assert np.max(np.abs(fundamental_matrix(smooth, w) - fundamental_matrix(pwc, w))) < 1e-13
 
 
+@pytest.mark.parametrize("levels", [1, 2, 4])
+def test_chain_on_per_point_columns_matches_profile_calls(levels):
+    # the root solve feeds _angle_chain each jump and angle as a per-point
+    # column; every point gives the profile's own angle and slope bit for bit
+    rng = np.random.default_rng(levels)
+    profiles = [from_jump_angles(rng.uniform(*_J_BOX, levels - 1), rng.uniform(*_THETA_BOX, levels))
+                for _ in range(3)]
+    for w in (np.array([0.05, 0.7, 3.1, 12.0, 47.5]), np.array(2.3)):
+        cols = lambda name: [np.stack([np.full(w.shape, getattr(p, name)[i]) for p in profiles])
+                             for i in range(getattr(profiles[0], name).size)]
+        th, zeta = sl_core._angle_chain(cols("jumps"), cols("angles"), np.stack([w] * 3), True)
+        for prof, th_p, zeta_p in zip(profiles, th, zeta):
+            th_ref, zeta_ref = angle_and_slope_at_ell(prof, w)
+            assert np.shape(zeta_ref) == w.shape
+            assert np.array_equal(th_p, th_ref) and np.array_equal(zeta_p, zeta_ref)
+
+
 _J_BOX, _THETA_BOX = DEFAULT_MC_BOX
 
 

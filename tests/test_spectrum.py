@@ -243,7 +243,7 @@ def test_genericity_does_not_depend_on_block(block, monkeypatch):
 def test_bad_jump_refused_before_any_pass(bad, two_level, monkeypatch):
     # the pwc solve checks its jumps once, up front; no chain pass runs first
     calls = []
-    monkeypatch.setattr(sl_core, "_pwc_chain", lambda *args: calls.append(args))
+    monkeypatch.setattr(sl_core, "_angle_chain", lambda *args: calls.append(args))
     jumps = np.array([[[2.0]], [[bad]]])
     angles = np.ones((2, 1, 2))
     with pytest.raises(DomainError):
@@ -340,6 +340,31 @@ def test_ratio_residual_ties_on_the_isentropic_box():
     for got, ref in zip(spectrum._min_ratio_residual(om, 7, 5, 3),
                         reference_min_ratio_residual(om, 7, 5, 3)):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("res_block", [7, 512])
+def test_exact_resonances_report_their_first_pair(res_block, monkeypatch):
+    # harmonic ladders with relative noise of a few ulps: every admissible
+    # residual is roundoff below EXACT_TOL, so the triple is the first pair,
+    # (k, j, l) = (1, 2, 2), while min_residual keeps the smallest residual
+    monkeypatch.setattr(spectrum, "_RES_BLOCK", res_block)
+    rng = np.random.default_rng(3)
+    om = np.arange(1, 13) * (1.0 + rng.uniform(-4e-16, 4e-16, size=(300, 12)))
+    res, triple = spectrum._min_ratio_residual(om, 12, 12, 24)
+    ref_res, ref_triple = reference_min_ratio_residual(om, 12, 12, 24)
+    assert np.array_equal(res, ref_res) and np.array_equal(triple, ref_triple)
+    assert np.all(res < spectrum.EXACT_TOL) and np.all(triple == (1, 2, 2))
+    first = np.abs(om[:, 1] - 2.0 * om[:, 0]) / om[:, 1]
+    assert np.all(res <= first) and np.sum(res < first) > 100
+
+
+def test_genericity_exact_triple_does_not_follow_roundoff():
+    # seed 200894, sample 4856 holds 12 pairs below 1e-15; (6, 2, 2) is the
+    # smallest, one ulp under (2, 6, 6), the first in (k, l) order
+    g = genericity_mc(2, 10_000, seed=200894)
+    assert g.n_exact == 4
+    assert g.min_residual[4856] == 1.1889324133602684e-16
+    assert tuple(g.argmin_triple[4856]) == (2, 6, 6)
 
 
 def test_samples_without_a_triple_leave_the_histogram():
