@@ -48,6 +48,7 @@ from .evolve import (
     FourierField,
     linearized_evolve,
     nonlinear_evolve,
+    quiet_second_variation,
     second_derivative_quiet,
     weighted_norm,
 )

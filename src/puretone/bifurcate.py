@@ -13,15 +13,22 @@ one coupled system instead of the literal nested auxiliary-then-bifurcation
 construction; the two residual pieces are still reported separately in the
 diagnostics.
 
-The iteration is a chord method on the quiet-state Jacobian, which the
-linear theory gives in closed form: S o L = diag(delta_j) on the a_j, and
-alpha times the genuine-nonlinearity pairing of `second_derivative_quiet`
-on z.  A chord step costs one single-row evolution.  A step that fails to
-halve the weighted residual replaces the chord matrix by a forward-difference
+The iteration is a chord method on the Jacobian to first order in alpha,
+J0 + alpha J1, which the quiet state gives in closed form.  J0 = S o L is
+diag(delta_j) on the a_j and nothing on z.  J1 = S D^2 E(pbar)[cos k, .] is
+the quiet second variation (`quiet_second_variation`), one banded table per
+problem and M: column i feeds only the rows i + k and |i - k|, and the z
+column's one entry, at r_k, is the genuine-nonlinearity pairing.  The
+dropped terms are O(alpha^2), so the chord contracts at about 5e-8 to 5e-6
+per step on the default branch.  A chord step costs one single-row
+evolution and one dense M x M solve.  A step that fails to halve the
+weighted residual replaces the chord matrix by a forward-difference
 Jacobian at the new iterate, one batched evolution of M rows, at most
-_MAX_REFRESH times per solve.  Along a branch the start is the previous
-solution scaled by (alpha / alpha_prev)^2, since z and the a_j are
-O(alpha^2).
+_MAX_REFRESH times per solve; if the step taken with that fresh Jacobian
+does not lower the residual either, the solve has reached its roundoff
+floor and ends with a SolverError that names it.  Along a branch the start
+is the previous solution scaled by (alpha / alpha_prev)^2, since z and the
+a_j are O(alpha^2).
 
 A solve stops when the weighted residual is below newton_tol and the z step
 is below _Z_STEP |z|, or below _Z_ULPS ulps of pbar + z: z reaches the march
@@ -49,12 +56,12 @@ from .evolve import (
     EvolutionConfig,
     FourierField,
     evolve_coefficients,
-    second_derivative_quiet,
+    quiet_second_variation,
     weighted_norm,
 )
 
 #: chord iterations per solve; forward-difference Jacobians that may replace
-#: the quiet chord matrix per solve, and their step relative to max(1, |u_i|)
+#: the first-order chord matrix per solve, and their step relative to max(1, |u_i|)
 _MAX_NEWTON, _MAX_REFRESH, _FD_STEP = 30, 3, 1e-7
 
 #: a solve stops only once the z step is this small against z as well, or is
@@ -118,13 +125,14 @@ class BifurcationProblem:
             self._cache[key] = report
         return self._cache[key]
 
-    def second_derivative(self):
-        """Quiet second derivative; its pairing gives d r_k / d z = alpha * pairing."""
-        if "d2" not in self._cache:
-            self._cache["d2"] = second_derivative_quiet(
-                self.profile, self.eos, self.k, self.chi, eig=self.eigen()
+    def second_variation(self):
+        """J1 of quiet_second_variation at the gate's T and cutoff M, cached per M."""
+        key = ("j1", self.cfg.M)
+        if key not in self._cache:
+            self._cache[key] = quiet_second_variation(
+                self.profile, self.eos, self.k, self.chi, self.eigen().T, self.cfg.M
             )
-        return self._cache["d2"]
+        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,13 @@ class _NewtonWorkspace:
     def weighted(self, r):
         return weighted_norm(r, self.table, k=self.problem.k)
 
+    def chord(self):
+        """J0 + alpha J1 in the residual's row order and the unknowns' column order."""
+        jac = self.alpha * self.problem.second_variation()[:, [0] + self.idx]
+        rows = np.array(self.idx) - 1
+        jac[rows, 1 + np.arange(rows.size)] += self.table.delta[rows]
+        return jac
+
     def jacobian(self, u, r0):
         """Forward differences about u, whose residual is r0: one batch of M rows."""
         steps = _FD_STEP * np.maximum(1.0, np.abs(u))
@@ -217,10 +232,10 @@ class _NewtonWorkspace:
 def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSolution:
     """Chord iteration on the square system r(z, {a_j}; alpha) = 0.
 
-    The chord matrix is the quiet-state Jacobian, refreshed by a
-    forward-difference one only when a step fails to contract (module
-    docstring).  If the converged tail coefficients are not small against
-    max |a_j|, the cutoff M is doubled (n_quad kept >= 4 M) and the solve repeats.
+    The chord matrix is J0 + alpha J1, refreshed by a forward-difference
+    Jacobian only when a step fails to contract (module docstring).  If the
+    converged tail coefficients are not small against max |a_j|, the cutoff
+    M is doubled (n_quad kept >= 4 M) and the solve repeats.
     """
     problem.validate()
     if alpha == 0.0:
@@ -274,36 +289,34 @@ def _tail_small(sol: PureToneSolution) -> bool:
 def _newton_loop(ws, u):
     problem, alpha, pbar, k = ws.problem, ws.alpha, ws.pbar, ws.problem.k
     others = np.arange(1, ws.m + 1) != k
-    # the quiet Jacobian is diagonal in the unknowns' order: alpha * pairing
-    # at (r_k, z), delta_j at (r_j, a_j)
-    rows = np.array([k] + ws.idx) - 1
-    quiet = ws.table.delta[rows].copy()
-    quiet[0] = alpha * problem.second_derivative().pairing
-    jac = None  # a forward-difference Jacobian, once the chord has been refreshed
-
+    jac = ws.chord()
     r = ws.residual(u)
     wres = ws.weighted(r)
-    contraction, refreshes = 0.0, 0
+    contraction, refreshes, fresh = 0.0, 0, False
     for iters in range(1, _MAX_NEWTON + 1):
-        if jac is None:
-            du = -r[rows] / quiet
-        else:
-            try:
-                du = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular Jacobian at alpha={alpha:g}: {exc}") from exc
+        try:
+            du = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Jacobian at alpha={alpha:g}: {exc}") from exc
         z_tol = max(_Z_STEP * abs(u[0]), _Z_ULPS * np.spacing(pbar + u[0]))
         if wres < problem.newton_tol and abs(du[0]) <= z_tol:
             break
         u = u + du
         r_new = ws.residual(u)
         w_new = ws.weighted(r_new)
+        if fresh and w_new >= wres:
+            # a Jacobian taken at the last iterate no longer lowers the residual
+            raise SolverError(
+                f"Newton reached its residual floor at alpha={alpha:g}: weighted residual "
+                f"{wres:.3e} does not fall below newton_tol {problem.newton_tol:.3e}"
+            )
         # below newton_tol the steps only pin z and the ratios are roundoff
         if wres >= problem.newton_tol:
             contraction = max(contraction, w_new / wres)
-            if w_new > 0.5 * wres and refreshes < _MAX_REFRESH:
-                jac = ws.jacobian(u, r_new)
-                refreshes += 1
+        fresh = wres >= problem.newton_tol and w_new > 0.5 * wres and refreshes < _MAX_REFRESH
+        if fresh:
+            jac = ws.jacobian(u, r_new)
+            refreshes += 1
         r, wres = r_new, w_new
     else:
         raise SolverError(

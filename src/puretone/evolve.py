@@ -588,7 +588,7 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     return FourierField(y0.T, a[1], b[1])
 
 
-# -- second derivative at the quiet state ---------------------------------------------
+# -- second variation at the quiet state ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -613,18 +613,76 @@ class QuietSecondDerivative:
 
 
 def second_derivative_quiet(profile, eos, k, chi, eig=None):
-    """Duhamel integrals of the forced SL system along [0, ell].
+    """The z column of the quiet second variation (_second_variation, i = 0).
 
     In variation-of-parameters form (phi_hat, psi_hat) = Psi(ell) (a, b)^T
     with a = int v_pp omega phi phi_tilde and b = -int v_pp omega phi^2 <= 0,
-    where (phi, phi_tilde) is the first row of Psi(x).  On a constant piece
-    both are sinusoids of omega sigma x and the integrals are in closed form;
-    on a smooth piece they are composite Simpson sums over the Magnus states
-    at the step ends.  No stepper runs beyond the SL propagator itself.
+    where (phi, phi_tilde) is the first row of Psi(x).
     """
     if eig is None:
         eig = _spectrum.eigen_solve(profile, k, chi)
-    omega = eig.omega
+    psis, a, b = _second_variation(profile, eos, k, 2.0 * np.pi / eig.T, k)[1:]
+    psi_mat = psis[k]
+    phi_hat, psi_hat = psi_mat @ (a[0], b[0])
+    return QuietSecondDerivative(
+        k=k,
+        chi=chi,
+        omega=eig.omega,
+        T=eig.T,
+        phi_hat=float(phi_hat),
+        psi_hat=float(psi_hat),
+        pairing=float(sl_core.boundary_sine(k * chi, phi_hat, psi_hat)),
+        a_ell=float(a[0]),
+        b_ell=float(b[0]),
+        fundamental=psi_mat,
+    )
+
+
+def quiet_second_variation(profile, eos, k, chi, T, m):
+    """J1 = S D^2 E(pbar)[cos k, .], the O(alpha) part of the bifurcation Jacobian.
+
+    Shape (m, m + 1): row j - 1 is the sine r_j, column i the data cos(i t
+    2pi/T), column 0 the mean shift z, whose one entry, at row k, is the
+    pairing of second_derivative_quiet.  Only the rows j = i + k and
+    |i - k| of column i are nonzero (_band); column k, the prescribed mode,
+    is zero.
+    """
+    (rows, cols, _), psis, a, b = _second_variation(profile, eos, k, 2.0 * np.pi / T, m)
+    hat = psis[rows] @ np.stack((a, b), axis=-1)[..., None]
+    table = np.zeros((m, m + 1))
+    table[rows - 1, cols] = sl_core.boundary_sine(rows * chi, hat[:, 0, 0], hat[:, 1, 0])
+    return table
+
+
+def _band(k, m):
+    """(rows j, columns i, weights) of the nonzero entries of D^2 E(pbar)[cos k, cos i].
+
+    cos(k t') cos(i t') = (cos((i + k) t') + cos((i - k) t')) / 2 feeds the
+    modes j = i + k and |i - k| with weight 1/2 each; for i = 0 the two
+    halves meet at j = k, the first entry.  Rows above m and column k are
+    left out.
+    """
+    cols = np.array([i for i in range(1, m + 1) if i != k], dtype=int)
+    rows = np.concatenate(([k], cols + k, np.abs(cols - k)))
+    cols = np.concatenate(([0], cols, cols))
+    keep = rows <= m
+    return rows[keep], cols[keep], np.where(cols[keep] == 0, 1.0, 0.5)
+
+
+def _second_variation(profile, eos, k, unit, m):
+    """Duhamel integrals of D^2 E(pbar)[cos k, cos i] along [0, ell], on the band of _band(k, m).
+
+    The quiet first variation of cos(n unit t) data has pressure
+    phi_n(x) cos(n unit t), with (phi_n, phi_tilde_n) the first row of
+    Psi(x; n unit).  Entry (j, i) of weight w is mode j's SL response to the
+    forcing w v_pp phi_k phi_i: (phi_hat, psi_hat) = Psi_j(ell) (a, b)^T with
+    a = w j unit int v_pp phi_k phi_i phi_tilde_j and
+    b = -w j unit int v_pp phi_k phi_i phi_j.  On a constant piece the
+    integrals of three sinusoids are in closed form, on a smooth piece
+    composite Boole sums over the Magnus states at the step ends; no
+    stepper runs beyond the SL propagator itself.  Returns (band, Psi_n(ell)
+    for n = 0..m, a, b), a and b one entry per band entry.
+    """
     eos_ = eos if eos is not None else profile.eos
     pbar = profile.pbar
     if eos_ is None or pbar is None:
@@ -633,71 +691,84 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
     def vpp(sig):
         return eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig))
 
-    state = (np.eye(2), 0.0, 0.0)
+    band = rows, cols, weights = _band(k, m)
+    state = (np.broadcast_to(np.eye(2), (m + 1, 2, 2)), 0.0, 0.0)
     for piece in profile.pieces:
         duhamel = _duhamel_constant if isinstance(piece, ConstantPiece) else _duhamel_smooth
-        state = duhamel(state, piece, omega, vpp)
-    psi_mat, a_ell, b_ell = state
-    phi_hat = psi_mat[0, 0] * a_ell + psi_mat[0, 1] * b_ell
-    psi_hat = psi_mat[1, 0] * a_ell + psi_mat[1, 1] * b_ell
-    return QuietSecondDerivative(
-        k=k,
-        chi=chi,
-        omega=omega,
-        T=eig.T,
-        phi_hat=float(phi_hat),
-        psi_hat=float(psi_hat),
-        pairing=float(sl_core.boundary_sine(k * chi, phi_hat, psi_hat)),
-        a_ell=float(a_ell),
-        b_ell=float(b_ell),
-        fundamental=psi_mat,
+        state = duhamel(state, piece, unit, vpp, (k, cols, rows))
+    psis, a, b = state
+    scale = weights * rows * unit
+    return band, psis, scale * a, -scale * b
+
+
+def _duhamel_constant(state, piece, unit, vpp, modes):
+    """(Psi, a, b) across a constant piece, in closed form, b without its minus sign.
+
+    With theta_n = n unit sigma x from the piece's start, phi_n =
+    Re(c_n e^(i theta_n)) and phi_tilde_n = Re(d_n e^(i theta_n)), c_n and
+    d_n read off the entry Psi_n.  A product of three such cosines is a
+    quarter of the real part of the sum over the signs (s, t) of
+    c_k c_i^s g_j^t e^(i theta), g = d for a and c for b, c^- the
+    conjugate and theta the phase at
+    the rate (k + s i + t j) unit sigma, and e^(i rho x) integrates over the
+    width w to w e^(i rho w/2) sinc(rho w/2).  That form has no cancellation
+    at small rates and is the width itself at the rate that vanishes (j =
+    i + k or |i - k|).
+    """
+    psi, a, b = state
+    k, cols, rows = modes
+    sigma, width = piece.level, piece.width
+    c = psi[:, 0, 0] + 1j * psi[:, 1, 0] / sigma
+    d = psi[:, 0, 1] + 1j * psi[:, 1, 1] / sigma
+    sign = np.array([1.0, -1.0])
+    half = (0.5 * unit * sigma * width) * (k + sign[:, None, None] * cols + sign[:, None] * rows)
+    pair = c[k] * np.stack((c[cols], np.conj(c[cols])))[:, None] * (
+        width * np.exp(1j * half) * np.sinc(half / np.pi)
     )
 
+    def integral(g):
+        return 0.25 * np.sum(pair * np.stack((g[rows], np.conj(g[rows]))), axis=(0, 1)).real
 
-def _duhamel_constant(state, piece, omega, vpp):
-    """(Psi, a, b) across a constant piece, in closed form.
+    weight = float(vpp(sigma))
+    a = a + weight * integral(d)
+    b = b + weight * integral(c)
+    return sl_core._piece_matrix(piece, np.arange(psi.shape[0]) * unit) @ psi, a, b
 
-    With theta = omega sigma x from the piece's start, phi = u.(cos, sin)
-    theta and phi_tilde = w.(cos, sin) theta, u and w read off the entry
-    Psi; the integrals of cos^2, sin^2 and sin cos over the piece are exact.
+
+def _duhamel_smooth(state, piece, unit, vpp, modes):
+    """(Psi, a, b) across a smooth piece by composite Boole on Magnus states.
+
+    The integrands oscillate at up to (k + i + j) unit sigma whatever sigma'
+    is, so every sample interval gets a multiple of four equal steps h with
+    Boole's relative error 2 (top rate h)^6 / 945 within PRUFER_TOL, or more
+    if the Magnus step rule asks for more at the top mode; Boole's panels
+    never straddle a sample.  All modes share one grid, walked in runs of
+    sample intervals of at most sl_core._MAX_BATCH steps times modes.
     """
-    psi_mat, a, b = state
-    sigma, width = piece.level, piece.width
-    rate = omega * sigma
-    turn = rate * width
-    half, tilt = 0.5 * width, np.sin(2.0 * turn) / (4.0 * rate)
-    cc, ss, sc = half + tilt, half - tilt, np.sin(turn) ** 2 / (2.0 * rate)
-    u0, u1 = psi_mat[0, 0], -psi_mat[1, 0] / sigma
-    w0, w1 = psi_mat[0, 1], -psi_mat[1, 1] / sigma
-    weight = omega * float(vpp(sigma))
-    a += weight * (u0 * w0 * cc + (u0 * w1 + u1 * w0) * sc + u1 * w1 * ss)
-    b -= weight * (u0 * u0 * cc + 2.0 * u0 * u1 * sc + u1 * u1 * ss)
-    return sl_core._piece_matrix(piece, omega) @ psi_mat, a, b
-
-
-def _duhamel_smooth(state, piece, omega, vpp):
-    """(Psi, a, b) across a smooth piece by composite Simpson on Magnus states.
-
-    The integrands oscillate at 2 omega sigma whatever sigma' is, so every
-    sample interval gets an even number of equal steps h with Simpson's
-    relative error (2 omega sigma h)^4 / 180 within PRUFER_TOL, or more if
-    the Magnus step rule asks for more; Simpson's pairs never straddle a
-    sample.
-    """
-    psi_mat, a, b = state
+    psi, a, b = state
+    k, cols, rows = modes
+    omegas = np.arange(psi.shape[0]) * unit
     phase = np.diff(piece.x) * np.maximum(piece.sigma_samples[:-1], piece.sigma_samples[1:])
-    steps = np.max(2.0 * abs(omega) * phase) / (180.0 * sl_core.PRUFER_TOL) ** 0.25
-    x, psis = sl_core.magnus_states(piece, omega, min_sub=2 * max(1, int(np.ceil(0.5 * steps))))
-    psis = psis @ psi_mat
-    weight = omega * vpp(piece.sigma(x))
-    phi, phi_t = psis[:, 0, 0], psis[:, 0, 1]
+    top = np.max(k + cols + rows) * unit
+    steps = np.max(top * phase) / (472.5 * sl_core.PRUFER_TOL) ** (1.0 / 6.0)
+    sub = 4 * max(1, int(np.ceil(0.25 * steps)))
+    run = max(1, sl_core._MAX_BATCH // (sub * omegas.size))
+    for lo in range(0, piece.x.size - 1, run):
+        x, psis = sl_core.magnus_states(piece, omegas, piece.x[lo : lo + run + 1], min_sub=sub)
+        psis = psis @ psi
+        forcing = vpp(piece.sigma(x))[:, None] * psis[:, k, 0, :1] * psis[:, cols, 0, 0]
+        width = (x[4::4] - x[:-1:4])[:, None] / 90.0
 
-    def simpson(f):
-        return np.sum((x[2::2] - x[:-1:2]) / 6.0 * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]))
+        def boole(f):
+            return np.sum(
+                width * (7.0 * (f[:-1:4] + f[4::4]) + 32.0 * (f[1::4] + f[3::4]) + 12.0 * f[2::4]),
+                axis=0,
+            )
 
-    a += simpson(weight * phi * phi_t)
-    b -= simpson(weight * phi * phi)
-    return psis[-1], a, b
+        a = a + boole(forcing * psis[:, rows, 0, 1])
+        b = b + boole(forcing * psis[:, rows, 0, 0])
+        psi = psis[-1]
+    return psi, a, b
 
 
 # -- divisor-scaled norm ----------------------------------------------------------------

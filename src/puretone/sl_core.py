@@ -457,17 +457,20 @@ def sample_sl_solution(profile, omega, x_grid) -> np.ndarray:
 
 
 def magnus_states(piece: SmoothPiece, omega, knots=None, min_sub=1):
-    """(x, Psi(x)) at every Magnus step end of one smooth piece, Psi(x0) = I.
+    """(x, Psi(x)) at every Magnus step end of one smooth piece, Psi(knots[0]) = I.
 
-    knots (default the samples) must contain the samples; every knot
-    interval holds the same number of equal steps, at least min_sub and as
-    many as the step rule needs.  x has one more entry than there are steps
-    and psis has shape (x.size, 2, 2).
+    knots (default the samples) must contain the samples between its ends;
+    every knot interval holds the same number of equal steps, at least
+    min_sub and as many as the step rule needs at the largest |omega|, so a
+    1-D omega puts every frequency on one grid.  x has one more entry than
+    there are steps and psis has shape (x.size, 2, 2), or (x.size, omegas,
+    2, 2) for a 1-D omega.
     """
     knots = piece.x if knots is None else knots
-    om = np.array([float(omega)])
-    (_, sub, terms), = _step_groups(piece, knots, om, min_sub)
+    om = np.asarray(omega, dtype=float)
+    (_, sub, terms), = _step_groups(piece, knots, np.array([np.max(np.abs(om))]), min_sub)
     h = np.repeat(np.diff(knots) / sub, sub)
     x = np.repeat(knots[:-1], sub) + np.tile(np.arange(1, sub + 1), knots.size - 1) * h
-    p = _prefix_products(_magnus_steps(terms, om)[0])[:, 0]
-    return np.concatenate((knots[:1], x)), np.concatenate((np.eye(2)[None], p))
+    p = _prefix_products(_magnus_steps(terms, om.reshape(-1))[0]).reshape((-1,) + om.shape + (2, 2))
+    start = np.broadcast_to(np.eye(2), (1,) + om.shape + (2, 2))
+    return np.concatenate((knots[:1], x)), np.concatenate((start, p))

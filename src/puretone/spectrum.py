@@ -145,8 +145,12 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
                     break
                 idx, t, lo, hi, om, f, dth = (v[keep] for v in (idx, t, lo, hi, om, f, dth))
                 cols = [c[keep] for c in cols]
-            hi = np.where(f > 0.0, om, hi)
-            lo = np.where(f < 0.0, om, lo)
+            # branch-free bracket moves, bit-identical to selecting om: om > 0
+            # lies in [lo, hi] and lo >= 0, so om / 0 = inf and om * 0 = 0
+            # leave hi and lo as they are (a NaN f moves neither)
+            with np.errstate(divide="ignore"):
+                hi = np.minimum(hi, om / (f > 0.0))
+            lo = np.maximum(lo, om * (f < 0.0))
             cand = om - f / dth
             om = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
         else:  # points still moving after max_iter passes get a 10x looser test

@@ -12,7 +12,10 @@ summed from per-step angle slips and the slope from an adjugate sum.  The
 quiet second derivative has two references: fixed-step RK4 of the joint
 (Psi, a, b) Duhamel system, and the pseudospectral march of the second
 variation through the library's Lawson walker, which shares neither the SL
-algebra nor the quadrature of the library's closed-form path.  The
+algebra nor the quadrature of the library's closed-form path.  The same
+march of (Y_k, Y_i, Z), all columns i in one batch, is a reference for the
+whole banded table J1, and central differences of the batched boundary map
+give (J(alpha) - J(0)) / alpha = J1 + O(alpha) as a second one.  The
 four-evaluation Lawson step, one remainder call per RK4 stage and two half
 turns where the library takes one full turn, is the reference for the
 library's stage-paired, closed-form step.  The
@@ -49,6 +52,7 @@ from puretone.evolve import (
     QuietSecondDerivative,
     _Marcher,
     coeffs_to_grid,
+    second_derivative_quiet,
 )
 from puretone.profile import ConstantPiece
 from puretone.sl_core import (
@@ -336,26 +340,27 @@ def dense_second_derivative(profile, eos, k, chi, phase_per_step):
 
 
 class _SecondVariationMarcher(_Marcher):
-    """The library walker on (Y, Z): Y the first variation, Z the second.
+    """The library walker on (Y_k, Y_i, Z): two first variations and the second.
 
-    At the quiet base P1 = 1 (the evolved 0-mode), so Z is forced by v_pp Y
-    on the collocation grid; both fields carry the sigma variation within a
-    step, and both size the step count.  Both fields are variations, so
-    both are synthesized as themselves, with their means.  Like the
-    library's, the remainder maps the grid values of a stack of stages on
-    its leading axis.
+    At the quiet base the first variations are linear, and Z is forced by
+    v_pp P_k P_i on the collocation grid, P the pressures of Y_k and Y_i
+    (Y_0 = 1, the evolved 0-mode, is marched like the others).  All fields
+    carry the sigma variation within a step, and all size the step count.
+    All are variations, so all are synthesized as themselves, with their
+    means.  Like the library's, the remainder maps the grid values of a stack
+    of stages on its leading axis.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.weights = np.ones_like(self.weights)
+        self.weights = np.ones((3,) + self.weights.shape[1:])
 
     def remainder(self, grid, at, rot):
-        P, Q = grid[:, 0], grid[:, 1]
+        P, Pi, Q = grid[:, 0], grid[:, 1], grid[:, 2]
         dvp = at.vp0 - rot.vp0  # sigma variation within a step, zero on constant pieces
         g = 1.0 / self.eos.gamma
         vpp = g * (g + 1.0) * at.v0 / self.a0**2
-        return np.stack((dvp * P, dvp * Q + vpp * P), axis=1)
+        return np.stack((dvp * P, dvp * Pi, dvp * Q + vpp * P * Pi), axis=1)
 
     def eta(self, a, b, rot):
         s = np.sqrt(-rot.vp0)
@@ -364,6 +369,52 @@ class _SecondVariationMarcher(_Marcher):
         rem = float(np.max(np.abs(self.remainder(grid, rot, rot) @ self.to_rates)))
         lin = float(np.max(self.omega_modes * s * s * envelope))
         return rem / (lin + rem) if rem > 0.0 else 0.0
+
+
+def _second_variation_march(profile, eos, k, T, cfg, cols):
+    """Z(ell) of the second variation D^2 E(pbar)[cos k, cos i], one batch row per
+    column i in cols: (cosine, sine) coefficients, each (len(cols), M + 1)."""
+    cols = np.asarray(cols)
+    marcher = _SecondVariationMarcher(profile, eos, T, cfg, np.full((cols.size, 1), profile.pbar))
+    a = np.zeros((3, cols.size, cfg.M + 1))
+    a[0, :, k] = 1.0
+    a[1, np.arange(cols.size), cols] = 1.0
+    (a, b), _ = marcher.walk(a, np.zeros_like(a))
+    return a[2], b[2]
+
+
+def second_variation_spectral(profile, eos, k, chi, T, cfg):
+    """J1 by the pseudospectral march of (Y_k, Y_i, Z), all columns i = 0..M in
+    one batch; column k, which carries no unknown, is zero like the library's."""
+    m = cfg.M
+    a, b = _second_variation_march(profile, eos, k, T, cfg, np.arange(m + 1))
+    c, s = rounded_quarter(np.arange(1, m + 1) * chi)
+    table = (c * b[:, 1:] - s * a[:, 1:]).T
+    table[:, k] = 0.0
+    return table
+
+
+def second_variation_fd(problem, alpha, h=1e-6):
+    """(J(alpha) - J(0)) / alpha at u = 0 by central differences of the batched
+    boundary map, J(0) the march's own quiet Jacobian: J1 + O(alpha).
+
+    Columns i = 0..M in the library table's order (0 is z, k is zero).
+    """
+    m, k, pbar = problem.cfg.M, problem.k, problem.profile.pbar
+
+    def jacobian(amp):
+        batch = np.zeros((2, m + 1, m + 1))
+        batch[:, :, 0] = pbar
+        batch[:, :, k] = amp
+        idx = np.arange(m + 1)
+        batch[0, idx, idx] += h
+        batch[1, idx, idx] -= h
+        r = _boundary_sines(problem, batch.reshape(-1, m + 1)).reshape(2, m + 1, m)
+        jac = ((r[0] - r[1]) / (2.0 * h)).T
+        jac[:, k] = 0.0
+        return jac
+
+    return (jacobian(alpha) - jacobian(0.0)) / alpha
 
 
 def reference_lawson_step(marcher, a, b, h, turn, stages):
@@ -401,20 +452,18 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
     """Pseudospectral cross check of the Duhamel path.
 
     Evolves the second-variation field Z (zero data) together with the first
-    variation Y (the cosine k-mode) through the library's Lawson walker,
-    with the bilinear forcing assembled on the collocation grid.  Returns a
-    QuietSecondDerivative with phi_hat/psi_hat read off Z(ell).
+    variations Y_k (the cosine k-mode) and Y_0 = 1 through the library's
+    Lawson walker, with the bilinear forcing assembled on the collocation
+    grid.  Returns a QuietSecondDerivative with phi_hat/psi_hat read off
+    Z(ell).
     """
     if eig is None:
         eig = spectrum.eigen_solve(profile, k, chi)
     if cfg is None:
         cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
     T = 2.0 * np.pi * k / eig.omega
-    marcher = _SecondVariationMarcher(profile, eos, T, cfg, np.array([profile.pbar]))
-    a = np.zeros((2, cfg.M + 1))
-    a[0, k] = 1.0
-    (a, b), _ = marcher.walk(a, np.zeros_like(a))
-    phi_hat, psi_hat = float(a[1, k]), float(b[1, k])
+    a, b = _second_variation_march(profile, eos, k, T, cfg, [0])
+    phi_hat, psi_hat = float(a[0, k]), float(b[0, k])
     c, s = rounded_quarter(k * chi)
     return QuietSecondDerivative(
         k=k,
@@ -473,7 +522,9 @@ def dgdz_check(problem):
         row[problem.k] = sa * h
     r = _boundary_sines(problem, batch)[:, problem.k - 1]
     fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
-    d2 = problem.second_derivative()
+    d2 = second_derivative_quiet(
+        problem.profile, problem.eos, problem.k, problem.chi, eig=problem.eigen()
+    )
     rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
     return DgdzCheck(
         fd_value=float(fd),

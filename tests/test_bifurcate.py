@@ -182,7 +182,7 @@ def test_default_branch_at_large_mean(gamma2):
 
 
 def test_default_branch_keeps_quiet_chord(two_level, gamma2):
-    # the quiet Jacobian contracts on the default schedule: no FD refresh
+    # the first-order chord contracts on the default schedule: no FD refresh
     problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
     branch = branch_continue(problem)
     assert branch.failure is None
@@ -194,13 +194,60 @@ def test_default_branch_keeps_quiet_chord(two_level, gamma2):
 
 
 def test_chord_refresh_at_large_alpha(two_level, gamma2):
-    # k = 2 at alpha 5e-2: the quiet chord stalls and one FD Jacobian rescues it
+    # k = 2 at alpha 0.1: the first-order chord fails to halve the residual
+    # (at 5e-2 it still contracts, at about 0.26) and one FD Jacobian rescues it
     problem = BifurcationProblem(profile=two_level, eos=gamma2, k=2, chi=1)
-    sol = solve_at_alpha(problem, 5e-2)
+    sol = solve_at_alpha(problem, 0.1)
     assert sol.converged
     assert sol.residual_weighted < problem.newton_tol
     assert sol.diagnostics["refreshes"] >= 1
     assert sol.diagnostics["contraction"] > 0.5
+
+
+def test_default_branch_pins_z(two_level, gamma2):
+    # the chord carries the O(alpha) coupling of z to the a_j, so the default
+    # stop leaves z at alpha 5e-4 on the branch where a newton_tol 1e-12 solve
+    # puts it (the diagonal quiet chord left it 6.2e-7 relative off)
+    branch = branch_continue(BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1))
+    sol = {s.alpha: s for s in branch.solutions}[5e-4]
+    tight = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1, newton_tol=1e-12)
+    ref = solve_at_alpha(tight, 5e-4)
+    assert abs(sol.z / ref.z - 1.0) < 1e-7
+
+
+def test_default_branch_evolutions(two_level, gamma2):
+    # J0 + alpha J1 takes the default branch in 10 evolutions (11 on the
+    # quiet chord) and a cold M = 16 solve at alpha 1e-3 in 3 (5 before)
+    branch = branch_continue(BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1))
+    assert sum(s.diagnostics["evolutions"] for s in branch.solutions) <= 10
+    cold = BifurcationProblem(profile=two_level, eos=gamma2, k=1, cfg=EvolutionConfig(M=16))
+    assert solve_at_alpha(cold, 1e-3).diagnostics["evolutions"] <= 3
+
+
+def test_sub_floor_tolerance_ends_at_the_floor(two_level, gamma2):
+    # a newton_tol below roundoff: the step after a fresh FD Jacobian no longer
+    # lowers the residual, and the solve names the floor it reached
+    problem = BifurcationProblem(
+        profile=two_level, eos=gamma2, k=1, cfg=EvolutionConfig(M=8), newton_tol=1e-300
+    )
+    with pytest.raises(SolverError, match="residual floor"):
+        solve_at_alpha(problem, 1e-4)
+
+
+def test_chord_is_first_order_in_alpha(quick_problem):
+    # the chord is J0 + alpha J1 in the unknowns' order: J0 holds delta_j at
+    # (r_j, a_j) and nothing in the z column, whose r_k entry is alpha * pairing
+    from puretone.bifurcate import _NewtonWorkspace
+
+    alpha, k, m = 1e-3, quick_problem.k, quick_problem.cfg.M
+    ws = _NewtonWorkspace(quick_problem, alpha, m)
+    jac = ws.chord()
+    j0 = jac - alpha * quick_problem.second_variation()[:, [0] + ws.idx]
+    rows = np.array(ws.idx) - 1
+    assert np.array_equal(j0[rows, 1:], np.diag(ws.table.delta[rows]))
+    assert not np.any(j0[:, 0]) and not np.any(j0[k - 1])
+    d2 = second_derivative_quiet(quick_problem.profile, quick_problem.eos, k, 1)
+    assert_allclose(jac[k - 1, 0], alpha * d2.pairing, rtol=1e-13)
 
 
 def test_quadratic_amplitude_scaling(quick_problem):

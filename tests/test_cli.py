@@ -255,6 +255,28 @@ def test_perturb_failed_branch_exit_1(profile_file, tmp_path):
     assert doc["failure"]["error"] == "ShockProximityError"
 
 
+def test_perturb_sub_floor_tolerance_ends_typed(profile_file, tmp_path, monkeypatch):
+    # --tol below the roundoff floor: the solve ends with a SolverError that
+    # names the floor once a fresh FD Jacobian no longer lowers the residual,
+    # in fewer than half of the 55 evolutions that the 30-iteration stall took
+    rows = []
+    evolve = bifurcate.evolve_coefficients
+
+    def counting(profile, eos, a, b, *args):
+        rows.append(a.shape[0] if a.ndim > 1 else 1)
+        return evolve(profile, eos, a, b, *args)
+
+    monkeypatch.setattr(bifurcate, "evolve_coefficients", counting)
+    out = tmp_path / "out"
+    rc = main(["perturb", "--profile", profile_file, "--k", "1", "--modes", "8",
+               "--tol", "1e-300", "--alpha", "1e-4", "--out-dir", str(out)])
+    assert rc == 1
+    failure = json.loads((out / "branch.json").read_text())["failure"]
+    assert failure["error"] == "SolverError"
+    assert "residual floor" in failure["message"]
+    assert sum(rows) < 55 / 2  # measured 23
+
+
 def test_perturb_diagnostics_byte_identical(profile_file, tmp_path):
     # the solver diagnostics in the solution JSON are deterministic
     docs = []

@@ -11,6 +11,8 @@ from _oracles import (
     project_odd,
     reference_lawson_step,
     second_derivative_quiet_spectral,
+    second_variation_fd,
+    second_variation_spectral,
     shift,
 )
 from puretone.eos import GammaLawEos
@@ -26,6 +28,7 @@ from puretone.evolve import (
     evolve_coefficients,
     linearized_evolve,
     nonlinear_evolve,
+    quiet_second_variation,
     second_derivative_quiet,
     weighted_norm,
 )
@@ -764,6 +767,70 @@ def test_pairing_identity_with_fundamental(two_level, gamma2):
     assert_allclose(d2.phi_hat, psi_mat[0, 1] * d2.b_ell, rtol=1e-9)
     # pairing for k = 1, chi = 1 is -phi_hat
     assert_allclose(d2.pairing, -d2.phi_hat, rtol=1e-14)
+
+
+# -- the quiet second variation J1 -----------------------------------------------------
+
+# today's pairing of the two-level profile, chi = 1, from the one-frequency
+# Duhamel path that the banded table replaced: k = 1 and k = 2
+PAIRING_TWO_LEVEL = {1: -1.0660421264448023, 2: -3.5219436871492227}
+
+
+def _j1_band(k, m):
+    band = np.zeros((m, m + 1), dtype=bool)
+    for i in range(m + 1):
+        for j in (i + k, abs(i - k)):
+            if i != k and 1 <= j <= m:
+                band[j - 1, i] = True
+    return band
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_j1_z_column_and_band(two_level, gamma2, k):
+    # the z column is the quiet pairing, and J1 is exactly zero off the band
+    # j = i +- k of cos(k t') cos(i t')
+    m = 16
+    table = quiet_second_variation(two_level, gamma2, k, 1, eigen_solve(two_level, k).T, m)
+    band = _j1_band(k, m)
+    assert np.all(table[~band] == 0.0)
+    assert np.all(table[band] != 0.0)
+    z = table[:, 0]
+    assert_allclose(z[k - 1], PAIRING_TWO_LEVEL[k], rtol=1e-13)
+    assert_allclose(z[k - 1], second_derivative_quiet(two_level, gamma2, k, 1).pairing, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name, k", [("two_level", 1), ("two_level", 2), ("smooth_jumpy", 1)])
+def test_j1_closed_form_against_spectral_march(name, k, request, gamma2):
+    # the Duhamel table against the pseudospectral march of (Y_k, Y_i, Z),
+    # which shares neither its SL algebra nor its quadrature
+    prof = request.getfixturevalue(name)
+    m = 8
+    T = eigen_solve(prof, k).T
+    table = quiet_second_variation(prof, gamma2, k, 1, T, m)
+    cfg = EvolutionConfig(M=m, k_accuracy=m, x_error_target=1e-10)
+    ref = second_variation_spectral(prof, gamma2, k, 1, T, cfg)
+    scale = np.max(np.abs(table))
+    assert np.max(np.abs(table - ref)) < 1e-10 * scale  # measured 2e-13 to 1.1e-12
+
+
+@pytest.mark.parametrize("name, k", [("two_level", 1), ("two_level", 2), ("smooth_jumpy", 2)])
+def test_j1_against_fd_jacobian(name, k, request, gamma2):
+    # (J(alpha) - J(0)) / alpha from central differences of the boundary map is
+    # J1 + O(alpha) on the band: its error falls at least with alpha, and the
+    # Richardson combination meets the table
+    from puretone.bifurcate import BifurcationProblem
+
+    prof = request.getfixturevalue(name)
+    problem = BifurcationProblem(profile=prof, eos=gamma2, k=k, cfg=EvolutionConfig(M=8))
+    table = problem.second_variation()
+    band = _j1_band(k, 8)
+    fd = {alpha: second_variation_fd(problem, alpha) for alpha in (1e-3, 5e-4)}
+    scale = np.max(np.abs(table))
+    errs = [np.max(np.abs(fd[alpha] - table)[band]) / scale for alpha in (1e-3, 5e-4)]
+    assert errs[0] < 0.2 * 1e-3  # measured 7.9e-6 to 8.4e-5
+    assert errs[0] / errs[1] > 1.8  # 2 where the O(alpha) term is on the band, else 4
+    richardson = 2.0 * fd[5e-4] - fd[1e-3]
+    assert np.max(np.abs(richardson - table)[band]) < 2e-5 * scale  # measured 1.3e-6 to 4.6e-6
 
 
 # -- weighted norm ---------------------------------------------------------------------

@@ -205,6 +205,25 @@ def test_magnus_step_is_sixth_order(smooth_ramp, monkeypatch):
         assert err[0] / err[1] >= 40.0
 
 
+def test_magnus_states_share_the_top_frequency_grid(smooth_ramp):
+    # a 1-D omega walks every frequency on the grid that the largest |omega|
+    # needs: each column is the scalar call on that grid, bit for bit, and a
+    # run of samples starts from the identity
+    piece = smooth_ramp.pieces[0]
+    omegas = np.array([0.0, 2.5, -7.0, 30.0])
+    x, psis = sl_core.magnus_states(piece, omegas, min_sub=4)
+    x_top, _ = sl_core.magnus_states(piece, 30.0, min_sub=4)
+    assert psis.shape == (x.size, 4, 2, 2)
+    assert np.array_equal(x, x_top)
+    sub = (x.size - 1) // (piece.x.size - 1)
+    for i, w in enumerate(omegas):
+        _, one = sl_core.magnus_states(piece, w, min_sub=sub)
+        assert np.array_equal(psis[:, i], one)
+    x_run, run = sl_core.magnus_states(piece, omegas, piece.x[3:6], min_sub=sub)
+    assert np.array_equal(x_run, x[3 * sub : 5 * sub + 1])
+    assert np.array_equal(run[0], np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+
 def test_smooth_scan_magnus_work(smooth_ramp, monkeypatch):
     # the step rule's work on the ramp scan: 33,984 step-omega evaluations
     # (253,440 with the fourth-order step), a quarter of the latter at most
