@@ -55,6 +55,7 @@ from . import sl_core
 from .evolve import (
     EvolutionConfig,
     FourierField,
+    eos_and_pbar,
     evolve_coefficients,
     quiet_second_variation,
     weighted_norm,
@@ -82,7 +83,8 @@ class BifurcationProblem:
     `k_accuracy` unset gets max(4, k + 2), since the data are the linear
     k-mode plus O(alpha^2) corrections and the march's phase accuracy is set
     by that mode, not by the cutoff M.  An omitted cfg is EvolutionConfig(M=32)
-    before that; an explicit k_accuracy or dx is kept as given.
+    before that; an explicit k_accuracy or dx is kept as given.  Construction
+    refuses a profile without eos or pbar, and an `eos` other than profile.eos.
     """
 
     profile: object
@@ -96,6 +98,8 @@ class BifurcationProblem:
     def __post_init__(self):
         if not 0.0 < self.newton_tol < np.inf:
             raise DomainError(f"newton_tol must be finite and positive (got {self.newton_tol!r})")
+        if eos_and_pbar(self.profile)[0] != self.eos:
+            raise DomainError(f"eos must be the profile's {self.profile.eos!r} (got {self.eos!r})")
         if self.cfg is None:
             self.cfg = EvolutionConfig(M=32)
         if self.cfg.k_accuracy is None:
@@ -129,9 +133,8 @@ class BifurcationProblem:
         """J1 of quiet_second_variation at the gate's T and cutoff M, cached per M."""
         key = ("j1", self.cfg.M)
         if key not in self._cache:
-            self._cache[key] = quiet_second_variation(
-                self.profile, self.eos, self.k, self.chi, self.eigen().T, self.cfg.M
-            )
+            self._cache[key] = quiet_second_variation(self.profile, self.k, self.chi,
+                                                      self.eigen().T, self.cfg.M)
         return self._cache[key]
 
 
@@ -175,10 +178,8 @@ def _mode_indices(m, k):
 
 def _boundary_sines(problem, cos_rows):
     """Sine coefficients j = 1..M of S E^ell y0 for even data y0 with cosine rows cos_rows."""
-    (a_out, b_out), _ = evolve_coefficients(
-        problem.profile, problem.eos, cos_rows, np.zeros_like(cos_rows), problem.eigen().T,
-        problem.cfg,
-    )
+    (a_out, b_out), _ = evolve_coefficients(problem.profile, cos_rows, np.zeros_like(cos_rows),
+                                            problem.eigen().T, problem.cfg)
     return sl_core.boundary_sine(np.arange(a_out.shape[-1]) * problem.chi, a_out, b_out)[..., 1:]
 
 

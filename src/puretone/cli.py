@@ -340,7 +340,7 @@ def cmd_tile(args):
         sol = bifurcate.solve_at_alpha(problem, args.alpha)
         _check_nt_carries(args.nt, problem.cfg.M)
         tile = linwave.nonlinear_tile(
-            prof, prof.eos, sol.y0_field(), problem.cfg, args.nx, args.nt, chi,
+            prof, sol.y0_field(), problem.cfg, args.nx, args.nt, chi,
             meta={"kind": "pure-tone", "k": args.k, "alpha": args.alpha},
         )
     extended = linwave.extend_tile(tile)
@@ -391,7 +391,7 @@ def cmd_verify(args):
     eig = spectrum.eigen_solve(two, 1)
     cfg = evolve.EvolutionConfig(M=8)
     y0 = evolve.FourierField.constant(eig.T, 1.0, 8)
-    out_field = evolve.nonlinear_evolve(two, eos, y0, cfg)
+    out_field = evolve.nonlinear_evolve(two, y0, cfg)
     drift = float(np.max(np.abs(out_field.cos - y0.cos)) + np.max(np.abs(out_field.sin)))
     check("quiet state fixed point", drift < 1e-13, f"drift {drift:.2e}")
 
@@ -399,16 +399,16 @@ def cmd_verify(args):
     worst = 0.0
     for k in (1, 2, 3, 4):
         Y0 = evolve.FourierField.cosine(eig.T, k, 1.0, m=8)
-        Y = evolve.linearized_evolve(two, eos, y0, Y0, cfg)
+        Y = evolve.linearized_evolve(two, y0, Y0, cfg)
         psi = sl_core.fundamental_matrix(two, k * 2.0 * np.pi / eig.T)
         worst = max(worst, abs(Y.cos[k] - psi[0, 0]), abs(Y.sin[k] - psi[1, 0]))
     check("linearized evolution = transfer matrix", worst < 1e-9, f"worst {worst:.2e}")
 
     # reflect, evolve through the reversed profile, reflect: inverse evolution
     yd = y0 + 1e-3 * evolve.FourierField.cosine(eig.T, 1, 1.0, m=8)
-    mid = evolve.nonlinear_evolve(two, eos, yd, cfg)
+    mid = evolve.nonlinear_evolve(two, yd, cfg)
     refl = evolve.FourierField(mid.T, mid.cos, -mid.sin)
-    back = evolve.nonlinear_evolve(profile_mod.reversed_profile(two), eos, refl, cfg)
+    back = evolve.nonlinear_evolve(profile_mod.reversed_profile(two), refl, cfg)
     rt = float(
         np.max(np.abs(back.cos - yd.cos)) + np.max(np.abs(-back.sin - yd.sin))
     )

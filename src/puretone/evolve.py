@@ -224,6 +224,14 @@ class EvolutionConfig:
 # -- the x-march ----------------------------------------------------------------------
 
 
+def eos_and_pbar(profile):
+    """The profile's (eos, pbar), read by all nonlinear work; a DomainError names a missing one."""
+    missing = " and ".join(name for name in ("eos", "pbar") if getattr(profile, name) is None)
+    if missing:
+        raise DomainError(f"nonlinear work needs the profile's {missing}")
+    return profile.eos, profile.pbar
+
+
 class _Frozen(NamedTuple):
     """Equation-of-state constants at the mean a0, one per row (and per stage, if stacked)."""
 
@@ -279,18 +287,13 @@ class _Marcher:
     products: two syntheses and two analyses of stacked RK4 stages (_step).
     """
 
-    def __init__(self, profile, eos, T, cfg, a0):
-        self.profile = profile
-        self.T = T
-        self.cfg = cfg
+    def __init__(self, profile, T, cfg, a0):
+        self.profile, self.T, self.cfg = profile, T, cfg
         self.n = cfg.resolved_n_quad()
         self.omega_modes = np.arange(cfg.M + 1) * (2.0 * np.pi / T)
         # grid values -> sine-coefficient rates: -j Omega times the cosine analysis
         self.to_rates = _dft_basis(cfg.M, self.n)[0].T * (-2.0 / self.n * self.omega_modes)
-        self.eos = eos if eos is not None else profile.eos
-        self.pbar = profile.pbar
-        if self.eos is None or self.pbar is None:
-            raise DomainError("nonlinear work needs an equation of state and pbar")
+        self.eos, self.pbar = eos_and_pbar(profile)
         self.a0 = np.asarray(a0, dtype=float)
         # synthesis weights per field: the solution enters as its relative
         # fluctuation x = (p - a0) / a0, a variation as itself, with its mean
@@ -536,7 +539,7 @@ class _StepGuard:
             )
 
 
-def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
+def evolve_coefficients(profile, a, b, T, cfg, x_nodes=None):
     """Batched core of nonlinear_evolve; a, b have shape (..., M+1).
 
     The rows of a batch share one step count, set by the largest remainder.
@@ -546,33 +549,33 @@ def evolve_coefficients(profile, eos, a, b, T, cfg, x_nodes=None):
     """
     a = np.array(a, dtype=float)[None]
     b = np.array(b, dtype=float)[None]
-    (a, b), snaps = _guarded_walk(profile, eos, T, cfg, a, b, x_nodes)
+    (a, b), snaps = _guarded_walk(profile, T, cfg, a, b, x_nodes)
     return (a[0], b[0]), snaps
 
 
-def _guarded_walk(profile, eos, T, cfg, a, b, x_nodes=None):
+def _guarded_walk(profile, T, cfg, a, b, x_nodes=None):
     """_Marcher.walk of the stacked fields (a, b), (fields, ..., M+1), under _StepGuard."""
-    marcher = _Marcher(profile, eos, T, cfg, a[0, ..., :1])
+    marcher = _Marcher(profile, T, cfg, a[0, ..., :1])
     on_step = _StepGuard(a, b, marcher.omega_modes, profile.pieces[0])
     return marcher.walk(a, b, x_nodes=x_nodes, on_step=on_step)
 
 
-def nonlinear_evolve(profile, eos, y0: FourierField, cfg: EvolutionConfig, x_nodes=None):
-    """Evolve data y0 from x = 0 to x = ell.
+def nonlinear_evolve(profile, y0: FourierField, cfg: EvolutionConfig, x_nodes=None):
+    """Evolve data y0 from x = 0 to x = ell under the profile's eos and pbar.
 
     Returns the terminal field, or (terminal, snapshots) when x_nodes is
     given; snapshots are the fields at exactly those x locations.
     """
     if y0.n_modes != cfg.M:
         raise DomainError("field cutoff must match cfg.M")
-    (a, b), snaps = evolve_coefficients(profile, eos, y0.cos, y0.sin, y0.T, cfg, x_nodes)
+    (a, b), snaps = evolve_coefficients(profile, y0.cos, y0.sin, y0.T, cfg, x_nodes)
     out = FourierField(y0.T, a, b)
     if x_nodes is None:
         return out
     return out, [FourierField(y0.T, sa, sb) for sa, sb in snaps]
 
 
-def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: EvolutionConfig):
+def linearized_evolve(profile, y0: FourierField, Y0: FourierField, cfg: EvolutionConfig):
     """First variation along the nonlinear trajectory of y0.
 
     The base state and the variation are advanced as one coupled system, so
@@ -584,7 +587,7 @@ def linearized_evolve(profile, eos, y0: FourierField, Y0: FourierField, cfg: Evo
     if y0.n_modes != cfg.M or Y0.n_modes != cfg.M:
         raise DomainError("field cutoffs must match cfg.M")
     a, b = np.stack((y0.cos, Y0.cos)), np.stack((y0.sin, Y0.sin))
-    (a, b), _ = _guarded_walk(profile, eos, y0.T, cfg, a, b)
+    (a, b), _ = _guarded_walk(profile, y0.T, cfg, a, b)
     return FourierField(y0.T, a[1], b[1])
 
 
@@ -612,16 +615,15 @@ class QuietSecondDerivative:
     fundamental: np.ndarray
 
 
-def second_derivative_quiet(profile, eos, k, chi, eig=None):
+def second_derivative_quiet(profile, k, chi):
     """The z column of the quiet second variation (_second_variation, i = 0).
 
     In variation-of-parameters form (phi_hat, psi_hat) = Psi(ell) (a, b)^T
     with a = int v_pp omega phi phi_tilde and b = -int v_pp omega phi^2 <= 0,
     where (phi, phi_tilde) is the first row of Psi(x).
     """
-    if eig is None:
-        eig = _spectrum.eigen_solve(profile, k, chi)
-    psis, a, b = _second_variation(profile, eos, k, 2.0 * np.pi / eig.T, k)[1:]
+    eig = _spectrum.eigen_solve(profile, k, chi)
+    psis, a, b = _second_variation(profile, k, 2.0 * np.pi / eig.T, k)[1:]
     psi_mat = psis[k]
     phi_hat, psi_hat = psi_mat @ (a[0], b[0])
     return QuietSecondDerivative(
@@ -638,7 +640,7 @@ def second_derivative_quiet(profile, eos, k, chi, eig=None):
     )
 
 
-def quiet_second_variation(profile, eos, k, chi, T, m):
+def quiet_second_variation(profile, k, chi, T, m):
     """J1 = S D^2 E(pbar)[cos k, .], the O(alpha) part of the bifurcation Jacobian.
 
     Shape (m, m + 1): row j - 1 is the sine r_j, column i the data cos(i t
@@ -647,7 +649,7 @@ def quiet_second_variation(profile, eos, k, chi, T, m):
     |i - k| of column i are nonzero (_band); column k, the prescribed mode,
     is zero.
     """
-    (rows, cols, _), psis, a, b = _second_variation(profile, eos, k, 2.0 * np.pi / T, m)
+    (rows, cols, _), psis, a, b = _second_variation(profile, k, 2.0 * np.pi / T, m)
     hat = psis[rows] @ np.stack((a, b), axis=-1)[..., None]
     table = np.zeros((m, m + 1))
     table[rows - 1, cols] = sl_core.boundary_sine(rows * chi, hat[:, 0, 0], hat[:, 1, 0])
@@ -669,7 +671,7 @@ def _band(k, m):
     return rows[keep], cols[keep], np.where(cols[keep] == 0, 1.0, 0.5)
 
 
-def _second_variation(profile, eos, k, unit, m):
+def _second_variation(profile, k, unit, m):
     """Duhamel integrals of D^2 E(pbar)[cos k, cos i] along [0, ell], on the band of _band(k, m).
 
     The quiet first variation of cos(n unit t) data has pressure
@@ -683,13 +685,10 @@ def _second_variation(profile, eos, k, unit, m):
     stepper runs beyond the SL propagator itself.  Returns (band, Psi_n(ell)
     for n = 0..m, a, b), a and b one entry per band entry.
     """
-    eos_ = eos if eos is not None else profile.eos
-    pbar = profile.pbar
-    if eos_ is None or pbar is None:
-        raise DomainError("second derivative needs an equation of state and pbar")
+    eos, pbar = eos_and_pbar(profile)
 
     def vpp(sig):
-        return eos_.d2vdp2_from_factor(pbar, eos_.factor_from_sigma(pbar, sig))
+        return eos.d2vdp2_from_factor(pbar, eos.factor_from_sigma(pbar, sig))
 
     band = rows, cols, weights = _band(k, m)
     state = (np.broadcast_to(np.eye(2), (m + 1, 2, 2)), 0.0, 0.0)

@@ -129,11 +129,11 @@ def quiet_tile(profile, pbar, T, nx, nt, chi, meta=None) -> TileField:
     return _tile(x, a, np.zeros_like(a), T, nt, chi, meta)
 
 
-def nonlinear_tile(profile, eos, y0: FourierField, cfg: EvolutionConfig, nx, nt, chi,
+def nonlinear_tile(profile, y0: FourierField, cfg: EvolutionConfig, nx, nt, chi,
                    meta=None) -> TileField:
     """Tile of the nonlinear solution with data y0 (p rows even, u rows odd)."""
     x = _x_grid(profile, nx)
-    _, snaps = nonlinear_evolve(profile, eos, y0, cfg, x_nodes=x)
+    _, snaps = nonlinear_evolve(profile, y0, cfg, x_nodes=x)
     a = np.array([f.cos for f in snaps])
     b = np.array([f.sin for f in snaps])
     return _tile(x, a, b, y0.T, nt, chi, meta)

@@ -371,11 +371,11 @@ class _SecondVariationMarcher(_Marcher):
         return rem / (lin + rem) if rem > 0.0 else 0.0
 
 
-def _second_variation_march(profile, eos, k, T, cfg, cols):
+def _second_variation_march(profile, k, T, cfg, cols):
     """Z(ell) of the second variation D^2 E(pbar)[cos k, cos i], one batch row per
     column i in cols: (cosine, sine) coefficients, each (len(cols), M + 1)."""
     cols = np.asarray(cols)
-    marcher = _SecondVariationMarcher(profile, eos, T, cfg, np.full((cols.size, 1), profile.pbar))
+    marcher = _SecondVariationMarcher(profile, T, cfg, np.full((cols.size, 1), profile.pbar))
     a = np.zeros((3, cols.size, cfg.M + 1))
     a[0, :, k] = 1.0
     a[1, np.arange(cols.size), cols] = 1.0
@@ -383,11 +383,11 @@ def _second_variation_march(profile, eos, k, T, cfg, cols):
     return a[2], b[2]
 
 
-def second_variation_spectral(profile, eos, k, chi, T, cfg):
+def second_variation_spectral(profile, k, chi, T, cfg):
     """J1 by the pseudospectral march of (Y_k, Y_i, Z), all columns i = 0..M in
     one batch; column k, which carries no unknown, is zero like the library's."""
     m = cfg.M
-    a, b = _second_variation_march(profile, eos, k, T, cfg, np.arange(m + 1))
+    a, b = _second_variation_march(profile, k, T, cfg, np.arange(m + 1))
     c, s = rounded_quarter(np.arange(1, m + 1) * chi)
     table = (c * b[:, 1:] - s * a[:, 1:]).T
     table[:, k] = 0.0
@@ -448,7 +448,7 @@ def reference_lawson_step(marcher, a, b, h, turn, stages):
     return a, b + h / 6.0 * k4
 
 
-def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
+def second_derivative_quiet_spectral(profile, k, chi, cfg=None, eig=None):
     """Pseudospectral cross check of the Duhamel path.
 
     Evolves the second-variation field Z (zero data) together with the first
@@ -462,7 +462,7 @@ def second_derivative_quiet_spectral(profile, eos, k, chi, cfg=None, eig=None):
     if cfg is None:
         cfg = EvolutionConfig(M=max(2 * k, 8), k_accuracy=k, x_error_target=1e-10)
     T = 2.0 * np.pi * k / eig.omega
-    a, b = _second_variation_march(profile, eos, k, T, cfg, [0])
+    a, b = _second_variation_march(profile, k, T, cfg, [0])
     phi_hat, psi_hat = float(a[0, k]), float(b[0, k])
     c, s = rounded_quarter(k * chi)
     return QuietSecondDerivative(
@@ -522,9 +522,7 @@ def dgdz_check(problem):
         row[problem.k] = sa * h
     r = _boundary_sines(problem, batch)[:, problem.k - 1]
     fd = (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h)
-    d2 = second_derivative_quiet(
-        problem.profile, problem.eos, problem.k, problem.chi, eig=problem.eigen()
-    )
+    d2 = second_derivative_quiet(problem.profile, problem.k, problem.chi)
     rel = abs(fd - d2.pairing) / max(abs(d2.pairing), 1e-300)
     return DgdzCheck(
         fd_value=float(fd),

@@ -162,16 +162,16 @@ def test_criterion_05_resonant_gate(tmp_path, eos2):
             f"exit={rc}")
 
 
-def test_criterion_06_quiet_fixed_point(two, eos2):
+def test_criterion_06_quiet_fixed_point(two):
     eig = eigen_solve(two, 1)
     cfg = EvolutionConfig(M=16, dx=two.ell / 1000.0)  # exactly 1e3 x-steps
     y0 = FourierField.constant(eig.T, 1.0, 16)
-    out = nonlinear_evolve(two, eos2, y0, cfg)
+    out = nonlinear_evolve(two, y0, cfg)
     err = float(np.max(np.abs(out.cos - y0.cos)) + np.max(np.abs(out.sin)))
     _report(6, "quiet state fixed point over 1e3 steps", err < 1e-13, f"err={err:.2e}")
 
 
-def test_criterion_07_linearization_consistency(two, eos2):
+def test_criterion_07_linearization_consistency(two):
     t0 = time.perf_counter()
     eig = eigen_solve(two, 1)
     cfg = EvolutionConfig(M=64)
@@ -179,7 +179,7 @@ def test_criterion_07_linearization_consistency(two, eos2):
     worst = 0.0
     for k in range(1, 17):
         Y0 = FourierField.cosine(eig.T, k, 1.0, m=64)
-        Y = linearized_evolve(two, eos2, base, Y0, cfg)
+        Y = linearized_evolve(two, base, Y0, cfg)
         psi = fundamental_matrix(two, k * 2.0 * np.pi / eig.T)
         err = max(abs(Y.cos[k] - psi[0, 0]), abs(Y.sin[k] - psi[1, 0]))
         worst = max(worst, float(err))
@@ -198,7 +198,7 @@ def test_criterion_08_genuine_nonlinearity(two, eos2):
         eos = GammaLawEos(gamma)
         prof = random_pwc(rng, pbar=1.0, eos=eos)
         k = int(rng.integers(1, 4))
-        d2 = second_derivative_quiet(prof, eos, k, 1)
+        d2 = second_derivative_quiet(prof, k, 1)
         worst_b = max(worst_b, d2.b_ell)
     cfg = EvolutionConfig(M=16, n_quad=64, k_accuracy=6)
     problem = BifurcationProblem(profile=two, eos=eos2, k=1, chi=1, cfg=cfg)
@@ -210,7 +210,7 @@ def test_criterion_08_genuine_nonlinearity(two, eos2):
     )
 
 
-def test_criterion_09_bifurcation_branch(two, eos2, branch9):
+def test_criterion_09_bifurcation_branch(two, branch9):
     problem, branch, elapsed = branch9
     sols = {s.alpha: s for s in branch.solutions}
     ok_all = branch.failure is None and len(branch.solutions) == 4
@@ -235,7 +235,7 @@ def test_criterion_09_bifurcation_branch(two, eos2, branch9):
         discrepancy = {}
         for alpha in (1e-4, 2e-4):
             tile = nonlinear_tile(
-                two, eos2, sols[alpha].y0_field(), problem.cfg, nx, nt, chi=1
+                two, sols[alpha].y0_field(), problem.cfg, nx, nt, chi=1
             )
             discrepancy[alpha] = float(np.max(np.abs((tile.p - 1.0) / alpha - lin)))
         ratio_limit = discrepancy[2e-4] / discrepancy[1e-4]
@@ -252,10 +252,10 @@ def test_criterion_09_bifurcation_branch(two, eos2, branch9):
     )
 
 
-def test_criterion_10_tile_integrity(two, eos2, branch9):
+def test_criterion_10_tile_integrity(two, branch9):
     problem, branch, _ = branch9
     sol = [s for s in branch.solutions if s.alpha == 1e-3][0]
-    tile = nonlinear_tile(two, eos2, sol.y0_field(), problem.cfg, 128, 256, chi=1)
+    tile = nonlinear_tile(two, sol.y0_field(), problem.cfg, 128, 256, chi=1)
     ext = extend_tile(tile)
     periodic = np.array_equal(ext.p[0], ext.p[-1]) and np.array_equal(ext.u[0], ext.u[-1])
     seam = float(max(ext.meta["seam_p"], ext.meta["seam_u"]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +55,41 @@ def test_m_doubling_regates_the_doubled_cutoff(two_level, gamma2, monkeypatch):
     assert sol.M == problem.cfg.M == 8
     assert sol.converged
     assert gated == [4, 8]
+
+
+@pytest.mark.parametrize(
+    "change, eos, message",
+    [
+        ({"pbar": None}, GammaLawEos(2.0), "needs the profile's pbar"),
+        ({"eos": None}, None, "needs the profile's eos"),
+        ({"eos": None}, GammaLawEos(2.0), "needs the profile's eos"),
+        ({"eos": None, "pbar": None}, None, "needs the profile's eos and pbar"),
+        ({}, GammaLawEos(5.0), "eos must be the profile's"),
+    ],
+    ids=["no-pbar", "no-eos", "no-eos-named-eos", "neither", "foreign-eos"],
+)
+def test_bad_closure_refused_before_any_scan(two_level, monkeypatch, change, eos, message):
+    # the profile is the one source of eos and pbar: a problem whose profile
+    # lacks either, or whose eos field names another gas law, fails at
+    # construction, before the resonance scan a solve starts with
+    from puretone import bifurcate
+
+    scans = []
+    scan = bifurcate._spectrum.resonance_scan
+
+    def counting_scan(*args, **kwargs):
+        scans.append(kwargs.get("j_max"))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcate._spectrum, "resonance_scan", counting_scan)
+    prof = replace(two_level, **change)
+    with pytest.raises(DomainError, match=message):
+        solve_at_alpha(BifurcationProblem(prof, eos, k=1, cfg=EvolutionConfig(M=8)), 1e-4)
+    assert scans == []
+    # another gas law for the same sigma is a new profile, whose eos is accepted
+    gamma5 = replace(two_level, eos=GammaLawEos(5.0))
+    BifurcationProblem(gamma5, GammaLawEos(5.0), k=1).validate()
+    assert scans == [32]
 
 
 def test_m_doubling_raises_explicit_n_quad(two_level, gamma2):
@@ -246,7 +283,7 @@ def test_chord_is_first_order_in_alpha(quick_problem):
     rows = np.array(ws.idx) - 1
     assert np.array_equal(j0[rows, 1:], np.diag(ws.table.delta[rows]))
     assert not np.any(j0[:, 0]) and not np.any(j0[k - 1])
-    d2 = second_derivative_quiet(quick_problem.profile, quick_problem.eos, k, 1)
+    d2 = second_derivative_quiet(quick_problem.profile, k, 1)
     assert_allclose(jac[k - 1, 0], alpha * d2.pairing, rtol=1e-13)
 
 
@@ -334,17 +371,17 @@ def test_dgdz_dual_path(problem):
 def test_pairing_scales_linearly_in_vpp(two_level):
     # gamma-law with matched sigma: v_pp = (1/gamma + 1) sigma^2 / pbar,
     # so the pairing scales by (1/5 + 1)/(1/2 + 1) = 0.8 between gamma 2 and 5
-    d2_gamma2 = second_derivative_quiet(two_level, GammaLawEos(2.0), 1, 1)
+    d2_gamma2 = second_derivative_quiet(two_level, 1, 1)
     prof5 = PiecewiseConstantProfile(
         two_level.sigma_levels, two_level.widths, pbar=1.0, eos=GammaLawEos(5.0)
     )
-    d2_gamma5 = second_derivative_quiet(prof5, GammaLawEos(5.0), 1, 1)
+    d2_gamma5 = second_derivative_quiet(prof5, 1, 1)
     assert_allclose(d2_gamma5.pairing / d2_gamma2.pairing, 0.8, rtol=1e-9)
 
 
 def test_sign_structure(problem):
     # sign(pairing) agrees with the parity/chi case built from phi_tilde * b
-    d2 = second_derivative_quiet(problem.profile, problem.eos, 1, 1)
+    d2 = second_derivative_quiet(problem.profile, 1, 1)
     phi_tilde_ell = d2.fundamental[0, 1]
     assert np.sign(d2.pairing) == -np.sign(phi_tilde_ell * d2.b_ell)
 
@@ -359,7 +396,7 @@ def test_pde_residual_decreases_under_refinement(two_level, gamma2):
         prob = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1, cfg=cfg)
         sol = solve_at_alpha(prob, 1e-3)
         nt = 4 * m
-        tile = nonlinear_tile(two_level, gamma2, sol.y0_field(), cfg, nx, nt, chi=1)
+        tile = nonlinear_tile(two_level, sol.y0_field(), cfg, nx, nt, chi=1)
         hx = tile.x[1] - tile.x[0]
         # 4th-order x-derivative, spectral (exact) t-derivative of the rows
         p_x = (-tile.p[4:] + 8 * tile.p[3:-1] - 8 * tile.p[1:-3] + tile.p[:-4]) / (12 * hx)

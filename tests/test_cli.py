@@ -82,6 +82,33 @@ def test_k_ref_other_than_one_exit_2(profile_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("missing", ["eos", "pbar"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perturb", "--k", "1", "--alpha", "1e-4"],
+        ["tile", "--k", "1", "--alpha", "1e-4", "--modes", "8", "--nx", "8", "--nt", "32"],
+    ],
+    ids=["perturb", "tile"],
+)
+def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, argv, missing):
+    # nonlinear commands read eos and pbar from the profile file alone; a file
+    # without either is a usage error that names the command and writes nothing
+    doc = json.loads(Path(profile_file).read_text())
+    del doc[missing]
+    bad = tmp_path / f"no_{missing}.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(argv + ["--profile", str(bad), "--out-dir", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == "usage"
+    assert err["message"].startswith(f"{argv[0]} needs a profile file with eos and pbar")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_determinism_byte_identical(profile_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
@@ -262,9 +289,9 @@ def test_perturb_sub_floor_tolerance_ends_typed(profile_file, tmp_path, monkeypa
     rows = []
     evolve = bifurcate.evolve_coefficients
 
-    def counting(profile, eos, a, b, *args):
+    def counting(profile, a, b, *args):
         rows.append(a.shape[0] if a.ndim > 1 else 1)
-        return evolve(profile, eos, a, b, *args)
+        return evolve(profile, a, b, *args)
 
     monkeypatch.setattr(bifurcate, "evolve_coefficients", counting)
     out = tmp_path / "out"
@@ -427,7 +454,7 @@ def test_tile_solve_accuracy_against_fine_step(two_level):
     def solve_and_tile(problem):
         sol = bifurcate.solve_at_alpha(problem, args.alpha)
         tile = linwave.nonlinear_tile(
-            two_level, two_level.eos, sol.y0_field(), problem.cfg, args.nx, args.nt, 1
+            two_level, sol.y0_field(), problem.cfg, args.nx, args.nt, 1
         )
         return sol, tile
 

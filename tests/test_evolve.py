@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,12 +97,12 @@ def test_dft_tables_exactly_symmetric():
 
 
 @pytest.mark.parametrize("m", (8, 32))
-def test_march_rate_matrix_matches_fft(two_level, gamma2, eig1, m):
+def test_march_rate_matrix_matches_fft(two_level, eig1, m):
     # the remainders' one analysis product: -j Omega times the cosine coefficients
     rng = np.random.default_rng(m)
     for n in (4 * m, 4 * m + 3):
         cfg = EvolutionConfig(M=m, n_quad=n)
-        marcher = evolve._Marcher(two_level, gamma2, eig1.T, cfg, np.array([1.0]))
+        marcher = evolve._Marcher(two_level, eig1.T, cfg, np.array([1.0]))
         values = rng.normal(size=(33, n))
         ref = -marcher.omega_modes * fft_grid_to_coeffs(values, m)[0]
         scale = np.max(np.abs(values)) * marcher.omega_modes[-1]
@@ -182,9 +184,9 @@ def _quiet_batch(m):
     return a, np.zeros_like(a)
 
 
-def test_quiet_state_exact_fixed_point(two_level, gamma2, eig1, cfg16):
+def test_quiet_state_exact_fixed_point(two_level, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16)
-    out = nonlinear_evolve(two_level, gamma2, y0, cfg16)
+    out = nonlinear_evolve(two_level, y0, cfg16)
     assert np.array_equal(out.cos, y0.cos)
     assert np.array_equal(out.sin, y0.sin)
     # a batch of quiet rows with distinct means, and the quiet family's
@@ -192,65 +194,65 @@ def test_quiet_state_exact_fixed_point(two_level, gamma2, eig1, cfg16):
     # march, in the two-field march that linearized_evolve runs, and in
     # linearized_evolve itself
     a, b = _quiet_batch(16)
-    out, _ = evolve_coefficients(two_level, gamma2, a, b, eig1.T, cfg16)
+    out, _ = evolve_coefficients(two_level, a, b, eig1.T, cfg16)
     assert np.array_equal(out[0], a) and np.array_equal(out[1], b)
     tangent = np.zeros_like(a)
     tangent[:, 0] = 1.0
     fields = np.stack((a, tangent))
-    both, _ = evolve._guarded_walk(two_level, gamma2, eig1.T, cfg16, fields, np.stack((b, b)))
+    both, _ = evolve._guarded_walk(two_level, eig1.T, cfg16, fields, np.stack((b, b)))
     assert np.array_equal(both[0], fields) and np.all(both[1] == 0.0)
     unit = FourierField.constant(eig1.T, 1.0, 16)
     for mean in a[:, 0]:
         quiet = FourierField.constant(eig1.T, mean, 16)
-        Y = linearized_evolve(two_level, gamma2, quiet, unit, cfg16)
+        Y = linearized_evolve(two_level, quiet, unit, cfg16)
         assert np.array_equal(Y.cos, np.eye(17)[0]) and np.all(Y.sin == 0.0)
 
 
-def test_smooth_turn_blocks_leave_the_bits(smooth_jumpy, gamma2, monkeypatch):
+def test_smooth_turn_blocks_leave_the_bits(smooth_jumpy, monkeypatch):
     # a smooth piece builds its turns _TURN_ENTRIES (step, row, mode) entries
     # at a time; one step per block gives the same bits as the default blocks
     m = 8
     T = eigen_solve(smooth_jumpy, 1).T
     a, b = _march_batch(1e-3, m)
     cfg = EvolutionConfig(M=m)
-    ref, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, T, cfg)
+    ref, _ = evolve_coefficients(smooth_jumpy, a, b, T, cfg)
     monkeypatch.setattr(evolve, "_TURN_ENTRIES", 1)
-    out, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, T, cfg)
+    out, _ = evolve_coefficients(smooth_jumpy, a, b, T, cfg)
     assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
     assert np.max(np.abs(ref[1])) > 1e-4  # the batch moved
 
 
-def test_mean_conserved_along_trajectory(two_level, gamma2, eig1, cfg16):
+def test_mean_conserved_along_trajectory(two_level, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16) + 1e-3 * FourierField.cosine(
         eig1.T, 1, 1.0, m=16
     )
     out, snaps = nonlinear_evolve(
-        two_level, gamma2, y0, cfg16, x_nodes=np.linspace(0, 1, 11)
+        two_level, y0, cfg16, x_nodes=np.linspace(0, 1, 11)
     )
     means = [f.cos[0] for f in snaps]
     assert np.all(np.array(means) == means[0])
 
 
 @pytest.mark.parametrize("nodes", ([0.25, 0.5, 1.5], [-0.2, 0.25, 0.5]), ids=("past-ell", "below-0"))
-def test_snapshot_nodes_outside_profile_refused(two_level, gamma2, eig1, nodes):
+def test_snapshot_nodes_outside_profile_refused(two_level, eig1, nodes):
     # a node past ell was dropped and one below 0 was taken at x = 0
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-3 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     with pytest.raises(DomainError):
-        nonlinear_evolve(two_level, gamma2, y0, EvolutionConfig(M=8), x_nodes=nodes)
+        nonlinear_evolve(two_level, y0, EvolutionConfig(M=8), x_nodes=nodes)
 
 
-def test_reflect_evolve_round_trip(two_level, gamma2, eig1, cfg16):
+def test_reflect_evolve_round_trip(two_level, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16) + 1e-3 * FourierField.cosine(
         eig1.T, 1, 1.0, m=16
     )
-    mid = nonlinear_evolve(two_level, gamma2, y0, cfg16)
+    mid = nonlinear_evolve(two_level, y0, cfg16)
     refl = FourierField(mid.T, mid.cos, -mid.sin)
-    back = nonlinear_evolve(reversed_profile(two_level), gamma2, refl, cfg16)
+    back = nonlinear_evolve(reversed_profile(two_level), refl, cfg16)
     assert np.max(np.abs(back.cos - y0.cos)) < 1e-10
     assert np.max(np.abs(back.sin)) < 1e-10  # y0 even: reflected return is itself
 
 
-def test_linearization_limit_richardson(two_level, gamma2, eig1, cfg16):
+def test_linearization_limit_richardson(two_level, eig1, cfg16):
     # (E(pbar + eps c_k) - pbar)/eps deviates from the transfer-matrix mode
     # at O(eps), carried by the quadratically generated 0- and 2k-modes
     psi = fundamental_matrix(two_level, 2 * np.pi / eig1.T)
@@ -261,7 +263,7 @@ def test_linearization_limit_richardson(two_level, gamma2, eig1, cfg16):
     errs = []
     for eps in (1e-4, 5e-5):
         y0 = base + eps * FourierField.cosine(eig1.T, 1, 1.0, m=16)
-        out = nonlinear_evolve(two_level, gamma2, y0, cfg16)
+        out = nonlinear_evolve(two_level, y0, cfg16)
         d_cos = (out.cos - base.cos) / eps - lin_cos
         d_sin = out.sin / eps - lin_sin
         errs.append(np.max(np.abs(np.concatenate([d_cos, d_sin]))))
@@ -273,22 +275,22 @@ def test_composition_consistency(two_level, gamma2, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 16) + 5e-3 * FourierField.cosine(
         eig1.T, 1, 1.0, m=16
     )
-    whole = nonlinear_evolve(two_level, gamma2, y0, cfg16)
+    whole = nonlinear_evolve(two_level, y0, cfg16)
     left = PiecewiseConstantProfile([1.0], [0.3], pbar=1.0, eos=gamma2)
     right = PiecewiseConstantProfile([1.0, 2.0], [0.2, 0.5], pbar=1.0, eos=gamma2)
-    mid = nonlinear_evolve(left, gamma2, y0, cfg16)
-    out = nonlinear_evolve(right, gamma2, mid, cfg16)
+    mid = nonlinear_evolve(left, y0, cfg16)
+    out = nonlinear_evolve(right, mid, cfg16)
     assert np.max(np.abs(out.cos - whole.cos)) < 1e-9
     assert np.max(np.abs(out.sin - whole.sin)) < 1e-9
 
 
-def test_positivity_guard(two_level, gamma2, eig1):
+def test_positivity_guard(two_level, eig1):
     cfg = EvolutionConfig(M=8)
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1.5 * FourierField.cosine(
         eig1.T, 1, 1.0, m=8
     )
     with pytest.raises(ShockProximityError):
-        nonlinear_evolve(two_level, gamma2, y0, cfg)
+        nonlinear_evolve(two_level, y0, cfg)
 
 
 def test_gradient_guard_triggers_near_shock(gamma2):
@@ -299,7 +301,7 @@ def test_gradient_guard_triggers_near_shock(gamma2):
     cfg = EvolutionConfig(M=24)
     y0 = FourierField.constant(8.0, 1.0, 24) + 0.2 * FourierField.cosine(8.0, 1, 1.0, m=24)
     with pytest.raises(ShockProximityError, match="time-gradient"):
-        nonlinear_evolve(prof, gamma2, y0, cfg)
+        nonlinear_evolve(prof, y0, cfg)
 
 
 def test_gradient_guard_forgives_linear_growth(gamma2):
@@ -310,24 +312,24 @@ def test_gradient_guard_forgives_linear_growth(gamma2):
     T, m = eigen_solve(prof, 1).T, 8
     cfg = EvolutionConfig(M=m)
     quiet = FourierField.constant(T, 1.0, m)
-    Y = linearized_evolve(prof, gamma2, quiet, FourierField.cosine(T, 1, 1.0, m=m), cfg)
+    Y = linearized_evolve(prof, quiet, FourierField.cosine(T, 1, 1.0, m=m), cfg)
     psi = fundamental_matrix(prof, 2.0 * np.pi / T)
     assert abs(Y.cos[1] - psi[0, 0]) < 1e-11 and abs(Y.sin[1] - psi[1, 0]) < 1e-11
     assert abs(Y.cos[1]) + abs(Y.sin[1]) > 10.0
-    out = nonlinear_evolve(prof, gamma2, quiet + 1e-3 * FourierField.cosine(T, 1, 1.0, m=m), cfg)
+    out = nonlinear_evolve(prof, quiet + 1e-3 * FourierField.cosine(T, 1, 1.0, m=m), cfg)
     assert abs(out.cos[1]) + abs(out.sin[1]) > 1e-2
 
 
-def test_non_finite_entry_data_refused(two_level, gamma2, eig1):
+def test_non_finite_entry_data_refused(two_level, eig1):
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     cos = y0.cos.copy()
     cos[3] = np.nan
     bad = FourierField(eig1.T, cos, y0.sin)
     with pytest.raises(NumericalError):
-        nonlinear_evolve(two_level, gamma2, bad, EvolutionConfig(M=8))
+        nonlinear_evolve(two_level, bad, EvolutionConfig(M=8))
 
 
-def test_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
+def test_march_turning_non_finite_refused(two_level, eig1, monkeypatch):
     # a NaN remainder from the third call on (the kicked stage pair (k2, k4)
     # of the first step) reaches the closed-form combination unchecked, since
     # the positivity check reads only the stages' own grid values; the step
@@ -343,7 +345,7 @@ def test_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
     monkeypatch.setattr(GammaLawEos, "volume_remainder", spoiled)
     y0 = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     with pytest.raises(NumericalError):
-        nonlinear_evolve(two_level, gamma2, y0, EvolutionConfig(M=8))
+        nonlinear_evolve(two_level, y0, EvolutionConfig(M=8))
     assert len(calls) == 3  # the eta evaluation and the two stage pairs of one step
 
 
@@ -379,33 +381,45 @@ def test_random_pwc_march_invariants(draw):
     T = eigen_solve(prof, k, chi).T
     cfg = EvolutionConfig(M=m)
     quiet = FourierField.constant(T, prof.pbar, m)
-    out = nonlinear_evolve(prof, prof.eos, quiet, cfg)
+    out = nonlinear_evolve(prof, quiet, cfg)
     assert np.array_equal(out.cos, quiet.cos) and np.array_equal(out.sin, quiet.sin)
-    tangent = linearized_evolve(prof, prof.eos, quiet, FourierField.constant(T, 1.0, m), cfg)
+    tangent = linearized_evolve(prof, quiet, FourierField.constant(T, 1.0, m), cfg)
     assert np.array_equal(tangent.cos, np.eye(m + 1)[0]) and np.array_equal(tangent.sin, quiet.sin)
     psi = fundamental_matrix(prof, np.arange(1, m + 1) * (2.0 * np.pi / T))
     table = divisors(prof, T, chi, m)
     for j in range(1, m + 1):
-        Y = linearized_evolve(prof, prof.eos, quiet, FourierField.cosine(T, j, 1.0, m=m), cfg)
+        Y = linearized_evolve(prof, quiet, FourierField.cosine(T, j, 1.0, m=m), cfg)
         scale = max(1.0, np.max(np.abs(psi[j - 1])))
         assert abs(Y.cos[j] - psi[j - 1, 0, 0]) <= 1e-12 * scale
         assert abs(Y.sin[j] - psi[j - 1, 1, 0]) <= 1e-12 * scale
         assert abs(boundary_operator(Y, chi).sin[j] - table.delta[j - 1]) <= 1e-12 * scale
     y0 = quiet + 1e-3 * prof.pbar * FourierField.cosine(T, 1, 1.0, m=m)
-    mid = nonlinear_evolve(prof, prof.eos, y0, cfg)
+    mid = nonlinear_evolve(prof, y0, cfg)
     refl = FourierField(T, mid.cos, -mid.sin)
-    back = nonlinear_evolve(reversed_profile(prof), prof.eos, refl, cfg)
+    back = nonlinear_evolve(reversed_profile(prof), refl, cfg)
     assert np.max(np.abs(back.cos - y0.cos)) < 1e-10
     assert np.max(np.abs(back.sin)) < 1e-10
 
 
-def test_cutoff_mismatch_rejected(two_level, gamma2, eig1, cfg16):
+def test_cutoff_mismatch_rejected(two_level, eig1, cfg16):
     y0 = FourierField.constant(eig1.T, 1.0, 8)
     with pytest.raises(DomainError):
-        nonlinear_evolve(two_level, gamma2, y0, cfg16)
+        nonlinear_evolve(two_level, y0, cfg16)
 
 
-def test_spectral_convergence_under_mode_doubling(two_level, gamma2, eig1):
+@pytest.mark.parametrize("missing", ["eos", "pbar"])
+def test_nonlinear_work_reads_the_profile_closure(two_level, eig1, missing):
+    # the march and the quiet second variation take eos and pbar from the
+    # profile alone, and name the one it lacks
+    prof = replace(two_level, **{missing: None})
+    y0 = FourierField.constant(eig1.T, 1.0, 8)
+    with pytest.raises(DomainError, match=f"needs the profile's {missing}$"):
+        nonlinear_evolve(prof, y0, EvolutionConfig(M=8))
+    with pytest.raises(DomainError, match=f"needs the profile's {missing}$"):
+        quiet_second_variation(prof, 1, 1, eig1.T, 8)
+
+
+def test_spectral_convergence_under_mode_doubling(two_level, eig1):
     # terminal-state discrepancy vs a fine reference shrinks faster than
     # any fixed power when M doubles
     amp = 0.05
@@ -415,7 +429,7 @@ def test_spectral_convergence_under_mode_doubling(two_level, gamma2, eig1):
         y0 = FourierField.constant(eig1.T, 1.0, m) + amp * FourierField.cosine(
             eig1.T, 1, 1.0, m=m
         )
-        outs[m] = nonlinear_evolve(two_level, gamma2, y0, cfg)
+        outs[m] = nonlinear_evolve(two_level, y0, cfg)
     ref = outs[48]
 
     def disc(m):
@@ -454,22 +468,22 @@ def _march_error(out, ref):
     return np.max(np.abs(np.concatenate([out[0] - ref[0], out[1] - ref[1]], axis=-1)))
 
 
-def test_default_march_matches_dense_oracle(two_level, gamma2, eig1, cfg16, dense_oracle):
+def test_default_march_matches_dense_oracle(two_level, eig1, cfg16, dense_oracle):
     a, b = _march_batch(1e-3)
     ref = dense_oracle[1e-3]
-    out, _ = evolve_coefficients(two_level, gamma2, a, b, eig1.T, cfg16)
+    out, _ = evolve_coefficients(two_level, a, b, eig1.T, cfg16)
     assert _march_error(out, ref) < 1e-11
     # a row marched alone sizes its own steps
     for i in range(a.shape[0]):
-        row, _ = evolve_coefficients(two_level, gamma2, a[i], b[i], eig1.T, cfg16)
+        row, _ = evolve_coefficients(two_level, a[i], b[i], eig1.T, cfg16)
         assert _march_error(row, (ref[0][i], ref[1][i])) < 1e-11
 
 
-def test_lawson_step_is_fourth_order(two_level, gamma2, eig1, dense_oracle):
+def test_lawson_step_is_fourth_order(two_level, eig1, dense_oracle):
     errs = []
     for n in (16, 32, 64):
         cfg = EvolutionConfig(M=16, dx=two_level.ell / n)
-        out, _ = evolve_coefficients(two_level, gamma2, *_march_batch(1e-2), eig1.T, cfg)
+        out, _ = evolve_coefficients(two_level, *_march_batch(1e-2), eig1.T, cfg)
         errs.append(_march_error(out, dense_oracle[1e-2]))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 < coarse / fine < 20.0
@@ -506,12 +520,12 @@ def _counting_march(monkeypatch):
     return calls, per_step
 
 
-def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
+def test_one_synthesis_per_rhs(two_level, eig1, cfg16, monkeypatch):
     # a step synthesizes twice, the cosine parts of (u, E u, E^2 u) and then
     # the stage-2 kicks, and evaluates the remainder twice, once per stacked
     # pair of RK4 stages (each one RHS evaluation of two stages)
     calls, per_step = _counting_march(monkeypatch)
-    evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, cfg16)
+    evolve_coefficients(two_level, *_march_batch(1e-3), eig1.T, cfg16)
     assert len(per_step) > 2 and set(per_step) == {(2, 2)}
     # outside the steps: one envelope evaluation per constant piece sizes its steps
     assert calls["synth"] == 2 * len(per_step) + two_level.n_levels
@@ -520,7 +534,7 @@ def test_one_synthesis_per_rhs(two_level, gamma2, eig1, cfg16, monkeypatch):
 
 @pytest.mark.parametrize("fields", (1, 2))
 @pytest.mark.parametrize("smooth", (False, True), ids=("constant", "smooth"))
-def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smooth):
+def test_paired_step_matches_reference_step(two_level, eig1, fields, smooth):
     # the stage-paired, closed-form step against the four-evaluation Lawson
     # step on random states of a 3-row batch with distinct means, so that
     # every row turns at its own slowness; smooth stages take three distinct
@@ -528,7 +542,7 @@ def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smo
     rng = np.random.default_rng(10 * fields + smooth)
     m, rows, h = 16, 3, 0.03
     a0 = 1.0 + 0.1 * rng.random((rows, 1))
-    marcher = evolve._Marcher(two_level, gamma2, eig1.T, EvolutionConfig(M=m), a0)
+    marcher = evolve._Marcher(two_level, eig1.T, EvolutionConfig(M=m), a0)
     a = 1e-2 * rng.normal(size=(fields, rows, m + 1))
     b = 1e-2 * rng.normal(size=(fields, rows, m + 1))
     a[0, :, :1] = a0
@@ -552,12 +566,12 @@ def test_paired_step_matches_reference_step(two_level, gamma2, eig1, fields, smo
     assert np.max(np.abs(got[1] - b)) > 1e-6
 
 
-def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
+def test_explicit_dx_skips_eta(two_level, eig1, monkeypatch):
     # with cfg.dx given, the step count does not depend on eta, so no
     # envelope remainder is evaluated: every synthesis and every remainder
     # call belongs to a step, two of each
     calls, per_step = _counting_march(monkeypatch)
-    evolve_coefficients(two_level, gamma2, *_march_batch(1e-3), eig1.T, EvolutionConfig(M=16, dx=0.05))
+    evolve_coefficients(two_level, *_march_batch(1e-3), eig1.T, EvolutionConfig(M=16, dx=0.05))
     assert len(per_step) == 20 and set(per_step) == {(2, 2)}
     assert calls == {"synth": 40, "remainder": 40}
 
@@ -565,30 +579,30 @@ def test_explicit_dx_skips_eta(two_level, gamma2, eig1, monkeypatch):
 # -- linearized evolution -------------------------------------------------------------
 
 
-def test_linearized_quiet_matches_transfer_matrix(two_level, gamma2, eig1):
+def test_linearized_quiet_matches_transfer_matrix(two_level, eig1):
     cfg = EvolutionConfig(M=16)
     base = FourierField.constant(eig1.T, 1.0, 16)
     for k in (1, 3, 8):
         Y0 = FourierField.cosine(eig1.T, k, 1.0, m=16)
-        Y = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+        Y = linearized_evolve(two_level, base, Y0, cfg)
         psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
         assert abs(Y.cos[k] - psi[0, 0]) < 1e-8
         assert abs(Y.sin[k] - psi[1, 0]) < 1e-8
 
 
-def test_quiet_linearization_is_exact_rotation(two_level, gamma2, eig1):
+def test_quiet_linearization_is_exact_rotation(two_level, eig1):
     # at a quiet base the remainder vanishes: one exact turn per piece
     cfg = EvolutionConfig(M=64)
     base = FourierField.constant(eig1.T, 1.0, 64)
     for k in range(1, 17):
         Y0 = FourierField.cosine(eig1.T, k, 1.0, m=64)
-        Y = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+        Y = linearized_evolve(two_level, base, Y0, cfg)
         psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
         assert abs(Y.cos[k] - psi[0, 0]) < 1e-12
         assert abs(Y.sin[k] - psi[1, 0]) < 1e-12
 
 
-def test_many_step_quiet_linearization_keeps_the_transfer(two_level, gamma2, eig1):
+def test_many_step_quiet_linearization_keeps_the_transfer(two_level, eig1):
     # 4000 steps of the quiet linearization turn each mode by E^2 and add
     # nothing else.  A step adds to every coefficient only its increment
     # (E^2 - I) u, with cos th - 1 = -2 sin^2(th/2), so the rounding stays
@@ -599,34 +613,34 @@ def test_many_step_quiet_linearization_keeps_the_transfer(two_level, gamma2, eig
     base = FourierField.constant(eig1.T, 1.0, m)
     for k in (1, 4, 8):
         Y0 = FourierField.cosine(eig1.T, k, 1.0, m=m)
-        Y = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+        Y = linearized_evolve(two_level, base, Y0, cfg)
         psi = fundamental_matrix(two_level, k * 2 * np.pi / eig1.T)
         assert abs(Y.cos[k] - psi[0, 0]) < 1e-14 and abs(Y.sin[k] - psi[1, 0]) < 1e-14
 
 
-def test_linearized_is_linear(two_level, gamma2, eig1, rng):
+def test_linearized_is_linear(two_level, eig1, rng):
     cfg = EvolutionConfig(M=8)
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(
         eig1.T, 1, 1.0, m=8
     )
     Y1 = _rand_field(rng, eig1.T, 8)
     Y2 = _rand_field(rng, eig1.T, 8)
-    lhs = linearized_evolve(two_level, gamma2, base, 2.0 * Y1 + 3.0 * Y2, cfg)
-    r1 = linearized_evolve(two_level, gamma2, base, Y1, cfg)
-    r2 = linearized_evolve(two_level, gamma2, base, Y2, cfg)
+    lhs = linearized_evolve(two_level, base, 2.0 * Y1 + 3.0 * Y2, cfg)
+    r1 = linearized_evolve(two_level, base, Y1, cfg)
+    r2 = linearized_evolve(two_level, base, Y2, cfg)
     assert np.max(np.abs(lhs.cos - 2 * r1.cos - 3 * r2.cos)) < 1e-11
     assert np.max(np.abs(lhs.sin - 2 * r1.sin - 3 * r2.sin)) < 1e-11
 
 
-def test_linearized_non_finite_entry_refused(two_level, gamma2, eig1):
+def test_linearized_non_finite_entry_refused(two_level, eig1):
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     cos = FourierField.cosine(eig1.T, 1, 1.0, m=8).cos.copy()
     cos[2] = np.nan
     with pytest.raises(NumericalError, match="non-finite entry"):
-        linearized_evolve(two_level, gamma2, base, FourierField(eig1.T, cos, np.zeros(9)), EvolutionConfig(M=8))
+        linearized_evolve(two_level, base, FourierField(eig1.T, cos, np.zeros(9)), EvolutionConfig(M=8))
 
 
-def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, monkeypatch):
+def test_linearized_march_turning_non_finite_refused(two_level, eig1, monkeypatch):
     # a NaN remainder from the third call on (the kicked stage pair (k2, k4)
     # of the first step, both fields) must be caught by the step guard, not
     # surface later as a FourierField domain error
@@ -642,35 +656,35 @@ def test_linearized_march_turning_non_finite_refused(two_level, gamma2, eig1, mo
     base = FourierField.constant(eig1.T, 1.0, 8) + 1e-2 * FourierField.cosine(eig1.T, 1, 1.0, m=8)
     Y0 = FourierField.cosine(eig1.T, 2, 1.0, m=8)
     with pytest.raises(NumericalError, match="non-finite coefficients at x="):
-        linearized_evolve(two_level, gamma2, base, Y0, EvolutionConfig(M=8))
+        linearized_evolve(two_level, base, Y0, EvolutionConfig(M=8))
     assert len(calls) == 3  # the eta evaluation and the two stage pairs of one step
 
 
-def test_smooth_profile_evolution_paths(smooth_jumpy, gamma2):
+def test_smooth_profile_evolution_paths(smooth_jumpy):
     # the smooth-sigma path: quiet state stays a bit-exact fixed point, and
     # the pseudospectral linearization agrees with the adaptive-Prüfer
     # transfer matrix (two fully independent routes through sigma(x))
     eig = eigen_solve(smooth_jumpy, 1)
     cfg = EvolutionConfig(M=8)
     y0 = FourierField.constant(eig.T, 1.0, 8)
-    out = nonlinear_evolve(smooth_jumpy, gamma2, y0, cfg)
+    out = nonlinear_evolve(smooth_jumpy, y0, cfg)
     assert np.array_equal(out.cos, y0.cos)
     assert np.array_equal(out.sin, y0.sin)
     # so is a batch of quiet rows with distinct means (not the tangent: its
     # sigma-variation term is a constant in t, whose cosine coefficients
     # j >= 1 the DFT tables give at 1e-22, not 0)
     a, b = _quiet_batch(8)
-    out, _ = evolve_coefficients(smooth_jumpy, gamma2, a, b, eig.T, cfg)
+    out, _ = evolve_coefficients(smooth_jumpy, a, b, eig.T, cfg)
     assert np.array_equal(out[0], a) and np.array_equal(out[1], b)
     for k in (1, 2):
         Y0 = FourierField.cosine(eig.T, k, 1.0, m=8)
-        Y = linearized_evolve(smooth_jumpy, gamma2, y0, Y0, cfg)
+        Y = linearized_evolve(smooth_jumpy, y0, Y0, cfg)
         psi = fundamental_matrix(smooth_jumpy, k * 2 * np.pi / eig.T)
         assert abs(Y.cos[k] - psi[0, 0]) < 1e-8
         assert abs(Y.sin[k] - psi[1, 0]) < 1e-8
 
 
-def test_boundary_of_linearized_reproduces_divisors(two_level, gamma2, eig1):
+def test_boundary_of_linearized_reproduces_divisors(two_level, eig1):
     # S applied to the quiet linearized evolution of the cosine j-mode gives
     # exactly the divisor table entries
     cfg = EvolutionConfig(M=12)
@@ -678,11 +692,11 @@ def test_boundary_of_linearized_reproduces_divisors(two_level, gamma2, eig1):
     table = divisors(two_level, eig1.T, 1, 12)
     for j in range(1, 13):
         Yj = FourierField.cosine(eig1.T, j, 1.0, m=12)
-        out = boundary_operator(linearized_evolve(two_level, gamma2, base, Yj, cfg), 1)
+        out = boundary_operator(linearized_evolve(two_level, base, Yj, cfg), 1)
         assert abs(out.sin[j] - table.delta[j - 1]) < 1e-9
 
 
-def test_directional_derivative_consistency(two_level, gamma2, eig1):
+def test_directional_derivative_consistency(two_level, eig1):
     # (E(y0 + eps Y) - E(y0))/eps -> DE(y0)[Y], first order in eps,
     # along a genuinely nonquiet base
     cfg = EvolutionConfig(M=12)
@@ -690,11 +704,11 @@ def test_directional_derivative_consistency(two_level, gamma2, eig1):
         eig1.T, 1, 1.0, m=12
     )
     Y0 = FourierField.cosine(eig1.T, 2, 1.0, m=12)
-    DY = linearized_evolve(two_level, gamma2, base, Y0, cfg)
+    DY = linearized_evolve(two_level, base, Y0, cfg)
     errs = []
     for eps in (1e-4, 5e-5):
-        pert = nonlinear_evolve(two_level, gamma2, base + eps * Y0, cfg)
-        ref = nonlinear_evolve(two_level, gamma2, base, cfg)
+        pert = nonlinear_evolve(two_level, base + eps * Y0, cfg)
+        ref = nonlinear_evolve(two_level, base, cfg)
         d_cos = (pert.cos - ref.cos) / eps - DY.cos
         d_sin = (pert.sin - ref.sin) / eps - DY.sin
         errs.append(np.max(np.abs(np.concatenate([d_cos, d_sin]))))
@@ -710,23 +724,23 @@ def test_duhamel_b_negative_random_profiles(rng, gamma2):
     for _ in range(20):
         prof = random_pwc(rng, pbar=1.0, eos=gamma2)
         k = int(rng.integers(1, 4))
-        d2 = second_derivative_quiet(prof, gamma2, k, 1)
+        d2 = second_derivative_quiet(prof, k, 1)
         assert d2.b_ell < 0.0
         assert d2.pairing != 0.0
 
 
-def test_duhamel_vs_spectral_paths(two_level, gamma2):
+def test_duhamel_vs_spectral_paths(two_level):
     for k, chi in ((1, 1), (2, 1), (2, 0)):
-        d2a = second_derivative_quiet(two_level, gamma2, k, chi)
-        d2b = second_derivative_quiet_spectral(two_level, gamma2, k, chi)
+        d2a = second_derivative_quiet(two_level, k, chi)
+        d2b = second_derivative_quiet_spectral(two_level, k, chi)
         assert abs(d2a.pairing - d2b.pairing) < 1e-7 * max(1.0, abs(d2a.pairing))
         assert abs(d2a.phi_hat - d2b.phi_hat) < 1e-7
         assert abs(d2a.psi_hat - d2b.psi_hat) < 1e-7
 
 
-def test_duhamel_vs_spectral_smooth(smooth_jumpy, gamma2):
-    d2a = second_derivative_quiet(smooth_jumpy, gamma2, 1, 1)
-    d2b = second_derivative_quiet_spectral(smooth_jumpy, gamma2, 1, 1)
+def test_duhamel_vs_spectral_smooth(smooth_jumpy):
+    d2a = second_derivative_quiet(smooth_jumpy, 1, 1)
+    d2b = second_derivative_quiet_spectral(smooth_jumpy, 1, 1)
     assert d2a.b_ell < 0.0
     assert abs(d2a.pairing - d2b.pairing) < 1e-6 * max(1.0, abs(d2a.pairing))
 
@@ -751,17 +765,17 @@ def test_second_derivative_matches_dense_duhamel(two_level, smooth_ramp, smooth_
     level = PiecewiseConstantProfile([1.7], [1.0], pbar=1.0, eos=gamma2)
     for k in (1, 4):
         cases.append((flat, k, 1, 1e-10))
-        refs.append(second_derivative_quiet(level, gamma2, k, 1))
+        refs.append(second_derivative_quiet(level, k, 1))
     for (prof, k, chi, tol), ref in zip(cases, refs):
-        got = second_derivative_quiet(prof, gamma2, k, chi)
+        got = second_derivative_quiet(prof, k, chi)
         for name in ("pairing", "phi_hat", "psi_hat", "a_ell", "b_ell"):
             want = getattr(ref, name)
             assert abs(getattr(got, name) - want) <= tol * max(1.0, abs(want)), (k, chi, name)
 
 
-def test_pairing_identity_with_fundamental(two_level, gamma2):
+def test_pairing_identity_with_fundamental(two_level):
     # at the eigenfrequency, phi(ell) = 0 (k odd) so phi_hat = phi_tilde * b
-    d2 = second_derivative_quiet(two_level, gamma2, 1, 1)
+    d2 = second_derivative_quiet(two_level, 1, 1)
     psi_mat = d2.fundamental
     assert abs(psi_mat[0, 0]) < 1e-9  # phi(ell)
     assert_allclose(d2.phi_hat, psi_mat[0, 1] * d2.b_ell, rtol=1e-9)
@@ -786,29 +800,29 @@ def _j1_band(k, m):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_j1_z_column_and_band(two_level, gamma2, k):
+def test_j1_z_column_and_band(two_level, k):
     # the z column is the quiet pairing, and J1 is exactly zero off the band
     # j = i +- k of cos(k t') cos(i t')
     m = 16
-    table = quiet_second_variation(two_level, gamma2, k, 1, eigen_solve(two_level, k).T, m)
+    table = quiet_second_variation(two_level, k, 1, eigen_solve(two_level, k).T, m)
     band = _j1_band(k, m)
     assert np.all(table[~band] == 0.0)
     assert np.all(table[band] != 0.0)
     z = table[:, 0]
     assert_allclose(z[k - 1], PAIRING_TWO_LEVEL[k], rtol=1e-13)
-    assert_allclose(z[k - 1], second_derivative_quiet(two_level, gamma2, k, 1).pairing, rtol=1e-13)
+    assert_allclose(z[k - 1], second_derivative_quiet(two_level, k, 1).pairing, rtol=1e-13)
 
 
 @pytest.mark.parametrize("name, k", [("two_level", 1), ("two_level", 2), ("smooth_jumpy", 1)])
-def test_j1_closed_form_against_spectral_march(name, k, request, gamma2):
+def test_j1_closed_form_against_spectral_march(name, k, request):
     # the Duhamel table against the pseudospectral march of (Y_k, Y_i, Z),
     # which shares neither its SL algebra nor its quadrature
     prof = request.getfixturevalue(name)
     m = 8
     T = eigen_solve(prof, k).T
-    table = quiet_second_variation(prof, gamma2, k, 1, T, m)
+    table = quiet_second_variation(prof, k, 1, T, m)
     cfg = EvolutionConfig(M=m, k_accuracy=m, x_error_target=1e-10)
-    ref = second_variation_spectral(prof, gamma2, k, 1, T, cfg)
+    ref = second_variation_spectral(prof, k, 1, T, cfg)
     scale = np.max(np.abs(table))
     assert np.max(np.abs(table - ref)) < 1e-10 * scale  # measured 2e-13 to 1.1e-12
 

@@ -250,11 +250,11 @@ def test_boundary_residual_quiet(two_level):
 # -- nonlinear tiles and serialization ----------------------------------------------
 
 
-def test_nonlinear_tile_quiet_rows(two_level, gamma2):
+def test_nonlinear_tile_quiet_rows(two_level):
     eig = eigen_solve(two_level, 1)
     cfg = EvolutionConfig(M=8)
     y0 = FourierField.constant(eig.T, 1.0, 8)
-    tile = nonlinear_tile(two_level, gamma2, y0, cfg, nx=8, nt=32, chi=1)
+    tile = nonlinear_tile(two_level, y0, cfg, nx=8, nt=32, chi=1)
     assert np.all(tile.p == 1.0)
     assert np.all(tile.u == 0.0)
 

@@ -24,7 +24,13 @@ from puretone.evolve import (
     nonlinear_evolve,
     second_derivative_quiet,
 )
-from puretone.profile import PiecewiseConstantProfile, SmoothPiece, SmoothProfile, from_jump_angles
+from puretone.profile import (
+    PiecewiseConstantProfile,
+    SmoothPiece,
+    SmoothProfile,
+    from_jump_angles,
+    reversed_profile,
+)
 from puretone.sl_core import (
     PSI_DET_TOL,
     _jump_map,
@@ -515,12 +521,28 @@ def test_random_smooth_profiles_keep_quiet_fixed_point(prof):
     # marched at the k = 1 period, as a pure-tone solve marches it; a smooth
     # march takes 0.3-0.6 s here, so few examples keep Tier-1 time in bound
     y0 = FourierField.constant(eigen_solve(prof, 1).T, prof.pbar, 4)
-    out = nonlinear_evolve(prof, prof.eos, y0, EvolutionConfig(M=4))
+    out = nonlinear_evolve(prof, y0, EvolutionConfig(M=4))
     assert np.array_equal(out.cos, y0.cos)
     assert np.array_equal(out.sin, y0.sin)
 
 
-def test_pwc_work_stays_out_of_smooth_machinery(two_level, gamma2, monkeypatch):
+@given(_smooth_profile_draws())
+@settings(max_examples=6, deadline=None)
+def test_random_smooth_profiles_reflect_evolve_round_trip(prof):
+    # a small tone marched through the profile at the k = 1 period, reflected
+    # (u -> -u) and marched back through the reversed profile returns to its
+    # data, within the bounds of test_random_pwc_march_invariants
+    m = 8
+    T = eigen_solve(prof, 1).T
+    cfg = EvolutionConfig(M=m)
+    y0 = FourierField.constant(T, prof.pbar, m) + 1e-3 * prof.pbar * FourierField.cosine(T, 1, 1.0, m=m)
+    mid = nonlinear_evolve(prof, y0, cfg)
+    back = nonlinear_evolve(reversed_profile(prof), FourierField(T, mid.cos, -mid.sin), cfg)
+    assert np.max(np.abs(back.cos - y0.cos)) < 1e-10
+    assert np.max(np.abs(back.sin)) < 1e-10
+
+
+def test_pwc_work_stays_out_of_smooth_machinery(two_level, monkeypatch):
     # a constant piece is never sampled as a SmoothPiece nor sent through
     # prufer_advance, so pwc work records no calls to either
     calls = []
@@ -537,13 +559,13 @@ def test_pwc_work_stays_out_of_smooth_machinery(two_level, gamma2, monkeypatch):
     eig = eigen_solve(two_level, 1)
     resonance_scan(two_level, 1, j_max=16)
     fundamental_matrix(two_level, np.array([0.5, 4.0]))
-    second_derivative_quiet(two_level, gamma2, 1, 1)
+    second_derivative_quiet(two_level, 1, 1)
     cfg = EvolutionConfig(M=8)
     cos, sin = np.zeros(9), np.zeros(9)
     cos[0], cos[1], sin[2] = 1.0, 1e-3, 5e-4
     y0 = FourierField(eig.T, cos, sin)
-    nonlinear_evolve(two_level, gamma2, y0, cfg)
-    linearized_evolve(two_level, gamma2, y0, FourierField(eig.T, np.eye(9)[1], np.eye(9)[2]), cfg)
+    nonlinear_evolve(two_level, y0, cfg)
+    linearized_evolve(two_level, y0, FourierField(eig.T, np.eye(9)[1], np.eye(9)[2]), cfg)
     assert calls == []
 
 
