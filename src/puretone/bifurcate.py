@@ -30,16 +30,19 @@ floor and ends with a SolverError that names it.  Along a branch the start
 is the previous solution scaled by (alpha / alpha_prev)^2, since z and the
 a_j are O(alpha^2).
 
-A solve stops when the weighted residual is below newton_tol and the z step
-is below _Z_STEP |z|, or below _Z_ULPS ulps of pbar + z: z reaches the march
-only through that stored mean, so at small alpha its steps end up wandering
-by a few of those ulps and cannot shrink further.  The weighted residual is the divisor-scaled norm, in
-which the linearized boundary operator is an isometry, so it measures the
-H^b size of the remaining correction to the a_j; its k-row is not divided by
-alpha * pairing, so it leaves z loose, and the step test pins z.  The
+A solve stops once the weighted residual is below newton_tol and returns
+the chord step solved from that residual, unmarched.  The weighted residual
+is the divisor-scaled norm, in which the linearized boundary operator is an
+isometry, so it measures the H^b size of the step's correction to the a_j.
+Keeping the step is safe: Theta, the contraction, multiplies the error it
+removes, since the error after it is at most Theta / (1 - Theta) times the
+step (Deuflhard 2004, ch. 2), and a step that fails to halve the residual
+triggers a refresh.  The step also pins z, which the weighted residual
+leaves loose (its k-row is not divided by alpha * pairing), up to a floor on
+accuracy: r_k rounds at about eps * alpha and moves by alpha * pairing per
+unit z, so z resolves only to about eps / |pairing| absolute.  The
 diagnostics report `contraction`, the largest ratio of successive weighted
-residuals over the steps taken from above newton_tol (below it the ratios
-are roundoff), and `refreshes`, the number of Jacobians taken.
+residuals, and `refreshes`, the number of Jacobians taken.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ from .evolve import (
 #: chord iterations per solve; forward-difference Jacobians that may replace
 #: the first-order chord matrix per solve, and their step relative to max(1, |u_i|)
 _MAX_NEWTON, _MAX_REFRESH, _FD_STEP = 30, 3, 1e-7
-
-#: a solve stops only once the z step is this small against z as well, or is
-#: within _Z_ULPS units in the last place of the stored mean pbar + z, the
-#: resolution at which z reaches the march
-_Z_STEP, _Z_ULPS = 1e-7, 8
 
 #: a solve whose top two cosine coefficients exceed this share of the largest
 #: is repeated with M doubled, at most _MAX_M_DOUBLINGS times
@@ -140,6 +138,10 @@ class BifurcationProblem:
 
 @dataclass(frozen=True)
 class PureToneSolution:
+    """A converged solve: z and a are one chord step past the last iterate whose
+    residual was evaluated, which `residual_weighted` and the diagnostics'
+    residuals report; `newton_iters` counts the chord steps taken."""
+
     alpha: float
     z: float
     a: np.ndarray  # full cosine corrections, a[0] = a[k] = 0
@@ -234,7 +236,8 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
     """Chord iteration on the square system r(z, {a_j}; alpha) = 0.
 
     The chord matrix is J0 + alpha J1, refreshed by a forward-difference
-    Jacobian only when a step fails to contract (module docstring).  If the
+    Jacobian only when a step fails to contract (module docstring); u is
+    returned one step past the iterate whose residuals it reports.  If the
     converged tail coefficients are not small against max |a_j|, the cutoff
     M is doubled (n_quad kept >= 4 M) and the solve repeats.
     """
@@ -296,13 +299,11 @@ def _newton_loop(ws, u):
     contraction, refreshes, fresh = 0.0, 0, False
     for iters in range(1, _MAX_NEWTON + 1):
         try:
-            du = np.linalg.solve(jac, -r)
+            u = u - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Jacobian at alpha={alpha:g}: {exc}") from exc
-        z_tol = max(_Z_STEP * abs(u[0]), _Z_ULPS * np.spacing(pbar + u[0]))
-        if wres < problem.newton_tol and abs(du[0]) <= z_tol:
+        if wres < problem.newton_tol:
             break
-        u = u + du
         r_new = ws.residual(u)
         w_new = ws.weighted(r_new)
         if fresh and w_new >= wres:
@@ -311,19 +312,15 @@ def _newton_loop(ws, u):
                 f"Newton reached its residual floor at alpha={alpha:g}: weighted residual "
                 f"{wres:.3e} does not fall below newton_tol {problem.newton_tol:.3e}"
             )
-        # below newton_tol the steps only pin z and the ratios are roundoff
-        if wres >= problem.newton_tol:
-            contraction = max(contraction, w_new / wres)
-        fresh = wres >= problem.newton_tol and w_new > 0.5 * wres and refreshes < _MAX_REFRESH
+        contraction = max(contraction, w_new / wres)
+        fresh = w_new > 0.5 * wres and refreshes < _MAX_REFRESH
         if fresh:
             jac = ws.jacobian(u, r_new)
             refreshes += 1
         r, wres = r_new, w_new
     else:
-        raise SolverError(
-            f"Newton stalled at alpha={alpha:g}: weighted residual {wres:.3e}, "
-            f"z step {abs(du[0]):.3e} after {iters} iterations"
-        )
+        raise SolverError(f"Newton stalled at alpha={alpha:g}: weighted residual "
+                          f"{wres:.3e} after {iters} iterations")
     a_full = np.zeros(ws.m + 1)
     a_full[ws.idx] = u[1:]
     z = float(u[0])

@@ -323,13 +323,11 @@ def cmd_tile(args):
         _finite_alphas([args.alpha], "--alpha")
     if args.period is not None and not args.quiet:
         raise _UsageFailure("--period sets the quiet tile's period and needs --quiet")
-    out = _out_dir(args)
     if args.quiet:
         if prof.pbar is None:
             raise _UsageFailure("quiet tile needs pbar in the profile file")
         T = args.period if args.period is not None else 2.0 * np.pi
-        tile = linwave.quiet_tile(prof, prof.pbar, T, args.nx, args.nt, chi,
-                                  meta={"kind": "quiet"})
+        tile = linwave.quiet_tile(prof, T, args.nx, args.nt, chi, meta={"kind": "quiet"})
     elif args.alpha is None:
         _, tile = _mode_tile(args, prof)
     else:
@@ -344,6 +342,7 @@ def cmd_tile(args):
             meta={"kind": "pure-tone", "k": args.k, "alpha": args.alpha},
         )
     extended = linwave.extend_tile(tile)
+    out = _out_dir(args)
     outputs = _write_tile(out, "tile", extended, args.binary)
     _write_manifest(out, "tile", args, t0, outputs, profile=prof,
                     extra={"seam_max": extended.meta.get("seam_max")})

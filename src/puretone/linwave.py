@@ -123,9 +123,12 @@ def mode_field(mode: LinearMode, nt: int, meta=None) -> TileField:
     return _tile(mode.x, a, b, mode.T, nt, mode.chi, meta)
 
 
-def quiet_tile(profile, pbar, T, nx, nt, chi, meta=None) -> TileField:
+def quiet_tile(profile, T, nx, nt, chi, meta=None) -> TileField:
+    """The quiet state p = profile.pbar, u = 0; it needs no eos."""
+    if profile.pbar is None:
+        raise DomainError("a quiet tile needs the profile's pbar")
     x = _x_grid(profile, nx)
-    a = np.full((x.size, 1), float(pbar))
+    a = np.full((x.size, 1), float(profile.pbar))
     return _tile(x, a, np.zeros_like(a), T, nt, chi, meta)
 
 

@@ -197,8 +197,9 @@ def test_tight_tolerance_converges(two_level, gamma2):
 
 
 def test_small_amplitude_pins_z_at_mean_resolution(two_level, gamma2):
-    # at alpha 1e-5 z ~ 2e-11 moves the stored mean pbar + z by whole ulps,
-    # so the z-step stop must accept steps of that size
+    # at alpha 1e-5 z ~ 2e-11 moves the stored mean pbar + z by whole ulps and
+    # is resolved only to about eps / |pairing|; the stop reads the weighted
+    # residual alone, and the last chord step still puts z on the alpha^2 law
     problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
     ref = solve_at_alpha(problem, 1e-4)
     sol = solve_at_alpha(problem, 1e-5)
@@ -242,9 +243,10 @@ def test_chord_refresh_at_large_alpha(two_level, gamma2):
 
 
 def test_default_branch_pins_z(two_level, gamma2):
-    # the chord carries the O(alpha) coupling of z to the a_j, so the default
-    # stop leaves z at alpha 5e-4 on the branch where a newton_tol 1e-12 solve
-    # puts it (the diagonal quiet chord left it 6.2e-7 relative off)
+    # the chord carries the O(alpha) coupling of z to the a_j, and a solve
+    # returns the step solved from its last residual, so at the default
+    # newton_tol z at alpha 5e-4 sits on the branch where a newton_tol 1e-12
+    # solve puts it (the diagonal quiet chord left it 6.2e-7 relative off)
     branch = branch_continue(BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1))
     sol = {s.alpha: s for s in branch.solutions}[5e-4]
     tight = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1, newton_tol=1e-12)
@@ -253,12 +255,30 @@ def test_default_branch_pins_z(two_level, gamma2):
 
 
 def test_default_branch_evolutions(two_level, gamma2):
-    # J0 + alpha J1 takes the default branch in 10 evolutions (11 on the
-    # quiet chord) and a cold M = 16 solve at alpha 1e-3 in 3 (5 before)
+    # J0 + alpha J1, and a last chord step that is taken but not marched, take
+    # the default branch in 8 evolutions (10 with a z-step stop, 11 on the
+    # quiet chord) and a cold M = 16 solve at alpha 1e-3 in 2 (3, 5 before)
     branch = branch_continue(BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1))
-    assert sum(s.diagnostics["evolutions"] for s in branch.solutions) <= 10
+    assert sum(s.diagnostics["evolutions"] for s in branch.solutions) <= 8
     cold = BifurcationProblem(profile=two_level, eos=gamma2, k=1, cfg=EvolutionConfig(M=16))
-    assert solve_at_alpha(cold, 1e-3).diagnostics["evolutions"] <= 3
+    assert solve_at_alpha(cold, 1e-3).diagnostics["evolutions"] <= 2
+
+
+@pytest.mark.parametrize("name", ["two_level", "smooth_ramp"])
+def test_returned_solution_is_a_chord_fixed_point(name, gamma2, request):
+    # one more chord step from a returned solution barely moves it: the solve
+    # keeps its last step instead of stopping one step short of it
+    from puretone.bifurcate import _NewtonWorkspace
+
+    problem = BifurcationProblem(profile=request.getfixturevalue(name), eos=gamma2, k=1, chi=1)
+    branch = branch_continue(problem)
+    assert branch.failure is None
+    for sol in branch.solutions:
+        ws = _NewtonWorkspace(problem, sol.alpha, sol.M)
+        r = ws.residual(np.concatenate([[sol.z], sol.a[ws.idx]]))
+        du = np.linalg.solve(ws.chord(), -r)
+        assert np.max(np.abs(du[1:])) < 1e-10 * np.max(np.abs(sol.a))
+        assert abs(du[0]) < 1e-6 * abs(sol.z)
 
 
 def test_sub_floor_tolerance_ends_at_the_floor(two_level, gamma2):

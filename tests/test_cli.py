@@ -82,18 +82,27 @@ def test_k_ref_other_than_one_exit_2(profile_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("missing", ["eos", "pbar"])
+_PERTURB = ["perturb", "--k", "1", "--alpha", "1e-4"]
+_TILE = ["tile", "--k", "1", "--alpha", "1e-4", "--modes", "8", "--nx", "8", "--nt", "32"]
+_NEEDS = "needs a profile file with eos and pbar"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, missing, message",
     [
-        ["perturb", "--k", "1", "--alpha", "1e-4"],
-        ["tile", "--k", "1", "--alpha", "1e-4", "--modes", "8", "--nx", "8", "--nt", "32"],
+        (_PERTURB, "eos", "perturb " + _NEEDS),
+        (_PERTURB, "pbar", "perturb " + _NEEDS),
+        (_TILE, "eos", "tile " + _NEEDS),
+        (_TILE, "pbar", "tile " + _NEEDS),
+        (["tile", "--quiet", "--nx", "8", "--nt", "32"], "pbar", "quiet tile needs pbar"),
     ],
-    ids=["perturb", "tile"],
+    ids=["perturb-eos", "perturb-pbar", "tile-eos", "tile-pbar", "tile_quiet-pbar"],
 )
-def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, argv, missing):
-    # nonlinear commands read eos and pbar from the profile file alone; a file
-    # without either is a usage error that names the command and writes nothing
+def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, argv, missing,
+                                              message):
+    # nonlinear commands read eos and pbar from the profile file alone, and a
+    # quiet tile reads pbar; a file without what the command reads is a usage
+    # error that names it and writes nothing
     doc = json.loads(Path(profile_file).read_text())
     del doc[missing]
     bad = tmp_path / f"no_{missing}.json"
@@ -105,8 +114,8 @@ def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, ar
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["kind"] == "usage"
-    assert err["message"].startswith(f"{argv[0]} needs a profile file with eos and pbar")
-    assert not out.exists() or not any(out.iterdir())
+    assert err["message"].startswith(message)
+    assert not out.exists()
 
 
 def test_determinism_byte_identical(profile_file, tmp_path):
@@ -235,7 +244,7 @@ def test_non_finite_alpha_is_a_usage_error(profile_file, tmp_path, capsys, argv,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "_UsageFailure"
     assert err["message"].startswith(flag + " wants finite")
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_json_artifacts_refuse_non_finite_values(tmp_path):
@@ -255,6 +264,15 @@ def test_perturb_resonant_gate_exit_3(const_file, tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ResonanceError"
+
+
+def test_tile_resonant_gate_writes_nothing(const_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["tile", "--profile", const_file, "--k", "1", "--modes", "8", "--alpha", "1e-4",
+               "--nx", "8", "--nt", "32", "--out-dir", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ResonanceError"
+    assert not out.exists()
 
 
 def test_perturb_branch(profile_file, tmp_path):

@@ -137,7 +137,7 @@ def test_mode_field_wave_equation_residual(two_level):
 
 
 def test_quiet_tile_constant_extension(two_level):
-    tile = quiet_tile(two_level, 1.0, 4.0, nx=16, nt=16, chi=1)
+    tile = quiet_tile(two_level, 4.0, nx=16, nt=16, chi=1)
     ext = extend_tile(tile)
     assert np.all(ext.p == 1.0)
     assert np.all(ext.u == 0.0)
@@ -203,8 +203,16 @@ def test_extension_refuses_bad_tile(mode1):
 
 
 def test_nt_divisibility():
-    with pytest.raises(DomainError):
-        quiet_tile(constant_profile(1.0, 1.0), 1.0, 4.0, nx=4, nt=10, chi=1)
+    with pytest.raises(DomainError, match="nt must be"):
+        quiet_tile(constant_profile(1.0, 1.0, pbar=1.0), 4.0, nx=4, nt=10, chi=1)
+
+
+def test_quiet_tile_reads_pbar_and_needs_no_eos():
+    # the quiet tile's mean is the profile's own pbar; without it the tile is refused
+    tile = quiet_tile(constant_profile(1.0, 1.0, pbar=2.5), 4.0, nx=4, nt=8, chi=1)
+    assert np.all(tile.p == 2.5) and np.all(tile.u == 0.0)
+    with pytest.raises(DomainError, match="pbar"):
+        quiet_tile(constant_profile(1.0, 1.0), 4.0, nx=4, nt=8, chi=1)
 
 
 # -- boundary residuals ------------------------------------------------------------
@@ -243,7 +251,7 @@ def test_boundary_residual_detuned_period(two_level):
 
 
 def test_boundary_residual_quiet(two_level):
-    r0, rell = tile_boundary_residual(quiet_tile(two_level, 1.0, 4.0, nx=4, nt=16, chi=1))
+    r0, rell = tile_boundary_residual(quiet_tile(two_level, 4.0, nx=4, nt=16, chi=1))
     assert (r0, rell) == (0.0, 0.0)
 
 
@@ -331,7 +339,7 @@ def test_tile_csv_bytes_match_per_value_formatter_on_extended_tiles(
     # repeats its base up to sign, and near twins must still keep their own strings
     rng = np.random.default_rng(seed)
     if quiet:
-        base = quiet_tile(constant_profile(1.0, 1.0), rng.normal(), 2.0, nx, nt, chi)
+        base = quiet_tile(constant_profile(1.0, 1.0, pbar=abs(rng.normal())), 2.0, nx, nt, chi)
         tile = extend_tile(base)
         assert np.unique(base.p.view(np.int64)).size == np.unique(base.u.view(np.int64)).size == 1
         assert np.unique(tile.p.view(np.int64)).size == 1
