@@ -82,7 +82,8 @@ class BifurcationProblem:
     k-mode plus O(alpha^2) corrections and the march's phase accuracy is set
     by that mode, not by the cutoff M.  An omitted cfg is EvolutionConfig(M=32)
     before that; an explicit k_accuracy or dx is kept as given.  Construction
-    refuses a profile without eos or pbar, and an `eos` other than profile.eos.
+    refuses a profile without eos or pbar, an `eos` other than profile.eos,
+    and a mode k above the cutoff M, which the data could not carry.
     """
 
     profile: object
@@ -100,6 +101,8 @@ class BifurcationProblem:
             raise DomainError(f"eos must be the profile's {self.profile.eos!r} (got {self.eos!r})")
         if self.cfg is None:
             self.cfg = EvolutionConfig(M=32)
+        if self.k > self.cfg.M:
+            raise DomainError(f"mode k={self.k} lies above the cutoff M={self.cfg.M}")
         if self.cfg.k_accuracy is None:
             self.cfg = replace(self.cfg, k_accuracy=max(4, self.k + 2))
 

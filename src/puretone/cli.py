@@ -253,21 +253,10 @@ def cmd_mode(args):
 
 
 def _solution_doc(sol):
-    return {
-        "alpha": sol.alpha,
-        "z": sol.z,
-        "a": sol.a.tolist(),
-        "residual_weighted": sol.residual_weighted,
-        "newton_iters": sol.newton_iters,
-        "converged": sol.converged,
-        "k": sol.k,
-        "chi": sol.chi,
-        "T": sol.T,
-        "M": sol.M,
-        "pbar": sol.pbar,
-        "pbar_effective": sol.pbar_effective,
-        "diagnostics": sol.diagnostics,
-    }
+    """Every PureToneSolution field by its name, with a as a list."""
+    from dataclasses import fields
+
+    return {f.name: getattr(sol, f.name) for f in fields(sol)} | {"a": sol.a.tolist()}
 
 
 def _problem_from_args(args, prof):

@@ -92,6 +92,15 @@ def test_bad_closure_refused_before_any_scan(two_level, monkeypatch, change, eos
     assert scans == [32]
 
 
+def test_mode_above_the_cutoff_refused(two_level, gamma2):
+    # data truncated at M cannot carry the k-mode when k > M; construction
+    # refuses it, while k = M solves (the solve may double M)
+    with pytest.raises(DomainError, match=r"k=5 .* M=4"):
+        BifurcationProblem(two_level, gamma2, k=5, cfg=EvolutionConfig(M=4))
+    sol = solve_at_alpha(BifurcationProblem(two_level, gamma2, k=4, cfg=EvolutionConfig(M=4)), 1e-4)
+    assert sol.converged and sol.k == 4
+
+
 def test_m_doubling_raises_explicit_n_quad(two_level, gamma2):
     # an explicit n_quad = 4 M is raised with M on doubling, so the solve
     # matches the one with n_quad left to its default

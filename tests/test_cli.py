@@ -118,6 +118,21 @@ def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["perturb", "--k", "5", "--modes", "4"],
+                                  ["tile", "--k", "5", "--modes", "4", "--alpha", "1e-4"]])
+def test_mode_above_the_cutoff_fails_typed(profile_file, tmp_path, capsys, argv):
+    # k > --modes is refused when the problem is built: exit 1 with one JSON
+    # DomainError, and no --out-dir
+    out = tmp_path / "out"
+    rc = main(argv + ["--profile", profile_file, "--out-dir", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DomainError" and "k=5" in err["message"] and "M=4" in err["message"]
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(profile_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):

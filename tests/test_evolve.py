@@ -827,6 +827,22 @@ def test_j1_closed_form_against_spectral_march(name, k, request):
     assert np.max(np.abs(table - ref)) < 1e-10 * scale  # measured 2e-13 to 1.1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_j1_flat_smooth_piece_matches_the_constant_closed_form(gamma2, k):
+    # on constant samples the Magnus rule takes its lowest level, yet the
+    # integrands still turn at (k + i + j) Omega sigma; the smooth table must
+    # keep its own quadrature bound to meet the closed form of the equal level
+    # (measured 1.9e-12 at max |J1| = 16; the Magnus grid alone is 0.36 off)
+    from puretone.profile import SmoothPiece, SmoothProfile
+
+    flat = SmoothProfile((SmoothPiece(np.linspace(0.0, 1.0, 17), np.full(17, 1.7)),), pbar=1.0, eos=gamma2)
+    level = PiecewiseConstantProfile([1.7], [1.0], pbar=1.0, eos=gamma2)
+    T = eigen_solve(level, k).T
+    ref = quiet_second_variation(level, k, 1, T, 32)
+    table = quiet_second_variation(flat, k, 1, T, 32)
+    assert np.max(np.abs(table - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("name, k", [("two_level", 1), ("two_level", 2), ("smooth_jumpy", 2)])
 def test_j1_against_fd_jacobian(name, k, request, gamma2):
     # (J(alpha) - J(0)) / alpha from central differences of the boundary map is

@@ -22,7 +22,6 @@ from puretone.linwave import (
     mode_field,
     nonlinear_tile,
     quiet_tile,
-    tile_boundary_residual,
     tile_from_binary,
     tile_to_binary,
     tile_to_csv,
@@ -215,20 +214,20 @@ def test_quiet_tile_reads_pbar_and_needs_no_eos():
         quiet_tile(constant_profile(1.0, 1.0), 4.0, nx=4, nt=8, chi=1)
 
 
-# -- boundary residuals ------------------------------------------------------------
+# -- the seam gate ------------------------------------------------------------------
 
 
 def test_boundary_residual_exact_mode(two_level, mode1):
     tile = mode_field(mode1, nt=64)
     assert np.all(tile.u[0] == 0.0)  # u(0, .) vanishes identically
-    r0, rell = tile_boundary_residual(tile)
-    assert r0 == 0.0  # the synthesis tables are exactly even in t
-    assert rell < 1e-8
+    meta = extend_tile(tile).meta
+    assert meta["u0_max"] == 0.0
+    assert meta["seam_max"] < 1e-8  # measured 4.3e-15
     acoustic = eigenfunction_profiles(two_level, eigen_solve(two_level, 2, chi=0), nx=64)
-    assert tile_boundary_residual(mode_field(acoustic, nt=64))[0] == 0.0
+    assert extend_tile(mode_field(acoustic, nt=64)).meta["u0_max"] == 0.0
 
 
-def test_boundary_residual_detuned_period(two_level):
+def test_boundary_residual_detuned_period(two_level, monkeypatch):
     eig = eigen_solve(two_level, 1)
     m = 4
     for detune, expect_small in ((0.0, True), (1e-3, False)):
@@ -242,17 +241,32 @@ def test_boundary_residual_detuned_period(two_level):
         p = np.stack((coeffs_to_grid(np.eye(m + 1)[1], zeros, n), coeffs_to_grid(cos, zeros, n)))
         u = np.stack((np.zeros(n), coeffs_to_grid(zeros, sin, n)))
         tile = TileField(np.array([0.0, two_level.ell]), np.arange(n) * (T / n), p, u, chi=1, T=T)
-        r0, rell = tile_boundary_residual(tile)
-        assert r0 == 0.0
         if expect_small:
-            assert rell < 1e-8
+            meta = extend_tile(tile).meta
+            assert meta["u0_max"] == 0.0
+            assert meta["seam_max"] < 1e-8
         else:
-            assert rell > 1e-4
+            with pytest.raises(BoundaryResidualError):
+                extend_tile(tile)
+            with monkeypatch.context() as patch:
+                patch.setattr(linwave, "_EXTEND_TOL", np.inf)
+                assert extend_tile(tile).meta["seam_max"] > 1e-4  # measured 2.8e-3
 
 
 def test_boundary_residual_quiet(two_level):
-    r0, rell = tile_boundary_residual(quiet_tile(two_level, 4.0, nx=4, nt=16, chi=1))
-    assert (r0, rell) == (0.0, 0.0)
+    meta = extend_tile(quiet_tile(two_level, 4.0, nx=4, nt=16, chi=1)).meta
+    assert (meta["seam_p"], meta["seam_u"], meta["u0_max"], meta["seam_max"]) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("row, field", [(-1, "p"), (0, "u")], ids=["p-at-ell", "u-at-0"])
+def test_extension_refuses_nan_on_a_seam(mode1, row, field):
+    # a NaN on a seam row makes its mismatch NaN, which no tolerance accepts
+    tile = mode_field(mode1, nt=64)
+    arrays = {"p": tile.p.copy(), "u": tile.u.copy()}
+    arrays[field][row, 5] = np.nan
+    bad = TileField(tile.x, tile.t, arrays["p"], arrays["u"], chi=tile.chi, T=tile.T)
+    with pytest.raises(BoundaryResidualError):
+        extend_tile(bad)
 
 
 # -- nonlinear tiles and serialization ----------------------------------------------
@@ -389,8 +403,10 @@ def test_tile_csv_memory_stays_at_the_distinct_strings(two_level):
         lambda good: good[:8] + struct.pack("<qqqdd", 3, 6, 1, 2.0, 1.0) + bytes(8 * (3 + 6 + 36)),
         # a whole file of one x row, which no extension can reflect
         lambda good: good[:8] + struct.pack("<qqqdd", 1, 4, 1, 2.0, 0.0) + bytes(8 * (1 + 4 + 8)),
+        # a whole file whose chi = 2 is neither boundary condition
+        lambda good: good[:8] + struct.pack("<qqq", 3, 4, 2) + good[32:],
     ],
-    ids=("magic", "cut-header", "cut-payload", "negative-count", "nt6-chi1", "one-row"),
+    ids=("magic", "cut-header", "cut-payload", "negative-count", "nt6-chi1", "one-row", "chi2"),
 )
 def test_binary_magic_check(tmp_path, spoil):
     # a file that is not a whole tile fails typed, never with struct.error or ValueError
