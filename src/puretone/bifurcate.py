@@ -27,8 +27,11 @@ Jacobian at the new iterate, one batched evolution of M rows, at most
 _MAX_REFRESH times per solve; if the step taken with that fresh Jacobian
 does not lower the residual either, the solve has reached its roundoff
 floor and ends with a SolverError that names it.  Along a branch the start
-is the previous solution scaled by (alpha / alpha_prev)^2, since z and the
-a_j are O(alpha^2).
+is the previous solution with each unknown scaled by its own power of
+alpha / alpha_prev: the cube for the a_j at odd multiples 3k, 5k, ... of k,
+which are odd in alpha, and the square for z and every other a_j
+(`_resize_warm`).  On the default branch that start lands below newton_tol
+at the two middle alphas, whose solves then end on their first residual.
 
 A solve stops once the weighted residual is below newton_tol and returns
 the chord step solved from that residual, unmarched.  The weighted residual
@@ -42,7 +45,8 @@ leaves loose (its k-row is not divided by alpha * pairing), up to a floor on
 accuracy: r_k rounds at about eps * alpha and moves by alpha * pairing per
 unit z, so z resolves only to about eps / |pairing| absolute.  The
 diagnostics report `contraction`, the largest ratio of successive weighted
-residuals, and `refreshes`, the number of Jacobians taken.
+residuals, and `refreshes`, the number of Jacobians taken.  A solve that
+ends on its first residual measures no ratio, and its `contraction` is 0.0.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ class BifurcationProblem:
     by that mode, not by the cutoff M.  An omitted cfg is EvolutionConfig(M=32)
     before that; an explicit k_accuracy or dx is kept as given.  Construction
     refuses a profile without eos or pbar, an `eos` other than profile.eos,
-    and a mode k above the cutoff M, which the data could not carry.
+    a cutoff M below 2, which leaves no a_j to solve for, and a mode k above
+    the cutoff M, which the data could not carry.
     """
 
     profile: object
@@ -101,6 +106,8 @@ class BifurcationProblem:
             raise DomainError(f"eos must be the profile's {self.profile.eos!r} (got {self.eos!r})")
         if self.cfg is None:
             self.cfg = EvolutionConfig(M=32)
+        if self.cfg.M < 2:
+            raise DomainError(f"cutoff M={self.cfg.M} is below 2: it leaves no a_j beside the k-mode")
         if self.k > self.cfg.M:
             raise DomainError(f"mode k={self.k} lies above the cutoff M={self.cfg.M}")
         if self.cfg.k_accuracy is None:
@@ -143,7 +150,9 @@ class BifurcationProblem:
 class PureToneSolution:
     """A converged solve: z and a are one chord step past the last iterate whose
     residual was evaluated, which `residual_weighted` and the diagnostics'
-    residuals report; `newton_iters` counts the chord steps taken."""
+    residuals report; `newton_iters` counts the chord steps taken.  A solve
+    whose start already met newton_tol takes one step, measures no
+    contraction and reports `contraction` 0.0."""
 
     alpha: float
     z: float
@@ -273,14 +282,27 @@ def solve_at_alpha(problem: BifurcationProblem, alpha, warm=None) -> PureToneSol
 
 
 def _resize_warm(warm: PureToneSolution, m, k, alpha):
-    """Start from a solution at another alpha: z and a_j are O(alpha^2)."""
+    """Start from a solution at another alpha, each unknown scaled by its own power.
+
+    The solution carries only the harmonics j = m k: its data are
+    T/k-periodic.  The shift t -> t + T / (2k) multiplies a_{mk} by (-1)^m,
+    the k-mode included, so it maps the alpha solution onto the -alpha one:
+    z and the a_j with j/k even are even in alpha, O(alpha^2), and the a_j
+    with j an odd multiple of k are odd, O(alpha^3).  The latter scale by
+    (alpha / alpha_prev)^3, every other unknown by (alpha / alpha_prev)^2.
+    """
     u = np.zeros(m)
     u[0] = warm.z
     a_old = warm.a
-    for pos, j in enumerate(_mode_indices(m, k)):
+    idx = _mode_indices(m, k)
+    for pos, j in enumerate(idx):
         if j < a_old.size:
             u[1 + pos] = a_old[j]
-    return u * (alpha / warm.alpha) ** 2 if warm.alpha else u
+    if not warm.alpha:
+        return u
+    ratio = alpha / warm.alpha
+    odd = np.array([False] + [j % (2 * k) == k for j in idx])
+    return u * np.where(odd, ratio**3, ratio**2)
 
 
 def _tail_small(sol: PureToneSolution) -> bool:

@@ -93,10 +93,12 @@ def test_bad_closure_refused_before_any_scan(two_level, monkeypatch, change, eos
 
 
 def test_mode_above_the_cutoff_refused(two_level, gamma2):
-    # data truncated at M cannot carry the k-mode when k > M; construction
-    # refuses it, while k = M solves (the solve may double M)
-    with pytest.raises(DomainError, match=r"k=5 .* M=4"):
-        BifurcationProblem(two_level, gamma2, k=5, cfg=EvolutionConfig(M=4))
+    # data truncated at M cannot carry the k-mode when k > M, and M = 1 leaves
+    # no a_j to solve for; construction refuses both, while k = M solves (the
+    # solve may double M)
+    for k, m, message in [(5, 4, r"k=5 .* M=4"), (1, 1, r"M=1 is below 2")]:
+        with pytest.raises(DomainError, match=message):
+            BifurcationProblem(two_level, gamma2, k=k, cfg=EvolutionConfig(M=m))
     sol = solve_at_alpha(BifurcationProblem(two_level, gamma2, k=4, cfg=EvolutionConfig(M=4)), 1e-4)
     assert sol.converged and sol.k == 4
 
@@ -229,13 +231,21 @@ def test_default_branch_at_large_mean(gamma2):
 
 
 def test_default_branch_keeps_quiet_chord(two_level, gamma2):
-    # the first-order chord contracts on the default schedule: no FD refresh
+    # the first-order chord contracts on the default schedule: no FD refresh;
+    # a warm solve whose start meets newton_tol ends on its first residual and
+    # measures no contraction
     problem = BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1)
     branch = branch_continue(problem)
     assert branch.failure is None
+    assert branch.solutions[0].diagnostics["evolutions"] >= 2
     for sol in branch.solutions:
         assert sol.diagnostics["refreshes"] == 0
-        assert 0.0 < sol.diagnostics["contraction"] < 0.5
+        if sol.diagnostics["evolutions"] >= 2:
+            assert 0.0 < sol.diagnostics["contraction"] < 0.5
+        else:
+            assert sol.diagnostics["contraction"] == 0.0
+            assert sol.newton_iters == 1
+            assert sol.residual_weighted < problem.newton_tol
         # one single-row evolution per chord iteration
         assert sol.diagnostics["evolutions"] == sol.newton_iters
 
@@ -264,13 +274,27 @@ def test_default_branch_pins_z(two_level, gamma2):
 
 
 def test_default_branch_evolutions(two_level, gamma2):
-    # J0 + alpha J1, and a last chord step that is taken but not marched, take
-    # the default branch in 8 evolutions (10 with a z-step stop, 11 on the
-    # quiet chord) and a cold M = 16 solve at alpha 1e-3 in 2 (3, 5 before)
+    # J0 + alpha J1, a last chord step that is taken but not marched, and a
+    # warm start that scales the odd harmonics 3k, 5k, ... as alpha^3 take the
+    # default branch in 6 evolutions, (2, 1, 1, 2), and a cold M = 16 solve at
+    # alpha 1e-3 in 2
     branch = branch_continue(BifurcationProblem(profile=two_level, eos=gamma2, k=1, chi=1))
-    assert sum(s.diagnostics["evolutions"] for s in branch.solutions) <= 8
+    assert sum(s.diagnostics["evolutions"] for s in branch.solutions) <= 6
     cold = BifurcationProblem(profile=two_level, eos=gamma2, k=1, cfg=EvolutionConfig(M=16))
     assert solve_at_alpha(cold, 1e-3).diagnostics["evolutions"] <= 2
+
+
+@pytest.mark.parametrize("k, chi", [(1, 1), (2, 1), (2, 0)])
+def test_half_period_shift_maps_alpha_to_minus_alpha(two_level, gamma2, k, chi):
+    # t -> t + T / (2k) multiplies a_{mk} by (-1)^m, the k-mode included: z is
+    # even in alpha and a_{mk} has the parity of m, which the warm start's
+    # alpha^2 / alpha^3 scaling relies on
+    problem = BifurcationProblem(profile=two_level, eos=gamma2, k=k, chi=chi, newton_tol=1e-12)
+    plus, minus = solve_at_alpha(problem, 5e-4), solve_at_alpha(problem, -5e-4)
+    assert plus.M == minus.M
+    assert abs(minus.z / plus.z - 1.0) < 1e-12
+    sign = (-1.0) ** np.arange(plus.M // k + 1)
+    assert np.max(np.abs(minus.a[::k] - sign * plus.a[::k])) < 1e-12 * np.max(np.abs(plus.a))
 
 
 @pytest.mark.parametrize("name", ["two_level", "smooth_ramp"])

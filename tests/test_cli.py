@@ -118,18 +118,23 @@ def test_nonlinear_command_needs_eos_and_pbar(profile_file, tmp_path, capsys, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["perturb", "--k", "5", "--modes", "4"],
-                                  ["tile", "--k", "5", "--modes", "4", "--alpha", "1e-4"]])
-def test_mode_above_the_cutoff_fails_typed(profile_file, tmp_path, capsys, argv):
-    # k > --modes is refused when the problem is built: exit 1 with one JSON
-    # DomainError, and no --out-dir
+@pytest.mark.parametrize(
+    "argv, names",
+    [(["perturb", "--k", "5", "--modes", "4"], ("k=5", "M=4")),
+     (["tile", "--k", "5", "--modes", "4", "--alpha", "1e-4"], ("k=5", "M=4")),
+     (["perturb", "--k", "1", "--modes", "1", "--alpha", "1e-4"], ("M=1",))],
+    ids=["perturb-k-above-M", "tile-k-above-M", "perturb-M-below-2"],
+)
+def test_mode_above_the_cutoff_fails_typed(profile_file, tmp_path, capsys, argv, names):
+    # k > --modes, or --modes 1, is refused when the problem is built: exit 1
+    # with one JSON DomainError, and no --out-dir
     out = tmp_path / "out"
     rc = main(argv + ["--profile", profile_file, "--out-dir", str(out)])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == "DomainError" and "k=5" in err["message"] and "M=4" in err["message"]
+    assert err["error"] == "DomainError" and all(name in err["message"] for name in names)
     assert not out.exists()
 
 
@@ -349,9 +354,16 @@ def test_perturb_diagnostics_byte_identical(profile_file, tmp_path):
         assert rc == 0
         docs.append((out / "branch.json").read_bytes())
     assert docs[0] == docs[1]
-    for sol in json.loads(docs[0])["solutions"]:
+    solutions = json.loads(docs[0])["solutions"]
+    assert solutions[0]["diagnostics"]["evolutions"] >= 2
+    for sol in solutions:
         assert sol["diagnostics"]["refreshes"] == 0
-        assert 0.0 < sol["diagnostics"]["contraction"] < 0.5
+        if sol["diagnostics"]["evolutions"] >= 2:
+            assert 0.0 < sol["diagnostics"]["contraction"] < 0.5
+        else:  # the warm start met the default --tol 1e-10
+            assert sol["diagnostics"]["contraction"] == 0.0
+            assert sol["newton_iters"] == 1
+            assert sol["residual_weighted"] < 1e-10
         assert "seconds" not in sol["diagnostics"]
 
 
