@@ -306,10 +306,15 @@ def _resize_warm(warm: PureToneSolution, m, k, alpha):
 
 
 def _tail_small(sol: PureToneSolution) -> bool:
+    """Whether the last two a_j are small against max |a_j| at alpha != 0.
+
+    An all-zero a is not resolved: it means only that the cutoff holds no
+    harmonic the k-mode drives (M < 2k has no a_{2k}), so M must grow.
+    """
     mags = np.abs(sol.a)
-    peak = float(np.max(mags)) if np.any(mags > 0.0) else 0.0
+    peak = float(np.max(mags))
     if peak == 0.0:
-        return True
+        return False
     tail = float(max(mags[-1], mags[-2]))
     sol.diagnostics["tail_fraction"] = tail / peak
     return tail <= _TAIL_TOL * peak

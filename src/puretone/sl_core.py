@@ -27,7 +27,9 @@ A smooth piece is stepped by the sixth-order Magnus method on three Gauss
 points (Blanes, Casas & Ros 2000, BIT 40:434; Iserles 2002, BIT 42:561),
 vectorized over omega: every step is the exponential of a traceless 2x2
 matrix in closed form, so det = 1 holds step by step, and on a constant
-stretch one step is the exact rotation.  Transfer
+stretch one step is the exact rotation.  The omega-polynomial coefficients
+of the steps on a piece's own knots are formed once per step level and kept
+on the piece, so repeated solves on one profile build each table once.  Transfer
 matrices and end states are ordered products of the steps, formed by
 pairwise tree reduction in O(steps) 2x2 products.  The winding of theta
 comes from the phase integral, which fixes it wherever half the
@@ -140,6 +142,22 @@ def _omega_terms(piece, knots, sub):
     return a, b, c
 
 
+def _own_terms(piece, sub):
+    """_omega_terms on the piece's own knots, built once per step level.
+
+    The tables are kept read-only on the piece, keyed by `sub`, so every
+    later solve on the piece reads the same arrays.
+    """
+    tables = piece.__dict__.setdefault("_sl_core_omega_terms", {})
+    terms = tables.get(sub)
+    if terms is None:
+        terms = _omega_terms(piece, piece.x, sub)
+        for v in terms:
+            v.flags.writeable = False
+        tables[sub] = terms
+    return terms
+
+
 def _step_groups(piece, knots, omega, min_sub=1):
     """Yield (omega indices, steps per interval, Omega_p stacks of _omega_terms).
 
@@ -151,7 +169,8 @@ def _step_groups(piece, knots, omega, min_sub=1):
     ends and midpoint of the cubic interval.  Each omega gets the
     smallest level that meets PRUFER_TOL, so its value does not depend on the
     batch; knot intervals lie inside sample intervals.  Every knot interval
-    holds max(2**level, min_sub) equal steps.
+    holds max(2**level, min_sub) equal steps.  On the piece's own knots
+    (`knots is piece.x`) the terms are those of _own_terms.
     """
     x, samples = piece.x, piece.sigma_samples
     dx = np.diff(x)
@@ -168,7 +187,7 @@ def _step_groups(piece, knots, omega, min_sub=1):
         n = (knots.size - 1) * sub
         if n > _MAX_STEPS:
             raise IntegrationError(f"Magnus steps {n} above {_MAX_STEPS}")
-        terms = _omega_terms(piece, knots, sub)
+        terms = _own_terms(piece, sub) if knots is piece.x else _omega_terms(piece, knots, sub)
         idx = np.flatnonzero(subs == sub)
         for chunk in np.array_split(idx, min(idx.size, -(-n * idx.size // _MAX_BATCH))):
             yield chunk, sub, terms

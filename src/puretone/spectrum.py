@@ -116,13 +116,14 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
     of the points still moving compresses the columns with the Newton state.
     Each point runs the same update as it would alone, so its root does not
     depend on the batch.  targets has at least one axis.  Returns (omega,
-    converged mask), both of targets' shape.
+    theta, converged mask), all of targets' shape; theta is the angle of the
+    evaluation that accepted each root, so a caller needs no re-propagation.
     """
     targets = np.asarray(targets, dtype=float)
     shape, size = targets.shape, targets.size
     per_point = [np.broadcast_to(v, shape) for v in (targets, total, *columns)]
     inner = size // shape[0] if size else 1  # flat points per index of the leading axis
-    omega, ok = np.empty(size), np.ones(size, dtype=bool)
+    omega, theta, ok = np.empty(size), np.empty(size), np.ones(size, dtype=bool)
     tol_theta = tol * (np.pi / 2.0)
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
@@ -139,7 +140,8 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
             f = th - t
             done = np.abs(f) <= tol_theta
             if done.any():
-                omega[idx] = om  # final for the points that converge now, overwritten for the rest
+                # final for the points that converge now, overwritten for the rest
+                omega[idx], theta[idx] = om, th
                 keep = np.flatnonzero(~done)
                 if keep.size == 0:
                     break
@@ -155,9 +157,9 @@ def _solve_targets(angle_and_slope, total, wiggle, targets, tol, columns=(), max
             om = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
         else:  # points still moving after max_iter passes get a 10x looser test
             th, _ = angle_and_slope(om, *cols)
-            omega[idx] = om
+            omega[idx], theta[idx] = om, th
             ok[idx] = np.abs(th - t) <= 10.0 * tol_theta
-    return omega.reshape(shape), ok.reshape(shape)
+    return omega.reshape(shape), theta.reshape(shape), ok.reshape(shape)
 
 
 def _pwc_solve_targets(jumps, angles, targets, max_iter=80):
@@ -194,7 +196,7 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
     even ones (the boundary angle is then a multiple of pi).
     """
     _validate_mode(k, chi)
-    om, ok = _solve_profile_targets(profile, np.array([k * np.pi / 2.0]))
+    om, _, ok = _solve_profile_targets(profile, np.array([k * np.pi / 2.0]))
     if not ok[0]:
         raise SolverError(f"eigenfrequency iteration for k={k} did not converge")
     om = float(om[0])
@@ -203,13 +205,17 @@ def eigen_solve(profile, k: int, chi: int = 1) -> EigenFrequency:
 
 
 def eigen_ladder(profile, k_max: int):
-    """omega_1..omega_{k_max} (chi=1 labels); returns (omega, kappa_residual)."""
+    """omega_1..omega_{k_max} (chi=1 labels); returns (omega, kappa_residual).
+
+    kappa_residual is |(2/pi) theta - k| with theta from the Newton
+    evaluation that accepted each root, the value kappa(profile, omega)
+    gives again, so no angle is propagated twice.
+    """
     ks = np.arange(1, k_max + 1, dtype=float)
-    om, ok = _solve_profile_targets(profile, ks * np.pi / 2.0)
+    om, theta, ok = _solve_profile_targets(profile, ks * np.pi / 2.0)
     if not np.all(ok):
         raise SolverError(f"ladder solve failed for k in {1 + np.flatnonzero(~ok)}")
-    res = np.abs(kappa(profile, om) - ks)
-    return om, res
+    return om, np.abs((2.0 / np.pi) * theta - ks)
 
 
 def _validate_mode(k, chi):
@@ -447,7 +453,7 @@ def genericity_mc(
 
     k_top = max(k_max, l_max)
     targets = np.arange(1, k_top + 1, dtype=float) * np.pi / 2.0
-    om, ok = _pwc_solve_targets(
+    om, _, ok = _pwc_solve_targets(
         jumps[:, None, :], angles[:, None, :], np.broadcast_to(targets, (samples, k_top))
     )
     sample_ok = np.all(ok, axis=1)

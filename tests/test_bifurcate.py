@@ -103,6 +103,18 @@ def test_mode_above_the_cutoff_refused(two_level, gamma2):
     assert sol.converged and sol.k == 4
 
 
+def test_cutoff_without_the_second_harmonic_doubles(two_level, gamma2):
+    # at k = 2 a cutoff M = 2 holds no a_4: every a_j solves to 0, which is
+    # no resolved tail at alpha != 0, so the solve doubles M and lands on the
+    # M = 32 solution instead of a z of the wrong sign
+    sol, ref = (
+        solve_at_alpha(BifurcationProblem(two_level, gamma2, k=2, cfg=EvolutionConfig(M=m)), 1e-4)
+        for m in (2, 32)
+    )
+    assert sol.M >= 4 and np.max(np.abs(sol.a)) > 0.0
+    assert_allclose(sol.z, ref.z, rtol=1e-5)
+
+
 def test_m_doubling_raises_explicit_n_quad(two_level, gamma2):
     # an explicit n_quad = 4 M is raised with M on doubling, so the solve
     # matches the one with n_quad left to its default

@@ -230,20 +230,67 @@ def test_magnus_states_share_the_top_frequency_grid(smooth_ramp):
     assert np.array_equal(run[0], np.broadcast_to(np.eye(2), (4, 2, 2)))
 
 
-def test_smooth_scan_magnus_work(smooth_ramp, monkeypatch):
+def _ramp():
+    """A fresh sigma = 1 + x ramp (65 samples): its piece holds no Magnus table yet."""
+    x = np.linspace(0.0, 1.0, 65)
+    return SmoothProfile((SmoothPiece(x, 1.0 + x),))
+
+
+def test_smooth_scan_magnus_work(monkeypatch):
     # the step rule's work on the ramp scan: 33,984 step-omega evaluations
-    # (253,440 with the fourth-order step), a quarter of the latter at most
-    counts = []
-    magnus_steps = sl_core._magnus_steps
+    # (253,440 with the fourth-order step), a quarter of the latter at most;
+    # the scan builds the Omega tables of its 4 step levels once, and a
+    # repeat scan on the same profile builds none
+    counts, builds = [], []
+    magnus_steps, omega_terms = sl_core._magnus_steps, sl_core._omega_terms
 
     def counted(terms, omega, slope=False):
         out = magnus_steps(terms, omega, slope)
         counts.append(out[1].size)  # nu: one entry per step and omega
         return out
 
+    def built(piece, knots, sub):
+        builds.append(sub)
+        return omega_terms(piece, knots, sub)
+
     monkeypatch.setattr(sl_core, "_magnus_steps", counted)
-    resonance_scan(smooth_ramp, 1, j_max=16)
+    monkeypatch.setattr(sl_core, "_omega_terms", built)
+    ramp = _ramp()
+    resonance_scan(ramp, 1, j_max=16)
     assert 0 < sum(counts) <= 64_000
+    assert len(builds) == len(set(builds)) == 4
+    builds.clear()
+    resonance_scan(ramp, 1, j_max=16)
+    assert builds == []
+
+
+def _scan_numbers(report):
+    return (report.verdict, report.T, report.min_divisor, report.argmin_j,
+            report.divisor_table.delta.tobytes(), report.ratio_checks, report.min_ratio_residual)
+
+
+def test_magnus_tables_do_not_change_results():
+    # a scan or a transfer matrix on a ramp that already holds its tables
+    # equals the one on a fresh ramp bit for bit, and the tables are read-only
+    omegas = np.linspace(0.3, 60.0, 23)
+    used = _ramp()
+    for j_max in (16, 64):
+        resonance_scan(used, 1, j_max=j_max)
+    for j_max in (16, 64):
+        again, fresh = (resonance_scan(p, 1, j_max=j_max) for p in (used, _ramp()))
+        assert _scan_numbers(again) == _scan_numbers(fresh)
+    assert np.array_equal(fundamental_matrix(used, omegas), fundamental_matrix(_ramp(), omegas))
+    piece = used.pieces[0]
+    terms = sl_core._own_terms(piece, 4)
+    assert sl_core._own_terms(piece, 4) is terms
+    for stack in terms:
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0] = 0.0
+    # other knots take their own tables and leave the piece's alone
+    fine = np.linspace(piece.x0, piece.x1, 2 * piece.x.size - 1)
+    x, _ = sl_core.magnus_states(piece, 5.0, fine)
+    assert x.size > piece.x.size and sl_core._own_terms(piece, 4) is terms
 
 
 # -- angle across the profile ---------------------------------------------------------

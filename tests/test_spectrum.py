@@ -90,10 +90,14 @@ def test_parity_gate(two_level):
         eigen_solve(two_level, 1, chi=2)
 
 
-def test_ladder_monotone(two_level):
-    om, res = eigen_ladder(two_level, 50)
-    assert np.all(np.diff(om) > 0.0)
-    assert np.max(res) < 1e-10
+def test_ladder_monotone(two_level, smooth_ramp, smooth_jumpy):
+    # the residuals come from the Newton evaluation that accepted each root,
+    # equal to a fresh kappa propagation at the returned omegas bit for bit
+    for profile, k_max in ((two_level, 50), (smooth_ramp, 18), (smooth_jumpy, 18)):
+        om, res = eigen_ladder(profile, k_max)
+        assert np.all(np.diff(om) > 0.0)
+        assert np.max(res) < 1e-10
+        assert np.array_equal(res, np.abs(kappa(profile, om) - np.arange(1.0, k_max + 1.0)))
 
 
 def test_growth_toward_asymptote(two_level):
@@ -194,12 +198,12 @@ def test_pwc_roots_do_not_depend_on_batch():
     jumps = rng.uniform(j_lo, j_hi, size=(samples, levels - 1))
     angles = rng.uniform(t_lo, t_hi, size=(samples, levels))
     targets = np.arange(1, k_top + 1) * np.pi / 2.0
-    om, ok = _pwc_solve_targets(
+    om, _, ok = _pwc_solve_targets(
         jumps[:, None, :], angles[:, None, :], np.broadcast_to(targets, (samples, k_top))
     )
     assert np.all(ok)
     for i in range(samples):
-        om_i, ok_i = _pwc_solve_targets(jumps[i], angles[i], targets)
+        om_i, _, ok_i = _pwc_solve_targets(jumps[i], angles[i], targets)
         assert np.all(ok_i) and np.array_equal(om_i, om[i])
         ladder, _ = eigen_ladder(from_jump_angles(jumps[i], angles[i]), k_top)
         assert np.max(np.abs(ladder / om[i] - 1.0)) <= 1e-14
@@ -214,9 +218,14 @@ def test_active_set_solve_matches_full_array_oracle(max_iter):
     jumps = rng.uniform(j_lo, j_hi, size=(samples, 1, levels - 1))
     angles = rng.uniform(t_lo, t_hi, size=(samples, 1, levels))
     targets = np.broadcast_to(np.arange(1, k_top + 1) * np.pi / 2.0, (samples, k_top))
-    om, ok = spectrum._pwc_solve_targets(jumps, angles, targets, max_iter=max_iter)
+    om, theta, ok = spectrum._pwc_solve_targets(jumps, angles, targets, max_iter=max_iter)
     ref_om, ref_ok = full_array_pwc_solve_targets(jumps, angles, targets, max_iter=max_iter)
     assert np.array_equal(om, ref_om) and np.array_equal(ok, ref_ok)
+    # theta is the chain at each returned omega, converged or not
+    n = levels - 1
+    chain = sl_core._angle_chain([jumps[..., i] for i in range(n)],
+                                 [angles[..., i] for i in range(n + 1)], om)
+    assert np.array_equal(theta, chain)
     if max_iter < 80:
         assert not np.all(ok)
 
@@ -224,7 +233,7 @@ def test_active_set_solve_matches_full_array_oracle(max_iter):
 def test_active_set_solve_without_jumps(const_profile):
     # one level: zero jumps, so the gathered jump arrays have no columns
     for targets in (np.arange(1, 13) * np.pi / 2.0, np.array([5 * np.pi / 2.0])):
-        om, ok = spectrum._pwc_solve_targets(const_profile.jumps, const_profile.angles, targets)
+        om, _, ok = spectrum._pwc_solve_targets(const_profile.jumps, const_profile.angles, targets)
         ref = full_array_pwc_solve_targets(const_profile.jumps, const_profile.angles, targets)
         assert om.shape == targets.shape and np.all(ok)
         assert np.array_equal(om, ref[0]) and np.array_equal(ok, ref[1])
@@ -263,10 +272,10 @@ def test_roots_match_winding_split_jump_map(monkeypatch):
     jumps = rng.uniform(j_lo, j_hi, size=(samples, 1, levels - 1))
     angles = rng.uniform(t_lo, t_hi, size=(samples, 1, levels))
     targets = np.broadcast_to(np.arange(1, k_top + 1) * np.pi / 2.0, (samples, k_top))
-    om, ok = spectrum._pwc_solve_targets(jumps, angles, targets)
+    om, _, ok = spectrum._pwc_solve_targets(jumps, angles, targets)
     runs = [genericity_mc(2, 2000, seed=s) for s in range(4)]
     monkeypatch.setattr(sl_core, "_jump_map", reference_jump_map)
-    ref_om, ref_ok = spectrum._pwc_solve_targets(jumps, angles, targets)
+    ref_om, _, ref_ok = spectrum._pwc_solve_targets(jumps, angles, targets)
     assert np.all(ok) and np.all(ref_ok)
     assert_allclose(om, ref_om, rtol=1e-13, atol=0.0)
     # below EXACT_TOL a residual is roundoff and may change bin (seed 2: one at
@@ -333,7 +342,7 @@ def test_ratio_residual_ties_on_the_isentropic_box():
     # the ladder from the solve itself, through both residual forms
     targets = np.broadcast_to(np.arange(1, 8) * np.pi / 2.0, (64, 7))
     rng = np.random.default_rng(4)
-    om, ok = spectrum._pwc_solve_targets(
+    om, _, ok = spectrum._pwc_solve_targets(
         np.ones((64, 1, 1)), rng.uniform(0.1, 3.0, size=(64, 1, 2)), targets
     )
     assert np.all(ok)
@@ -386,10 +395,10 @@ def test_smooth_roots_do_not_depend_on_batch(smooth_jumpy):
     # the Magnus level is chosen per omega, so a smooth ladder solved as one
     # batch gives every target's single solve bit for bit
     targets = np.arange(1, 13) * np.pi / 2.0
-    om, ok = spectrum._solve_profile_targets(smooth_jumpy, targets)
+    om, _, ok = spectrum._solve_profile_targets(smooth_jumpy, targets)
     assert np.all(ok)
     for t, om_t in zip(targets, om):
-        one, ok_one = spectrum._solve_profile_targets(smooth_jumpy, np.array([t]))
+        one, _, ok_one = spectrum._solve_profile_targets(smooth_jumpy, np.array([t]))
         assert ok_one[0] and one[0] == om_t
 
 
